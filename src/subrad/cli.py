@@ -68,8 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", default=None, help="CSV output path (default: scenario output or stdout)")
     p_run.add_argument("--fixed-step", type=float, default=None, metavar="DT",
                        help="fixed integrator step in scenario time units (deterministic output)")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="reserved; no stochastic paths exist yet")
     p_run.add_argument("--check-strict", action="store_true",
                        help="abort on any invariant breach instead of flagging it")
     p_run.add_argument("--initial", default=None, metavar="LABEL",
@@ -81,7 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("target", help="sweep file path")
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--fixed-step", type=float, default=None, metavar="DT")
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--check-strict", action="store_true")
 
     sub.add_parser("presets", help="list built-in presets")

@@ -31,8 +31,9 @@ from .errors import (
     StepSizeUnderflow,
     UnsupportedSector,
 )
-from .linalg import dagger, hermitian_eigen, kernel_basis, max_abs
+from .linalg import dagger, hermitian_eigen, max_abs
 from .model import ModelOperators, basis_excitations, basis_vector
+from .observables import dark_subspace
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
@@ -199,7 +200,7 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     herm_err = max_abs(rho - dagger(rho))
     if herm_err > 1e-9:
         raise InvariantViolation(f"initial state Hermiticity error {herm_err:.2e}")
-    w, _ = hermitian_eigen((rho + dagger(rho)) / 2.0, hermiticity_tol=1.0)
+    w, _ = hermitian_eigen((rho + dagger(rho)) / 2.0, hermiticity_tol=1.0, vectors=False)
     if w[0] < -1e-8:
         raise InvariantViolation(f"initial state min eigenvalue {w[0]:.2e}")
     return rho.copy()
@@ -239,7 +240,7 @@ def evolve(
         }
         if cfg.check_positivity:
             sym = (state + dagger(state)) / 2.0
-            w, _ = hermitian_eigen(sym, hermiticity_tol=1.0)
+            w, _ = hermitian_eigen(sym, hermiticity_tol=1.0, vectors=False)
             rec["min_eigenvalue"] = float(w[0])
             if w[0] < cfg.min_eigenvalue_floor:
                 raise InvariantViolation(
@@ -410,12 +411,7 @@ def predict_final_state(model: ModelOperators, pure_initial) -> np.ndarray:
             "initial state has support outside the single-excitation sector"
         )
 
-    idx = np.nonzero(exc == 1)[0]
-    restricted = np.vstack([op[:, idx] for op in model.collective_ops])
-    local_basis = kernel_basis(restricted, tol=1e-9)
-    dark = np.zeros((model.dim, local_basis.shape[1]), dtype=np.complex128)
-    dark[idx, :] = local_basis
-
+    dark = dark_subspace(model, 1).basis
     projected = dark @ (dagger(dark) @ psi)
     dark_weight = float(np.real(np.vdot(projected, projected)))
     vac = basis_vector(model.layout, (0,) * model.layout.n_subsystems)

@@ -3,8 +3,7 @@
 All values are plain ``numpy.ndarray`` with ``complex128`` entries, stored
 row-major.  Functions never mutate their inputs; outputs should be treated
 as immutable.  Dimensions in scope are small (a few hundred at most), so
-everything is dense and the Hermitian eigensolver is a self-contained
-cyclic Jacobi iteration rather than an external routine.
+everything is dense and eigensolves go to LAPACK through numpy.
 
 Ordering convention, used everywhere in the package: subsystem 0 is the
 leftmost (slowest-varying) tensor factor, i.e. ``kron(a, b)`` acts with
@@ -22,8 +21,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 DEFAULT_HERMITICITY_TOL = 1e-9
 DEFAULT_KERNEL_TOL = 1e-9
-
-_MAX_JACOBI_SWEEPS = 60
 
 
 def as_complex_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -93,19 +90,21 @@ def kron(a, b) -> np.ndarray:
 
 
 def hermitian_eigen(
-    m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL, *, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (`numpy.linalg.eigh`).
 
     Returns ``(w, v)`` with real eigenvalues ``w`` sorted ascending and
     orthonormal eigenvector columns ``v`` such that ``m = v @ diag(w) @ v†``.
+    The input is symmetrised before the solve.  With ``vectors=False`` only
+    the eigenvalues are computed (`numpy.linalg.eigvalsh`) and ``v`` is None.
 
     Raises
     ------
     NotHermitian
         if ``max|m - m†| > hermiticity_tol``.
     ConvergenceFailure
-        if the sweep limit is exhausted (does not happen for finite input).
+        if LAPACK reports that the solve did not converge.
     """
     a = as_complex_matrix(m, square=True, name="matrix")
     herm_err = max_abs(a - dagger(a))
@@ -113,64 +112,14 @@ def hermitian_eigen(
         raise NotHermitian(
             f"matrix deviates from Hermitian by {herm_err:.3e} > {hermiticity_tol:.3e}"
         )
-    n = a.shape[0]
     a = (a + dagger(a)) / 2.0
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    scale = max(max_abs(a), np.finfo(float).tiny)
-    converged = False
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = a - np.diag(np.diag(a))
-        if max_abs(off) <= 1e-15 * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                b = abs(apq)
-                if b <= 1e-18 * scale:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                e = apq / b
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                tau = (alpha - gamma) / (2.0 * b)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = -np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                se = s * e
-                sec = s * np.conj(e)
-                # a <- J† a J with J acting on the (p, q) plane
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - sec * aq
-                a[:, q] = se * ap + c * aq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - se * rq
-                a[q, :] = sec * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sec * vq
-                v[:, q] = se * vp + c * vq
-    if not converged:
-        off = a - np.diag(np.diag(a))
-        if max_abs(off) > 1e-12 * scale:
-            raise ConvergenceFailure("Jacobi sweeps exhausted without convergence")
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    try:
+        if not vectors:
+            return np.linalg.eigvalsh(a), None
+        w, v = np.linalg.eigh(a)
+        return w, v
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Hermitian eigensolve did not converge: {exc}") from exc
 
 
 def kernel_basis(m, tol: float = DEFAULT_KERNEL_TOL) -> np.ndarray:
@@ -245,7 +194,7 @@ def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) ->
 
 def trace_norm_hermitian(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eigen(m, hermiticity_tol=hermiticity_tol)
+    w, _ = hermitian_eigen(m, hermiticity_tol=hermiticity_tol, vectors=False)
     return float(np.sum(np.abs(w)))
 
 

@@ -225,7 +225,8 @@ class ModelOperators:
     (the first ``n_collective`` entries), then local channels.
     ``hamiltonian`` is the evolution generator in the chosen frame;
     ``free_hamiltonian`` is always the drive-free lab-frame energy operator
-    used for energy readout.
+    used for energy readout.  ``_dark_cache`` holds the dark subspaces
+    `observables.dark_subspace` has computed for this model.
     """
 
     dim: int
@@ -235,6 +236,7 @@ class ModelOperators:
     n_collective: int
     layout: DimsLayout
     system: SystemSpec
+    _dark_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def collective_ops(self) -> tuple[np.ndarray, ...]:

@@ -117,20 +117,32 @@ def log_negativity(
 
 
 def dark_subspace(model: ModelOperators, sector: int, tol: float = 1e-9) -> DarkSubspace:
-    """Joint kernel of all collective jump operators within one sector."""
+    """Joint kernel of all collective jump operators within one sector.
+
+    Computed once per ``(sector, tol)`` and kept on ``model``; repeat calls
+    return the same object, whose basis is read-only.
+    """
+    key = (sector, tol)
+    cached = model._dark_cache.get(key)
+    if cached is not None:
+        return cached
     exc = basis_excitations(model.layout)
     if sector < 0 or sector > int(exc.max()):
-        return DarkSubspace(sector=sector, basis=np.zeros((model.dim, 0), np.complex128), dimension=0)
-    idx = sector_indices(model.layout, sector)
-    ops = model.collective_ops
-    if not ops:
-        restricted = np.zeros((1, idx.size), dtype=np.complex128)
+        basis = np.zeros((model.dim, 0), np.complex128)
     else:
-        restricted = np.vstack([op[:, idx] for op in ops])
-    local = kernel_basis(restricted, tol=tol)
-    basis = np.zeros((model.dim, local.shape[1]), dtype=np.complex128)
-    basis[idx, :] = local
-    return DarkSubspace(sector=sector, basis=basis, dimension=local.shape[1])
+        idx = sector_indices(model.layout, sector)
+        ops = model.collective_ops
+        if not ops:
+            restricted = np.zeros((1, idx.size), dtype=np.complex128)
+        else:
+            restricted = np.vstack([op[:, idx] for op in ops])
+        local = kernel_basis(restricted, tol=tol)
+        basis = np.zeros((model.dim, local.shape[1]), dtype=np.complex128)
+        basis[idx, :] = local
+    basis.flags.writeable = False
+    result = DarkSubspace(sector=sector, basis=basis, dimension=basis.shape[1])
+    model._dark_cache[key] = result
+    return result
 
 
 def dark_projector(model: ModelOperators, sectors: Sequence[int] | None = None) -> np.ndarray:
@@ -173,7 +185,7 @@ def purity_and_checks(rho) -> dict[str, float]:
         raise DimensionMismatch(f"expected a square matrix, got shape {rho.shape}")
     herm_err = max_abs(rho - dagger(rho))
     sym = (rho + dagger(rho)) / 2.0
-    w, _ = hermitian_eigen(sym, hermiticity_tol=1.0)
+    w, _ = hermitian_eigen(sym, hermiticity_tol=1.0, vectors=False)
     return {
         "purity": float(np.real(np.trace(rho @ rho))),
         "trace_error": float(abs(complex(np.trace(rho)) - 1.0)),

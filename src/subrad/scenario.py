@@ -219,6 +219,8 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
+    """A parsed sweep; ``base`` is the normalized scenario dict the axis paths address."""
+
     base: dict
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     reductions: tuple[dict, ...]
@@ -591,36 +593,30 @@ def dump_scenario(scenario: Scenario) -> str:
 
 def _observable_columns(
     ob: ObservableSpec, model: ModelOperators
-) -> list[tuple[str, Callable[[float, np.ndarray], float]]]:
+) -> list[tuple[tuple[str, ...], Callable[[float, np.ndarray], tuple[float, ...]]]]:
+    """Column names of one observable and the function giving their values."""
     layout = model.layout
     if ob.kind == "energy":
-        return [("energy", lambda t, rho: energy(rho, model))]
+        return [(("energy",), lambda t, rho: (energy(rho, model),))]
     if ob.kind == "purity":
-        return [("purity", lambda t, rho: float(np.real(np.trace(rho @ rho))))]
+        return [(("purity",), lambda t, rho: (float(np.real(np.trace(rho @ rho))),))]
     if ob.kind == "fidelity":
         target = state_vector(ob.target, layout)
         if ob.sqrt:
-            return [("fidelity_sqrt", lambda t, rho: dark_overlap_sqrt(rho, target))]
-        return [("fidelity", lambda t, rho: dark_overlap(rho, target))]
+            return [(("fidelity_sqrt",), lambda t, rho: (dark_overlap_sqrt(rho, target),))]
+        return [(("fidelity",), lambda t, rho: (dark_overlap(rho, target),))]
     if ob.kind == "log_negativity":
         bip = ob.bipartition
         name = "log_negativity[" + ",".join(map(str, bip[0])) + "|" + ",".join(map(str, bip[1])) + "]"
-        return [(name, lambda t, rho: log_negativity(rho, layout, bip))]
+        return [((name,), lambda t, rho: (log_negativity(rho, layout, bip),))]
     if ob.kind == "nes":
-        cols: list[tuple[str, Callable[[float, np.ndarray], float]]] = []
-        n = layout.n_subsystems
+        names = tuple(f"nes_excitation_{j}" for j in range(layout.n_subsystems))
 
-        def exc_fn(j: int):
-            return lambda t, rho: nes_report(rho, model).per_emitter_excitation[j]
+        def nes_values(t, rho):
+            report = nes_report(rho, model)
+            return (*report.per_emitter_excitation, report.dark_weight, float(report.is_nonequilibrium))
 
-        # nes_report is recomputed per column; fine at these dimensions.
-        for j in range(n):
-            cols.append((f"nes_excitation_{j}", exc_fn(j)))
-        cols.append(("nes_dark_weight", lambda t, rho: nes_report(rho, model).dark_weight))
-        cols.append(
-            ("nes_is_nonequilibrium", lambda t, rho: float(nes_report(rho, model).is_nonequilibrium))
-        )
-        return cols
+        return [(names + ("nes_dark_weight", "nes_is_nonequilibrium"), nes_values)]
     if ob.kind == "checks":
         return []  # filled from the integrator's built-in records
     raise ValidationError(f"unknown observable kind {ob.kind!r}")
@@ -683,14 +679,18 @@ def run_scenario(
         rho0 = build_initial_state(state_spec, layout)
 
         def observer(t: float, rho: np.ndarray) -> dict[str, float]:
-            return {name: fn(t, rho) for name, fn in column_fns}
+            values: dict[str, float] = {}
+            for names, fn in column_fns:
+                values.update(zip(names, fn(t, rho)))
+            return values
 
         traj = evolve(model, rho0, grid, cfg, observer)
         trajectories[label] = traj
         suffix = f":{label}" if multi else ""
-        for name, _ in column_fns:
-            header.append(name + suffix)
-            columns.append(traj.records[name])
+        for names, _ in column_fns:
+            for name in names:
+                header.append(name + suffix)
+                columns.append(traj.records[name])
         if want_checks:
             header.append("herm_error" + suffix)
             columns.append(traj.records["herm_error"])
@@ -787,12 +787,12 @@ def parse_sweep(text: str) -> SweepSpec:
 
     base = data["base"]
     if isinstance(base, str):
-        base_dict = load_preset(base)
-    elif isinstance(base, Mapping):
-        base_dict = copy.deepcopy(dict(base))
-    else:
+        base = load_preset(base)
+    elif not isinstance(base, Mapping):
         raise ValidationError("sweep.base: expected a preset name or an inline scenario")
-    scenario_from_dict(base_dict)  # validate the base eagerly
+    # Validate the base eagerly and keep its normalized form, where every
+    # axis path resolves (e.g. the shorthand "qubit" becomes an explicit emitter).
+    base_dict = scenario_to_dict(scenario_from_dict(base))
 
     axes_raw = data["axes"]
     _expect(isinstance(axes_raw, Mapping) and axes_raw, "sweep.axes", "non-empty object required")

@@ -1,4 +1,4 @@
-"""Kernels: Kronecker products, Jacobi eigensolve, null spaces, partial ops.
+"""Kernels: Kronecker products, Hermitian eigensolve, null spaces, partial ops.
 
 Expected values are either direct definitions or hand-derived:
 the 2x2 eigenpair comes from the characteristic polynomial, the partial
@@ -9,9 +9,10 @@ numpy's independent LAPACK/SVD routes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subrad as sr
-from subrad.errors import DimensionMismatch, NotHermitian
+from subrad.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 from subrad.linalg import DimsLayout, as_complex_matrix, kernel_basis
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -77,6 +78,44 @@ class TestHermitianEigen:
             assert np.all(np.diff(w) >= 0)
             # independent route: LAPACK eigenvalues
             assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-11)
+
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for vectors in (True, False):
+            with pytest.raises(ConvergenceFailure):
+                sr.hermitian_eigen(np.eye(2), vectors=vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spectrum=st.lists(
+            st.one_of(
+                st.sampled_from([-1.0, 0.0, 0.5, 2.0]),  # a small pool forces repeats
+                st.floats(-10.0, 10.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=32,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_random_hermitian(self, spectrum, seed):
+        n = len(spectrum)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        m = q @ np.diag(spectrum) @ q.conj().T
+        m = (m + m.conj().T) / 2
+        scale = max(1.0, float(np.max(np.abs(spectrum))))
+        w, v = sr.hermitian_eigen(m)
+        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) < 1e-12 * n * scale
+        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12 * n
+        assert np.all(np.diff(w) >= 0)
+        assert np.allclose(w, np.sort(spectrum), rtol=0, atol=1e-12 * n * scale)
+        w_only, none = sr.hermitian_eigen(m, vectors=False)
+        assert none is None
+        assert np.allclose(w_only, w, rtol=0, atol=1e-12 * n * scale)
 
 
 class TestKernelBasis:

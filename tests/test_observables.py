@@ -163,6 +163,18 @@ class TestDarkSubspace:
                 assert np.linalg.norm(op @ sub.basis[:, col]) < 1e-9
 
 
+    def test_memoised_per_model(self):
+        model = qubit_chain_model(3)
+        sub = sr.dark_subspace(model, 1)
+        assert sr.dark_subspace(model, 1) is sub
+        assert not sub.basis.flags.writeable
+        with pytest.raises(ValueError):
+            sub.basis[0, 0] = 1.0
+        other = qubit_chain_model(3)
+        assert sr.dark_subspace(other, 1) is not sub
+        assert sr.dark_subspace(model, 1, tol=1e-6) is not sub
+
+
 class TestNesReport:
     def test_unbalanced_single_excitation(self, two_qubit):
         rho = pure(sr.named_state_vector("10", two_qubit.layout))

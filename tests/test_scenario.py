@@ -122,6 +122,35 @@ class TestRunScenario:
         assert "min_eigenvalue" in result.header
 
 
+class TestNesColumns:
+    def test_dark_kernels_built_once_per_sector(self, monkeypatch):
+        import subrad.observables as observables
+
+        columns = []
+        original = observables.kernel_basis
+
+        def counting(m, *args, **kwargs):
+            columns.append(m.shape[1])
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(observables, "kernel_basis", counting)
+        sr.run_scenario(sr.scenario_from_dict(sr.load_preset("nqubit:4")))
+        # one call per excited sector k = 1..4, on its C(4, k) basis states
+        assert columns == [4, 6, 4, 1]
+
+    def test_last_row_matches_final_state_report(self):
+        scenario = sr.scenario_from_dict(sr.load_preset("nqubit:4"))
+        result = sr.run_scenario(scenario)
+        (traj,) = result.trajectories.values()
+        report = sr.nes_report(traj.final_state, sr.build_model(scenario.system))
+        expected = {f"nes_excitation_{j}": x for j, x in enumerate(report.per_emitter_excitation)}
+        expected["nes_dark_weight"] = report.dark_weight
+        expected["nes_is_nonequilibrium"] = float(report.is_nonequilibrium)
+        last = dict(zip(result.header, result.rows[-1]))
+        for name, value in expected.items():
+            assert last[name] == pytest.approx(value, rel=0, abs=1e-12)
+
+
 class TestPresets:
     def test_listing_contains_required_entries(self):
         names = dict(sr.list_presets())
