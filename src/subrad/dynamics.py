@@ -12,6 +12,18 @@ Trace is preserved by the generator identically, so trace drift measures
 pure roundoff; it is recorded, never silently corrected.  Hermiticity is
 restored each accepted step (``rho <- (rho + rho†)/2``, on by default,
 drift logged); positivity is checked at grid points and never enforced.
+A grid-point state with a non-finite entry is an invariant violation.
+
+`evolve` steps only the block of the density matrix that the initial state
+can reach.  A basis index is reachable when a chain of nonzero entries of
+H_nh = H - i sum_k rate_k L_k†L_k or of some jump operator leads to it from
+the support of ``rho0``; every term of the generator maps a state supported
+on a closed index set S (rows and columns in S) to one supported on S, so
+the S x S block evolves exactly on its own and everything outside it stays
+zero.  Decay only lowers excitation, so an initial excitation in a few
+sectors never leaves them; drives or channels mixing transitions of
+different size simply make S larger, up to the whole space.  Observers and
+checks still see the full state, embedded at each grid point.
 """
 
 from __future__ import annotations
@@ -38,6 +50,12 @@ from .observables import dark_subspace
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
 _RESERVED_RECORDS = ("trace_error", "herm_error", "min_eigenvalue")
+
+# Thresholds of the invariant checks, shared by `evolve`'s validation of the
+# initial state and the breach test of `scenario.run_scenario`.
+TRACE_TOL = 1e-9
+HERMITICITY_TOL = 1e-9
+MIN_EIGENVALUE_TOL = -1e-8
 
 
 @dataclass(frozen=True)
@@ -120,23 +138,26 @@ def lindblad_rhs(model: ModelOperators, rho) -> np.ndarray:
     return out
 
 
-def _compiled_rhs(model: ModelOperators) -> Callable[[np.ndarray], np.ndarray]:
-    """Algebraically identical to `lindblad_rhs` with operators prefolded.
+def _generator(model: ModelOperators) -> tuple[np.ndarray, list[np.ndarray]]:
+    """H_nh = H - i sum rate L†L and the scaled jumps sqrt(2 rate) L.
 
-    Uses H_nh = H - i K with K = sum rate L†L:
-    rhs = -i (H_nh rho - rho H_nh†) + sum 2 rate L rho L†.
+    With these, ``rhs = -i (H_nh rho - rho H_nh†) + sum (sqrt(2 rate) L) rho (...)†``,
+    algebraically identical to `lindblad_rhs`.
     """
-    dim = model.dim
-    k_op = np.zeros((dim, dim), dtype=np.complex128)
-    jump_pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    k_op = np.zeros((model.dim, model.dim), dtype=np.complex128)
+    jump_ops: list[np.ndarray] = []
     for rate, op in model.jumps:
         if rate == 0.0:
             continue
-        op_dag = dagger(op)
-        k_op += rate * (op_dag @ op)
-        jump_pairs.append((np.sqrt(2.0 * rate) * op, np.sqrt(2.0 * rate) * op_dag))
-    h_nh = model.hamiltonian - 1j * k_op
+        k_op += rate * (dagger(op) @ op)
+        jump_ops.append(np.sqrt(2.0 * rate) * op)
+    return model.hamiltonian - 1j * k_op, jump_ops
+
+
+def _compiled_rhs(h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The master-equation rhs from the operators `_generator` returns."""
     h_nh_dag = dagger(h_nh)
+    jump_pairs = [(op, dagger(op)) for op in jump_ops]
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         out = -1j * (h_nh @ rho - rho @ h_nh_dag)
@@ -145,6 +166,24 @@ def _compiled_rhs(model: ModelOperators) -> Callable[[np.ndarray], np.ndarray]:
         return out
 
     return rhs
+
+
+def _reachable(rho: np.ndarray, operators: Sequence[np.ndarray]) -> np.ndarray:
+    """Sorted basis indices reachable from the support of ``rho``.
+
+    Index i is reached from j when some operator has a nonzero (i, j) entry;
+    the result is the smallest superset of the support closed under that.
+    """
+    pattern = np.zeros(rho.shape, dtype=bool)
+    for op in operators:
+        pattern |= op != 0
+    nonzero = rho != 0
+    reached = nonzero.any(axis=0) | nonzero.any(axis=1)
+    while True:
+        grown = reached | pattern[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
 
 
 # Dormand-Prince 5(4) tableau.
@@ -195,13 +234,13 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {dim}")
     trace_err = abs(complex(np.trace(rho)) - 1.0)
-    if trace_err > 1e-9:
+    if trace_err > TRACE_TOL:
         raise InvariantViolation(f"initial state trace error {trace_err:.2e}")
     herm_err = max_abs(rho - dagger(rho))
-    if herm_err > 1e-9:
+    if herm_err > HERMITICITY_TOL:
         raise InvariantViolation(f"initial state Hermiticity error {herm_err:.2e}")
     w, _ = hermitian_eigen((rho + dagger(rho)) / 2.0, hermiticity_tol=1.0, vectors=False)
-    if w[0] < -1e-8:
+    if w[0] < MIN_EIGENVALUE_TOL:
         raise InvariantViolation(f"initial state min eigenvalue {w[0]:.2e}")
     return rho.copy()
 
@@ -217,8 +256,19 @@ def evolve(
 
     ``time_grid`` must be strictly increasing; ``rho0`` is the state at
     ``time_grid[0]``.  The observer (if given) is called at every grid
-    point and its returned mapping merged into the records; the keys
-    ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are reserved.
+    point with the full ``(dim, dim)`` state and its returned mapping merged
+    into the records; the keys ``trace_error``, ``herm_error`` and
+    ``min_eigenvalue`` are reserved.  A grid-point state with a non-finite
+    entry raises `InvariantViolation` before the observer sees it.
+
+    Only the block on the indices reachable from the support of ``rho0``
+    (see the module docstring) is stepped; ``meta["evolved_dim"]`` is its
+    size.  Outside the block the state is exactly zero, so the embedded
+    state has the block's spectrum plus zeros, and ``min_eigenvalue`` is
+    ``min(lambda_min(block), 0)``.  The step-error norm still averages over
+    all ``dim**2`` entries: the entries outside the block would add exactly
+    0 to the sum, so dividing by the full count gives the norm, and thus the
+    step sequence, of a full-space run (up to the order of roundoff).
     """
     cfg = config or IntegratorConfig()
     times = np.asarray(time_grid, dtype=float)
@@ -227,13 +277,31 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise DimensionMismatch("time grid must be strictly increasing")
 
-    rho = _check_density(rho0, model.dim)
-    rhs = _compiled_rhs(model)
+    dim = model.dim
+    rho = _check_density(rho0, dim)
+    h_nh, jump_ops = _generator(model)
+    keep = _reachable(rho, [h_nh, *jump_ops])
+    reduced = keep.size < dim
+    if reduced:
+        block = np.ix_(keep, keep)
+        h_nh = h_nh[block]
+        jump_ops = [op[block] for op in jump_ops]
+        rho = rho[block]
+    rhs = _compiled_rhs(h_nh, jump_ops)
+
+    def embed(state: np.ndarray) -> np.ndarray:
+        if not reduced:
+            return state
+        full = np.zeros((dim, dim), dtype=np.complex128)
+        full[block] = state
+        return full
 
     records: list[dict[str, float]] = []
-    meta = {"steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0}
+    meta = {"steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0, "evolved_dim": float(keep.size)}
 
     def record_point(t: float, state: np.ndarray) -> None:
+        if not np.isfinite(state).all():
+            raise InvariantViolation(f"state has non-finite entries at t={t:g}")
         rec: dict[str, float] = {
             "trace_error": float(abs(complex(np.trace(state)) - 1.0)),
             "herm_error": float(max_abs(state - dagger(state))),
@@ -241,16 +309,17 @@ def evolve(
         if cfg.check_positivity:
             sym = (state + dagger(state)) / 2.0
             w, _ = hermitian_eigen(sym, hermiticity_tol=1.0, vectors=False)
-            rec["min_eigenvalue"] = float(w[0])
-            if w[0] < cfg.min_eigenvalue_floor:
+            lowest = min(float(w[0]), 0.0) if reduced else float(w[0])
+            rec["min_eigenvalue"] = lowest
+            if lowest < cfg.min_eigenvalue_floor:
                 raise InvariantViolation(
-                    f"state min eigenvalue {w[0]:.3e} below floor "
+                    f"state min eigenvalue {lowest:.3e} below floor "
                     f"{cfg.min_eigenvalue_floor:.3e} at t={t:g}"
                 )
         else:
             rec["min_eigenvalue"] = float("nan")
         if observer is not None:
-            extra = observer(t, state)
+            extra = observer(t, embed(state))
             for key in extra:
                 if key in _RESERVED_RECORDS:
                     raise ValueError(f"observer key {key!r} is reserved")
@@ -292,7 +361,7 @@ def evolve(
                 finite = bool(np.all(np.isfinite(y_new.real)) and np.all(np.isfinite(y_new.imag)))
                 if finite:
                     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(rho), np.abs(y_new))
-                    err_norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+                    err_norm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2) / dim**2))
                 else:
                     err_norm = np.inf
                 if err_norm > 1.0:
@@ -317,7 +386,7 @@ def evolve(
         record_point(target, rho)
 
     columns = {key: np.array([r[key] for r in records]) for key in records[0]}
-    return Trajectory(times=times.copy(), records=columns, final_state=rho.copy(), meta=meta)
+    return Trajectory(times=times.copy(), records=columns, final_state=embed(rho).copy(), meta=meta)
 
 
 def effective_hamiltonian(model: ModelOperators) -> EffectiveHamiltonian:
@@ -326,12 +395,7 @@ def effective_hamiltonian(model: ModelOperators) -> EffectiveHamiltonian:
     Eigenvalues are sorted by (real, imag); the imaginary parts are decay
     rates of the no-jump amplitudes and can never be positive.
     """
-    dim = model.dim
-    k_op = np.zeros((dim, dim), dtype=np.complex128)
-    for rate, op in model.jumps:
-        if rate:
-            k_op += rate * (dagger(op) @ op)
-    matrix = model.hamiltonian - 1j * k_op
+    matrix, _ = _generator(model)
     vals, vecs = np.linalg.eig(matrix)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]

@@ -37,6 +37,10 @@ class InvariantViolation(SubradError):
     """A physical invariant (trace, Hermiticity, positivity) was breached."""
 
 
+class InvariantBreach(SubradError):
+    """Raised in strict mode when a run violates trace/Hermiticity/positivity."""
+
+
 class UnsupportedSector(SubradError):
     """The analytic final-state predictor only covers single-excitation input."""
 

@@ -62,7 +62,7 @@ def energy(rho, model: ModelOperators) -> float:
     evolved in either frame.
     """
     rho = model.layout.check_matrix(rho)
-    value = complex(np.trace(model.free_hamiltonian @ rho))
+    value = complex(np.einsum("ij,ji->", model.free_hamiltonian, rho))
     return float(value.real)
 
 

@@ -48,14 +48,22 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, evolve
+from .dynamics import (
+    HERMITICITY_TOL,
+    MIN_EIGENVALUE_TOL,
+    TRACE_TOL,
+    IntegratorConfig,
+    Trajectory,
+    evolve,
+)
 from .errors import (
+    InvariantBreach,
     ParseError,
     SubradError,
     UnknownLabel,
@@ -647,16 +655,7 @@ def run_scenario(
 
     cfg = scenario.integrator
     if fixed_step is not None:
-        cfg = IntegratorConfig(
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            initial_step=cfg.initial_step,
-            max_step=cfg.max_step,
-            hermitize_each_step=cfg.hermitize_each_step,
-            fixed_step=fixed_step * time_scale,
-            check_positivity=cfg.check_positivity,
-            min_eigenvalue_floor=cfg.min_eigenvalue_floor,
-        )
+        cfg = replace(cfg, fixed_step=fixed_step * time_scale)
 
     initials = scenario.initials
     if initial is not None:
@@ -702,12 +701,14 @@ def run_scenario(
     header.append("trace_error")
     columns.append(trace_error)
 
+    # Written so that a NaN trace or Hermiticity error counts as a breach;
+    # min_eigenvalue is NaN only when positivity checking is off.
     breached = False
     for traj in trajectories.values():
         if (
-            np.any(traj.records["trace_error"] > 1e-9)
-            or np.any(traj.records["herm_error"] > 1e-9)
-            or np.any(np.nan_to_num(traj.records["min_eigenvalue"], nan=0.0) < -1e-8)
+            not np.all(traj.records["trace_error"] <= TRACE_TOL)
+            or not np.all(traj.records["herm_error"] <= HERMITICITY_TOL)
+            or np.any(np.nan_to_num(traj.records["min_eigenvalue"], nan=0.0) < MIN_EIGENVALUE_TOL)
         ):
             breached = True
     if breached and check_strict:
@@ -721,10 +722,6 @@ def run_scenario(
         trajectories=trajectories,
         breached=breached,
     )
-
-
-class InvariantBreach(SubradError):
-    """Raised in strict mode when a run violates trace/Hermiticity/positivity."""
 
 
 def format_csv(header: Sequence[str], rows: np.ndarray) -> str:

@@ -8,6 +8,7 @@ comparisons.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import subrad as sr
@@ -188,6 +189,105 @@ class TestEvolve:
             cfg = sr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
             traj = sr.evolve(model, rho0, np.array([0.0, t_end]), cfg)
             assert np.max(np.abs(traj.final_state - oracle)) < 1e-7
+
+    def test_non_finite_state_is_an_invariant_violation(self):
+        # One grid interval of 200 fixed steps at h*rate = 50 overflows to NaN.
+        model = two_qubit_model()
+        rho0 = pure(sr.named_state_vector("11", model.layout))
+        for check_positivity in (True, False):
+            seen = []
+            cfg = sr.IntegratorConfig(fixed_step=5e4, check_positivity=check_positivity)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                InvariantViolation, match=r"non-finite.*t=1e\+07"
+            ):
+                sr.evolve(model, rho0, np.array([0.0, 1e7]), cfg, lambda t, r: seen.append(t) or {})
+            assert seen == [0.0]
+
+
+class TestReachableBlock:
+    @pytest.mark.parametrize(
+        "preset, label, evolved_dim",
+        [("nqubit:7", "1000000", 8), ("fig2", "10", 3), ("fig3e-clockwork", "00", 6), ("fig2", "11", 4)],
+    )
+    def test_evolved_dim_of_presets(self, preset, label, evolved_dim):
+        scenario = sr.scenario_from_dict(sr.load_preset(preset))
+        model = sr.build_model(scenario.system)
+        rho0 = sr.build_initial_state(dict(scenario.initials)[label], model.layout)
+        seen = []
+        traj = sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, r: seen.append(r.shape) or {})
+        assert traj.meta["evolved_dim"] == evolved_dim
+        assert seen == [(model.dim, model.dim)] * 2
+        assert traj.final_state.shape == (model.dim, model.dim)
+
+    def test_step_sequence_of_full_space_run(self, monkeypatch):
+        # The error norm divides by the full dim**2, so the block takes the
+        # steps a full-space run takes, up to roundoff in the controller.
+        scenario = sr.scenario_from_dict(sr.load_preset("nqubit:4"))
+        model = sr.build_model(scenario.system)
+        rho0 = sr.build_initial_state(dict(scenario.initials)["1000"], model.layout)
+        grid = scenario.time.grid()
+        reduced = sr.evolve(model, rho0, grid, scenario.integrator)
+        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, ops: np.arange(rho.shape[0]))
+        full = sr.evolve(model, rho0, grid, scenario.integrator)
+        assert (reduced.meta["evolved_dim"], full.meta["evolved_dim"]) == (5, model.dim)
+        assert abs(reduced.meta["steps"] - full.meta["steps"]) <= 0.02 * full.meta["steps"]
+        assert np.max(np.abs(reduced.final_state - full.final_state)) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        levels=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4).filter(
+            lambda ls: int(np.prod(ls)) <= 16
+        ),
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_full_space_oracle(self, levels, n_collective, n_local, driven, seed):
+        rng = np.random.default_rng(seed)
+        n = len(levels)
+
+        def transition(j):
+            upper = int(rng.integers(1, levels[j]))
+            return (upper, int(rng.integers(0, upper)))
+
+        emitters = tuple(
+            sr.EmitterSpec(d, (0.0, *np.cumsum(1.0 + rng.uniform(-0.3, 0.3, d - 1)))) for d in levels
+        )
+        collective = []
+        for _ in range(n_collective):
+            weights = rng.normal(size=n) + 1j * rng.normal(size=n)
+            weights[rng.permutation(n)[2:]] *= rng.integers(0, 2, n - 2)  # at least two stay active
+            collective.append(
+                sr.CollectiveChannelSpec(rng.uniform(0.05, 0.5), weights, tuple(transition(j) for j in range(n)))
+            )
+        local = []
+        for _ in range(n_local):
+            j = int(rng.integers(n))
+            local.append(sr.LocalChannelSpec(rng.uniform(0.05, 0.5), j, transition(j)))
+        drives = ()
+        if driven:
+            j = int(rng.integers(n))
+            drives = (sr.DriveSpec(rng.uniform(0.1, 0.5), j, transition(j), rng.uniform(-0.2, 0.2)),)
+        model = sr.build_model(sr.SystemSpec(emitters, tuple(collective), tuple(local), drives))
+
+        exc = sr.basis_excitations(model.layout)
+        sectors = np.unique(exc)
+        chosen = sectors[rng.random(sectors.size) < 0.5]
+        if chosen.size == 0:
+            chosen = sectors[rng.integers(sectors.size, size=1)]
+        support = np.flatnonzero(np.isin(exc, chosen))
+        rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+        rho0[np.ix_(support, support)] = random_density(rng, support.size)
+
+        t_end = 2.0
+        oracle = sr.unvec(expm(sr.liouvillian_matrix(model) * t_end) @ sr.vec(rho0), model.dim)
+        cfg = sr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        traj = sr.evolve(model, rho0, np.array([0.0, t_end]), cfg)
+        assert np.max(np.abs(traj.final_state - oracle)) < 1e-7
+        assert support.size <= traj.meta["evolved_dim"] <= model.dim
+        # the spectrum of the embedded state, zeros outside the block included
+        assert traj.records["min_eigenvalue"][0] == pytest.approx(np.linalg.eigvalsh(rho0)[0], abs=1e-12)
 
 
 class TestEffectiveHamiltonian:

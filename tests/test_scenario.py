@@ -7,7 +7,7 @@ import pytest
 
 import subrad as sr
 from subrad.cli import main
-from subrad.errors import ParseError, UnknownLabel, ValidationError
+from subrad.errors import InvariantBreach, ParseError, UnknownLabel, ValidationError
 from subrad.scenario import format_csv, format_sweep_csv, parse_sweep, run_sweep
 
 TINY_SCENARIO = {
@@ -121,6 +121,30 @@ class TestRunScenario:
         assert "herm_error" in result.header
         assert "min_eigenvalue" in result.header
 
+    @pytest.mark.parametrize("column", ["trace_error", "herm_error"])
+    def test_nan_invariant_record_is_a_breach(self, monkeypatch, column):
+        import subrad.scenario as scenario_module
+
+        def nan_last_record(*args, **kwargs):
+            traj = sr.evolve(*args, **kwargs)
+            traj.records[column][-1] = np.nan
+            return traj
+
+        monkeypatch.setattr(scenario_module, "evolve", nan_last_record)
+        scenario = sr.scenario_from_dict(TINY_SCENARIO)
+        assert sr.run_scenario(scenario).breached
+        with pytest.raises(InvariantBreach):
+            sr.run_scenario(scenario, check_strict=True)
+
+    def test_diverging_fixed_step_raises_invariant_violation(self):
+        data = sr.load_preset("fig2")
+        data["initial"] = ["11"]
+        data["time"] = {"unit": "omega", "horizon": 1e7, "points": 2}
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            sr.errors.InvariantViolation, match="non-finite"
+        ):
+            sr.run_scenario(sr.scenario_from_dict(data), fixed_step=5e4)
+
 
 class TestNesColumns:
     def test_dark_kernels_built_once_per_sector(self, monkeypatch):
@@ -191,6 +215,15 @@ class TestPresets:
         phased = sr.scenario_from_dict(sr.load_preset("nqubit:2:0,3.14159"))
         w = phased.system.collective_channels[0].weights
         assert w[1].real == pytest.approx(-1.0, abs=1e-4)
+
+    def test_nqubit_8_keeps_the_dark_energy(self):
+        data = sr.load_preset("nqubit:8")
+        data["observables"] = ["energy"]
+        result = sr.run_scenario(sr.scenario_from_dict(data))
+        # the single excitation is 7/8 dark: that much energy never decays
+        assert result.rows[-1, result.header.index("energy")] == pytest.approx(7 / 8, abs=1e-3)
+        (traj,) = result.trajectories.values()
+        assert traj.meta["evolved_dim"] == 9
 
     def test_unknown_preset(self):
         with pytest.raises(UnknownLabel):
