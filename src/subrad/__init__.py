@@ -1,7 +1,8 @@
 """subrad: cooperative-dissipation dynamics for small emitter networks.
 
 Declarative system specs compile to dense Hamiltonian/jump operators; an
-adaptive integrator evolves density matrices under the Lindblad generator;
+exact propagator (small reachable blocks) or an adaptive integrator evolves
+density matrices under the Lindblad generator;
 observables cover energy, dark-state overlaps, log-negativity and the
 dark-subspace structure; a scenario-file CLI drives figure-style runs and
 parameter sweeps.

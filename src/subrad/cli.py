@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from .dynamics import PROPAGATOR_MAX_DIM
 from .errors import ParseError, SubradError, UnknownLabel, ValidationError
 from .scenario import (
     Scenario,
@@ -59,6 +60,13 @@ def _plot_meta(scenario: Scenario, header: tuple[str, ...]) -> str:
     return json.dumps(meta, indent=2) + "\n"
 
 
+_FIXED_STEP_HELP = (
+    "fixed Dormand-Prince step in scenario time units (deterministic output); "
+    "Dormand-Prince only runs on reachable blocks of more than "
+    f"{PROPAGATOR_MAX_DIM} basis states, smaller blocks take the exact propagator"
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="subrad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,8 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a scenario file or preset")
     p_run.add_argument("target", help="scenario file path or preset name")
     p_run.add_argument("--out", default=None, help="CSV output path (default: scenario output or stdout)")
-    p_run.add_argument("--fixed-step", type=float, default=None, metavar="DT",
-                       help="fixed integrator step in scenario time units (deterministic output)")
+    p_run.add_argument("--fixed-step", type=float, default=None, metavar="DT", help=_FIXED_STEP_HELP)
     p_run.add_argument("--check-strict", action="store_true",
                        help="abort on any invariant breach instead of flagging it")
     p_run.add_argument("--initial", default=None, metavar="LABEL",
@@ -78,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep file")
     p_sweep.add_argument("target", help="sweep file path")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--fixed-step", type=float, default=None, metavar="DT")
+    p_sweep.add_argument("--fixed-step", type=float, default=None, metavar="DT", help=_FIXED_STEP_HELP)
     p_sweep.add_argument("--check-strict", action="store_true")
 
     sub.add_parser("presets", help="list built-in presets")

@@ -724,12 +724,23 @@ def run_scenario(
     )
 
 
+# Rows formatted per joined string in `format_csv`: the lines of one chunk are
+# alive at once, never the whole table's.
+_CSV_CHUNK_ROWS = 128
+
+
 def format_csv(header: Sequence[str], rows: np.ndarray) -> str:
     """17-significant-digit scientific CSV, deterministic for equal input."""
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(f"{v:.16e}" for v in row))
-    return "\n".join(lines) + "\n"
+    rows = np.atleast_2d(rows)
+    chunks = [",".join(header) + "\n"]
+    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunks.append(
+            "".join(
+                ",".join(f"{v:.16e}" for v in row) + "\n"
+                for row in rows[start : start + _CSV_CHUNK_ROWS].tolist()
+            )
+        )
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

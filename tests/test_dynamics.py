@@ -36,6 +36,17 @@ def two_qubit_model(rate=KAPPA, frame="rotating", delta=0.0, alpha=0.0):
     )
 
 
+def five_qubit_model(deltas=(0.0,) * 5, dimension_cap=256):
+    """Five detunable qubits under one collective channel; '11100' reaches 26 of 32 states."""
+    return sr.build_model(
+        sr.SystemSpec(
+            emitters=tuple(sr.EmitterSpec(2, (0.0, 1.0 + d)) for d in deltas),
+            collective_channels=(sr.CollectiveChannelSpec(KAPPA, (1,) * 5, ((1, 0),) * 5),),
+            dimension_cap=dimension_cap,
+        )
+    )
+
+
 def pure(vec):
     return np.outer(vec, vec.conj())
 
@@ -44,6 +55,51 @@ def random_density(rng, n):
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+LEVELS = st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4).filter(lambda ls: int(np.prod(ls)) <= 16)
+
+
+def random_model(rng, levels, n_collective, n_local, driven):
+    """Random qubit/qutrit system: mixed-size collective transitions, optional local loss and drive."""
+    n = len(levels)
+
+    def transition(j):
+        upper = int(rng.integers(1, levels[j]))
+        return (upper, int(rng.integers(0, upper)))
+
+    emitters = tuple(
+        sr.EmitterSpec(d, (0.0, *np.cumsum(1.0 + rng.uniform(-0.3, 0.3, d - 1)))) for d in levels
+    )
+    collective = []
+    for _ in range(n_collective):
+        weights = rng.normal(size=n) + 1j * rng.normal(size=n)
+        weights[rng.permutation(n)[2:]] *= rng.integers(0, 2, n - 2)  # at least two stay active
+        collective.append(
+            sr.CollectiveChannelSpec(rng.uniform(0.05, 0.5), weights, tuple(transition(j) for j in range(n)))
+        )
+    local = []
+    for _ in range(n_local):
+        j = int(rng.integers(n))
+        local.append(sr.LocalChannelSpec(rng.uniform(0.05, 0.5), j, transition(j)))
+    drives = ()
+    if driven:
+        j = int(rng.integers(n))
+        drives = (sr.DriveSpec(rng.uniform(0.1, 0.5), j, transition(j), rng.uniform(-0.2, 0.2)),)
+    return sr.build_model(sr.SystemSpec(emitters, tuple(collective), tuple(local), drives))
+
+
+def random_sector_state(rng, model):
+    """Random density matrix on a random nonempty union of excitation sectors, and its support."""
+    exc = sr.basis_excitations(model.layout)
+    sectors = np.unique(exc)
+    chosen = sectors[rng.random(sectors.size) < 0.5]
+    if chosen.size == 0:
+        chosen = sectors[rng.integers(sectors.size, size=1)]
+    support = np.flatnonzero(np.isin(exc, chosen))
+    rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+    rho0[np.ix_(support, support)] = random_density(rng, support.size)
+    return rho0, support
 
 
 class TestLindbladRhs:
@@ -192,8 +248,10 @@ class TestEvolve:
 
     def test_non_finite_state_is_an_invariant_violation(self):
         # One grid interval of 200 fixed steps at h*rate = 50 overflows to NaN.
-        model = two_qubit_model()
-        rho0 = pure(sr.named_state_vector("11", model.layout))
+        # Only the Dormand-Prince solver can diverge, so the block is above the bound.
+        model = five_qubit_model()
+        rho0 = pure(sr.named_state_vector("11100", model.layout))
+        assert sr.evolve(model, rho0, np.array([0.0, 1.0])).meta["solver"] == "dp45"
         for check_positivity in (True, False):
             seen = []
             cfg = sr.IntegratorConfig(fixed_step=5e4, check_positivity=check_positivity)
@@ -202,6 +260,16 @@ class TestEvolve:
             ):
                 sr.evolve(model, rho0, np.array([0.0, 1e7]), cfg, lambda t, r: seen.append(t) or {})
             assert seen == [0.0]
+
+    def test_dp45_oracle_on_block_above_bound(self):
+        model = five_qubit_model(deltas=(0.0, 0.002, -0.001, 0.003, 0.0), dimension_cap=1024)
+        rho0 = pure(sr.named_state_vector("11100", model.layout))
+        t_end = 1.0 / KAPPA
+        oracle = sr.unvec(expm(sr.liouvillian_matrix(model) * t_end) @ sr.vec(rho0), model.dim)
+        cfg = sr.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        traj = sr.evolve(model, rho0, np.array([0.0, t_end]), cfg)
+        assert (traj.meta["solver"], traj.meta["evolved_dim"]) == ("dp45", 26)
+        assert np.max(np.abs(traj.final_state - oracle)) < 1e-7
 
 
 class TestReachableBlock:
@@ -222,22 +290,40 @@ class TestReachableBlock:
     def test_step_sequence_of_full_space_run(self, monkeypatch):
         # The error norm divides by the full dim**2, so the block takes the
         # steps a full-space run takes, up to roundoff in the controller.
-        scenario = sr.scenario_from_dict(sr.load_preset("nqubit:4"))
+        data = sr.load_preset("nqubit:6")
+        data["initial"] = ["110000"]
+        scenario = sr.scenario_from_dict(data)
         model = sr.build_model(scenario.system)
-        rho0 = sr.build_initial_state(dict(scenario.initials)["1000"], model.layout)
+        rho0 = sr.build_initial_state(dict(scenario.initials)["110000"], model.layout)
         grid = scenario.time.grid()
         reduced = sr.evolve(model, rho0, grid, scenario.integrator)
         monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, ops: np.arange(rho.shape[0]))
         full = sr.evolve(model, rho0, grid, scenario.integrator)
-        assert (reduced.meta["evolved_dim"], full.meta["evolved_dim"]) == (5, model.dim)
+        assert (reduced.meta["evolved_dim"], full.meta["evolved_dim"]) == (22, model.dim)
+        assert reduced.meta["solver"] == full.meta["solver"] == "dp45"
         assert abs(reduced.meta["steps"] - full.meta["steps"]) <= 0.02 * full.meta["steps"]
         assert np.max(np.abs(reduced.final_state - full.final_state)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "preset, label, evolved_dim, solver",
+        [
+            ("fig2", "10", 3, "propagator"),
+            ("fig2", "11", 4, "propagator"),
+            ("nqubit:5", "11000", 16, "propagator"),
+            ("nqubit:5", "11100", 26, "dp45"),
+        ],
+    )
+    def test_solver_follows_block_size(self, preset, label, evolved_dim, solver):
+        model = sr.build_model(sr.scenario_from_dict(sr.load_preset(preset)).system)
+        rho0 = pure(sr.named_state_vector(label, model.layout))
+        traj = sr.evolve(model, rho0, np.linspace(0.0, 10.0, 3))
+        assert (traj.meta["evolved_dim"], traj.meta["solver"]) == (evolved_dim, solver)
+        if solver == "propagator":
+            assert (traj.meta["steps"], traj.meta["rejected"]) == (2, 0)
+
     @settings(max_examples=30, deadline=None)
     @given(
-        levels=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4).filter(
-            lambda ls: int(np.prod(ls)) <= 16
-        ),
+        levels=LEVELS,
         n_collective=st.integers(0, 2),
         n_local=st.integers(0, 2),
         driven=st.booleans(),
@@ -245,40 +331,8 @@ class TestReachableBlock:
     )
     def test_property_matches_full_space_oracle(self, levels, n_collective, n_local, driven, seed):
         rng = np.random.default_rng(seed)
-        n = len(levels)
-
-        def transition(j):
-            upper = int(rng.integers(1, levels[j]))
-            return (upper, int(rng.integers(0, upper)))
-
-        emitters = tuple(
-            sr.EmitterSpec(d, (0.0, *np.cumsum(1.0 + rng.uniform(-0.3, 0.3, d - 1)))) for d in levels
-        )
-        collective = []
-        for _ in range(n_collective):
-            weights = rng.normal(size=n) + 1j * rng.normal(size=n)
-            weights[rng.permutation(n)[2:]] *= rng.integers(0, 2, n - 2)  # at least two stay active
-            collective.append(
-                sr.CollectiveChannelSpec(rng.uniform(0.05, 0.5), weights, tuple(transition(j) for j in range(n)))
-            )
-        local = []
-        for _ in range(n_local):
-            j = int(rng.integers(n))
-            local.append(sr.LocalChannelSpec(rng.uniform(0.05, 0.5), j, transition(j)))
-        drives = ()
-        if driven:
-            j = int(rng.integers(n))
-            drives = (sr.DriveSpec(rng.uniform(0.1, 0.5), j, transition(j), rng.uniform(-0.2, 0.2)),)
-        model = sr.build_model(sr.SystemSpec(emitters, tuple(collective), tuple(local), drives))
-
-        exc = sr.basis_excitations(model.layout)
-        sectors = np.unique(exc)
-        chosen = sectors[rng.random(sectors.size) < 0.5]
-        if chosen.size == 0:
-            chosen = sectors[rng.integers(sectors.size, size=1)]
-        support = np.flatnonzero(np.isin(exc, chosen))
-        rho0 = np.zeros((model.dim, model.dim), dtype=complex)
-        rho0[np.ix_(support, support)] = random_density(rng, support.size)
+        model = random_model(rng, levels, n_collective, n_local, driven)
+        rho0, support = random_sector_state(rng, model)
 
         t_end = 2.0
         oracle = sr.unvec(expm(sr.liouvillian_matrix(model) * t_end) @ sr.vec(rho0), model.dim)
@@ -288,6 +342,47 @@ class TestReachableBlock:
         assert support.size <= traj.meta["evolved_dim"] <= model.dim
         # the spectrum of the embedded state, zeros outside the block included
         assert traj.records["min_eigenvalue"][0] == pytest.approx(np.linalg.eigvalsh(rho0)[0], abs=1e-12)
+
+
+class TestPropagator:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        levels=LEVELS,
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        uniform=st.booleans(),
+        n_intervals=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_matrix_exponential_on_grids(
+        self, levels, n_collective, n_local, driven, uniform, n_intervals, seed
+    ):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, levels, n_collective, n_local, driven)
+        rho0, _ = random_sector_state(rng, model)
+        if uniform:
+            grid = np.linspace(0.0, rng.uniform(0.5, 5.0), n_intervals + 1)
+        else:
+            grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, n_intervals))))
+        grid = grid + rng.uniform(0.0, 3.0)  # the grid need not start at 0
+        states = []
+        traj = sr.evolve(model, rho0, grid, observer=lambda t, r: states.append(r.copy()) or {})
+        assert traj.meta["solver"] == "propagator"
+        assert (traj.meta["steps"], traj.meta["rejected"]) == (n_intervals, 0)
+        liou = sr.liouvillian_matrix(model)
+        for t, state in zip(grid, states):
+            oracle = sr.unvec(expm(liou * (t - grid[0])) @ sr.vec(rho0), model.dim)
+            assert np.max(np.abs(state - oracle)) < 1e-7
+        assert np.array_equal(states[-1], traj.final_state)
+
+    def test_expm_matches_scipy_across_norms(self):
+        rng = np.random.default_rng(27)
+        for n in (1, 3, 8):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for scale in (0.0, 1e-3, 0.7, 1.0, 40.0):
+                ref = expm(scale * a)
+                assert np.max(np.abs(sr.dynamics._expm(scale * a) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestEffectiveHamiltonian:

@@ -137,13 +137,45 @@ class TestRunScenario:
             sr.run_scenario(scenario, check_strict=True)
 
     def test_diverging_fixed_step_raises_invariant_violation(self):
-        data = sr.load_preset("fig2")
-        data["initial"] = ["11"]
+        # Only the Dormand-Prince solver can diverge: '11100' reaches a block of 26 states.
+        data = sr.load_preset("nqubit:5")
+        data["initial"] = ["11100"]
+        data["time"] = {"unit": "omega", "horizon": 1.0, "points": 2}
+        short = sr.run_scenario(sr.scenario_from_dict(data))
+        assert short.trajectories["11100"].meta["solver"] == "dp45"
         data["time"] = {"unit": "omega", "horizon": 1e7, "points": 2}
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             sr.errors.InvariantViolation, match="non-finite"
         ):
             sr.run_scenario(sr.scenario_from_dict(data), fixed_step=5e4)
+
+
+def reference_format_csv(header, rows):
+    """One list entry per line, joined once: the formula `format_csv` replaced."""
+    lines = [",".join(header)]
+    for row in np.atleast_2d(rows):
+        lines.append(",".join(f"{v:.16e}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatCsv:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308, 1.0 / 3.0, -1e300]
+
+    @pytest.mark.parametrize("n_rows", [1, 127, 128, 129, 300])
+    def test_byte_identical_to_reference(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        values = rng.normal(size=(n_rows, 4)) * 10.0 ** rng.integers(-320, 300, size=(n_rows, 4))
+        specials = np.resize(self.SPECIAL, values.size)
+        mask = rng.random(values.shape) < 0.3
+        values[mask] = specials.reshape(values.shape)[mask]
+        values[0, : len(self.SPECIAL[:4])] = self.SPECIAL[:4]
+        header = ("t", "a", "b", "c")
+        assert format_csv(header, values) == reference_format_csv(header, values)
+
+    @pytest.mark.parametrize("rows", [np.array([1.0, np.nan, -0.0]), np.zeros((0, 3)), np.zeros((2, 0))])
+    def test_edge_shapes_match_reference(self, rows):
+        header = ("t", "x", "y")
+        assert format_csv(header, rows) == reference_format_csv(header, rows)
 
 
 class TestNesColumns:
@@ -400,6 +432,16 @@ class TestCli:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "system.collective[0].rate,E,status"
         assert len(lines) == 3
+
+    def test_fixed_step_clockwork_passes_strict_checks(self, tmp_path):
+        # Dormand-Prince clipped to the 0.1 grid used to dip below the
+        # min-eigenvalue tolerance here; the propagator path is exact.
+        out = tmp_path / "clockwork.csv"
+        argv = ["run", "fig3e-clockwork", "--fixed-step", "0.1", "--check-strict", "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        column = lines[0].split(",").index("min_eigenvalue")
+        assert min(float(line.split(",")[column]) for line in lines[1:]) >= sr.dynamics.MIN_EIGENVALUE_TOL
 
     def test_fixed_step_determinism_via_cli(self, tmp_path):
         scenario_path = tmp_path / "tiny.json"
