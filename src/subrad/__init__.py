@@ -41,6 +41,7 @@ from .model import (
     StateSpec,
     SystemSpec,
     basis_excitations,
+    basis_levels,
     basis_vector,
     build_initial_state,
     build_model,

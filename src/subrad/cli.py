@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             sweep = parse_sweep(path.read_text("utf-8"))
             result = run_sweep(sweep, fixed_step=args.fixed_step)
             _write(format_sweep_csv(result), args.out)
-            if args.check_strict and any(str(r[-1]).startswith("error") for r in result.rows):
+            if args.check_strict and result.failed:
                 sys.stderr.write("subrad: one or more sweep points failed\n")
                 return 1
             return 0

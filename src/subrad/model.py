@@ -225,8 +225,12 @@ class ModelOperators:
     (the first ``n_collective`` entries), then local channels.
     ``hamiltonian`` is the evolution generator in the chosen frame;
     ``free_hamiltonian`` is always the drive-free lab-frame energy operator
-    used for energy readout.  ``_dark_cache`` holds the dark subspaces
-    `observables.dark_subspace` has computed for this model.
+    used for energy readout.  ``_dark_cache`` holds the per-model constants
+    of the readout, each built on first use and read-only: the dark
+    subspaces of `observables.dark_subspace` (keyed ``(sector, tol)``), the
+    projectors of `observables.dark_projector` (keyed ``("projector",
+    sectors)``) and the ground-level indicator of `observables.nes_report`
+    (keyed ``"ground"``).
     """
 
     dim: int
@@ -249,15 +253,20 @@ class ModelOperators:
 # ---------------------------------------------------------------------------
 
 
+def basis_levels(layout: DimsLayout) -> np.ndarray:
+    """Level of emitter ``j`` in flat basis index ``i`` at ``[j, i]``."""
+    total = layout.total_dim
+    levels = np.empty((layout.n_subsystems, total), dtype=int)
+    stride = total
+    for j, d in enumerate(layout.subsystem_dims):
+        stride //= d
+        levels[j] = (np.arange(total) // stride) % d
+    return levels
+
+
 def basis_excitations(layout: DimsLayout) -> np.ndarray:
     """Total excitation (sum of level indices) of each flat basis index."""
-    total = layout.total_dim
-    exc = np.zeros(total, dtype=int)
-    stride = total
-    for d in layout.subsystem_dims:
-        stride //= d
-        exc += (np.arange(total) // stride) % d
-    return exc
+    return basis_levels(layout).sum(axis=0)
 
 
 def sector_indices(layout: DimsLayout, sector: int) -> np.ndarray:

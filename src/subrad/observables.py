@@ -25,7 +25,7 @@ from .linalg import (
     reduced_layout,
     trace_norm_hermitian,
 )
-from .model import ModelOperators, basis_excitations, sector_indices
+from .model import ModelOperators, basis_excitations, basis_levels, sector_indices
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,33 +146,57 @@ def dark_subspace(model: ModelOperators, sector: int, tol: float = 1e-9) -> Dark
 
 
 def dark_projector(model: ModelOperators, sectors: Sequence[int] | None = None) -> np.ndarray:
-    """Projector onto the dark subspaces of the given sectors (default: all k >= 1)."""
+    """Projector onto the dark subspaces of the given sectors (default: all k >= 1).
+
+    Built once per ``(model, sectors)`` and kept on ``model``; repeat calls
+    return the same read-only array.
+    """
     if sectors is None:
-        kmax = int(basis_excitations(model.layout).max())
+        kmax = sum(model.layout.subsystem_dims) - model.layout.n_subsystems
         sectors = range(1, kmax + 1)
-    proj = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    for k in sectors:
-        basis = dark_subspace(model, k).basis
-        if basis.shape[1]:
-            proj += basis @ dagger(basis)
+    key = ("projector", tuple(int(k) for k in sectors))
+    proj = model._dark_cache.get(key)
+    if proj is None:
+        proj = np.zeros((model.dim, model.dim), dtype=np.complex128)
+        for k in key[1]:
+            basis = dark_subspace(model, k).basis
+            if basis.shape[1]:
+                proj += basis @ dagger(basis)
+        proj.flags.writeable = False
+        model._dark_cache[key] = proj
     return proj
 
 
+def _ground_indicator(model: ModelOperators) -> np.ndarray:
+    """``(n_emitters, dim)`` 0/1 matrix: basis index ``i`` has emitter ``j`` in level 0.
+
+    Built once per model and kept on it, read-only.
+    """
+    ground = model._dark_cache.get("ground")
+    if ground is None:
+        ground = (basis_levels(model.layout) == 0).astype(float)
+        ground.flags.writeable = False
+        model._dark_cache["ground"] = ground
+    return ground
+
+
 def nes_report(rho, model: ModelOperators, equal_tol: float = 1e-9) -> NesReport:
+    """Per-emitter excitation and dark weight of ``rho``.
+
+    Both are linear in ``rho`` and read off with per-model constants:
+    ``excitation_j = 1 - sum_{i: level_j(i) = 0} rho_ii`` (one product of
+    the ground-level indicator with the populations) and ``dark_weight =
+    tr(P_dark rho)`` with ``P_dark = dark_projector(model)``, the projector
+    onto the dark subspaces of every sector k >= 1.  Indicator and
+    projector are cached on ``model``.  The state counts as
+    non-equilibrium when the excitations differ by more than ``equal_tol``.
+    """
     rho = model.layout.check_matrix(rho)
-    excitations = []
-    for j in range(model.layout.n_subsystems):
-        reduced = partial_trace(rho, model.layout, (j,))
-        excitations.append(float(1.0 - reduced[0, 0].real))
-    kmax = int(basis_excitations(model.layout).max())
-    weight = 0.0
-    for k in range(1, kmax + 1):
-        basis = dark_subspace(model, k).basis
-        for col in range(basis.shape[1]):
-            weight += dark_overlap(rho, basis[:, col])
-    spread = max(excitations) - min(excitations)
+    excitations = 1.0 - _ground_indicator(model) @ np.diagonal(rho).real
+    weight = np.einsum("ij,ji->", dark_projector(model), rho).real
+    spread = excitations.max() - excitations.min()
     return NesReport(
-        per_emitter_excitation=tuple(excitations),
+        per_emitter_excitation=tuple(excitations.tolist()),
         dark_weight=float(weight),
         is_nonequilibrium=bool(spread > equal_tol),
     )

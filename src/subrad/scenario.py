@@ -245,8 +245,11 @@ class ScenarioResult:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Summary table of a sweep; ``failed`` counts the points whose status is an error."""
+
     header: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
+    failed: int
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +880,7 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
     header = tuple(paths + [red["name"] for red in sweep.reductions] + ["status"])
 
     rows = []
+    failed = 0
     for index in np.ndindex(*[len(g) for g in grids]):
         values = [grids[k][i] for k, i in enumerate(index)]
         point = copy.deepcopy(sweep.base)
@@ -892,8 +896,9 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
         except SubradError as exc:
             row.extend([float("nan")] * len(sweep.reductions))
             row.append(f"error:{type(exc).__name__}")
+            failed += 1
         rows.append(tuple(row))
-    return SweepResult(header=header, rows=tuple(rows))
+    return SweepResult(header=header, rows=tuple(rows), failed=failed)
 
 
 def format_sweep_csv(result: SweepResult) -> str:

@@ -19,6 +19,8 @@ from subrad.errors import (
     UnsupportedSector,
 )
 
+from random_systems import LEVELS, random_density, random_model, random_sector_state
+
 KAPPA = 0.001
 
 
@@ -49,57 +51,6 @@ def five_qubit_model(deltas=(0.0,) * 5, dimension_cap=256):
 
 def pure(vec):
     return np.outer(vec, vec.conj())
-
-
-def random_density(rng, n):
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho)
-
-
-LEVELS = st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4).filter(lambda ls: int(np.prod(ls)) <= 16)
-
-
-def random_model(rng, levels, n_collective, n_local, driven):
-    """Random qubit/qutrit system: mixed-size collective transitions, optional local loss and drive."""
-    n = len(levels)
-
-    def transition(j):
-        upper = int(rng.integers(1, levels[j]))
-        return (upper, int(rng.integers(0, upper)))
-
-    emitters = tuple(
-        sr.EmitterSpec(d, (0.0, *np.cumsum(1.0 + rng.uniform(-0.3, 0.3, d - 1)))) for d in levels
-    )
-    collective = []
-    for _ in range(n_collective):
-        weights = rng.normal(size=n) + 1j * rng.normal(size=n)
-        weights[rng.permutation(n)[2:]] *= rng.integers(0, 2, n - 2)  # at least two stay active
-        collective.append(
-            sr.CollectiveChannelSpec(rng.uniform(0.05, 0.5), weights, tuple(transition(j) for j in range(n)))
-        )
-    local = []
-    for _ in range(n_local):
-        j = int(rng.integers(n))
-        local.append(sr.LocalChannelSpec(rng.uniform(0.05, 0.5), j, transition(j)))
-    drives = ()
-    if driven:
-        j = int(rng.integers(n))
-        drives = (sr.DriveSpec(rng.uniform(0.1, 0.5), j, transition(j), rng.uniform(-0.2, 0.2)),)
-    return sr.build_model(sr.SystemSpec(emitters, tuple(collective), tuple(local), drives))
-
-
-def random_sector_state(rng, model):
-    """Random density matrix on a random nonempty union of excitation sectors, and its support."""
-    exc = sr.basis_excitations(model.layout)
-    sectors = np.unique(exc)
-    chosen = sectors[rng.random(sectors.size) < 0.5]
-    if chosen.size == 0:
-        chosen = sectors[rng.integers(sectors.size, size=1)]
-    support = np.flatnonzero(np.isin(exc, chosen))
-    rho0 = np.zeros((model.dim, model.dim), dtype=complex)
-    rho0[np.ix_(support, support)] = random_density(rng, support.size)
-    return rho0, support
 
 
 class TestLindbladRhs:

@@ -12,7 +12,7 @@ from subrad.errors import (
     ValidationError,
 )
 from subrad.linalg import DimsLayout, kernel_basis
-from subrad.model import basis_excitations, basis_vector, sector_indices
+from subrad.model import basis_excitations, basis_levels, basis_vector, sector_indices
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -244,6 +244,13 @@ class TestExcitationBookkeeping:
         exc = basis_excitations(layout)
         # index = q*4 + l
         assert list(exc) == [0, 1, 2, 3, 1, 2, 3, 4]
+
+    def test_basis_levels_qubitqudit(self):
+        layout = DimsLayout((2, 4))
+        levels = basis_levels(layout)
+        assert levels.tolist() == [[0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 2, 3, 0, 1, 2, 3]]
+        for i in range(layout.total_dim):
+            assert sr.model.basis_index(layout, levels[:, i]) == i
 
     def test_sector_indices(self):
         layout = DimsLayout((2, 2, 2))

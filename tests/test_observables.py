@@ -4,21 +4,19 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subrad as sr
+import subrad.observables as observables
 from subrad.errors import DimensionMismatch
 from subrad.linalg import DimsLayout
 from subrad.model import sector_indices
 
+from random_systems import LEVELS, random_density, random_model
+
 
 def pure(vec):
     return np.outer(vec, vec.conj())
-
-
-def random_density(rng, n):
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho)
 
 
 def qubit_chain_model(n, rate=0.001, weights=None, cap=1024):
@@ -196,6 +194,64 @@ class TestNesReport:
         assert report.per_emitter_excitation == pytest.approx((0.0, 0.0, 0.0))
         assert report.dark_weight == pytest.approx(0.0, abs=1e-12)
         assert not report.is_nonequilibrium
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=LEVELS,
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_partial_trace_oracle(self, levels, n_collective, n_local, driven, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, levels, n_collective, n_local, driven)
+        rho = random_density(rng, model.dim)
+        # oracle: one partial trace per emitter, one overlap per dark basis vector
+        excitations = [
+            1.0 - sr.partial_trace(rho, model.layout, (j,))[0, 0].real
+            for j in range(model.layout.n_subsystems)
+        ]
+        weight = 0.0
+        for k in range(1, int(sr.basis_excitations(model.layout).max()) + 1):
+            basis = sr.dark_subspace(model, k).basis
+            weight += sum(sr.dark_overlap(rho, basis[:, col]) for col in range(basis.shape[1]))
+        report = sr.nes_report(rho, model)
+        assert np.max(np.abs(np.array(report.per_emitter_excitation) - excitations)) < 1e-12
+        assert abs(report.dark_weight - weight) < 1e-12
+        assert report.is_nonequilibrium == (max(excitations) - min(excitations) > 1e-9)
+
+    def test_constants_built_once_per_model_and_read_only(self, monkeypatch):
+        calls = {"dark_subspace": 0, "basis_levels": 0}
+        for name in calls:
+            original = getattr(observables, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(observables, name, counting)
+        model = qubit_chain_model(4)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            sr.nes_report(random_density(rng, model.dim), model)
+        # one dark subspace per excited sector k = 1..4 and one indicator
+        assert calls == {"dark_subspace": 4, "basis_levels": 1}
+
+        proj = sr.dark_projector(model)
+        ground = observables._ground_indicator(model)
+        assert sr.dark_projector(model) is proj
+        assert sr.dark_projector(model, range(1, 5)) is proj
+        assert observables._ground_indicator(model) is ground
+        for constant in (proj, ground):
+            assert not constant.flags.writeable
+            with pytest.raises(ValueError):
+                constant[0, 0] = 1.0
+        assert np.allclose(ground.sum(axis=0), 4 - sr.basis_excitations(model.layout))
+        other = qubit_chain_model(4)
+        assert sr.dark_projector(other) is not proj
+        assert np.array_equal(sr.dark_projector(other), proj)
+        assert sr.dark_projector(model, (1,)) is not proj
 
 
 class TestPurityAndChecks:

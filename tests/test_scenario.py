@@ -257,6 +257,15 @@ class TestPresets:
         (traj,) = result.trajectories.values()
         assert traj.meta["evolved_dim"] == 9
 
+    def test_nqubit_8_nes_columns_closed_forms(self):
+        result = sr.run_scenario(sr.scenario_from_dict(sr.load_preset("nqubit:8")))
+        column = {name: result.rows[:, i] for i, name in enumerate(result.header)}
+        # the dark part of the single excitation never decays
+        assert np.max(np.abs(column["nes_dark_weight"] - 7 / 8)) < 1e-9
+        # every emitter sits at frequency 1, so the energy is the summed excitation
+        excitation = sum(column[f"nes_excitation_{j}"] for j in range(8))
+        assert np.max(np.abs(column["energy"] - excitation)) < 1e-12
+
     def test_unknown_preset(self):
         with pytest.raises(UnknownLabel):
             sr.load_preset("fig9")
@@ -304,6 +313,7 @@ class TestSweeps:
         assert resonant[1] == pytest.approx(0.5, abs=1e-3)
         assert abs(detuned[1]) < 1e-6
         assert all(row[-1] == "ok" for row in result.rows)
+        assert result.failed == 0
 
     def test_local_rate_sweep_fitted_slow_rate(self):
         sweep = parse_sweep(
@@ -353,6 +363,7 @@ class TestSweeps:
         assert statuses[0] == "ok"
         assert statuses[1].startswith("error:")
         assert statuses[2] == "ok"
+        assert result.failed == 1
 
     def test_sweep_csv_format(self):
         sweep = parse_sweep(
@@ -432,6 +443,23 @@ class TestCli:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "system.collective[0].rate,E,status"
         assert len(lines) == 3
+
+    def test_sweep_check_strict_reads_failed_points(self, tmp_path):
+        sweep = {
+            "base": TINY_SCENARIO,
+            "axes": {"system.collective[0].rate": [0.05, -1.0]},
+            "reductions": [{"name": "E", "kind": "final", "column": "energy"}],
+        }
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(sweep))
+        outs = []
+        for flags, code in (([], 0), (["--check-strict"], 1)):
+            out = tmp_path / f"sweep{len(flags)}.csv"
+            assert main(["sweep", str(sweep_path), "--out", str(out), *flags]) == code
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        statuses = [line.rsplit(",", 1)[1] for line in outs[0].decode().splitlines()[1:]]
+        assert statuses[0] == "ok" and statuses[1].startswith("error:")
 
     def test_fixed_step_clockwork_passes_strict_checks(self, tmp_path):
         # Dormand-Prince clipped to the 0.1 grid used to dip below the
