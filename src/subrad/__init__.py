@@ -12,11 +12,10 @@ from . import errors
 from .dynamics import (
     EffectiveHamiltonian,
     IntegratorConfig,
-    SteadyStateResult,
     Trajectory,
+    asymptotic_state,
     effective_hamiltonian,
     evolve,
-    find_steady_state,
     lindblad_rhs,
     liouvillian_matrix,
     predict_final_state,

@@ -41,6 +41,13 @@ The block is stepped by one of two solvers, chosen by |S| alone:
   exactly (steps are clipped, never interpolated).  A fixed-step mode
   exists for byte-reproducible output.  At |S| = 256 the superoperator
   would have 65 536² entries, so this is the only solver for large blocks.
+
+`asymptotic_state` takes no steps.  On the same reachable block it projects
+vec(rho0) onto the right kernel of the block superoperator along its left
+kernel, the conserved quantities; that is the t -> infinity limit of
+`evolve`, or its time average where purely imaginary eigenvalues keep the
+state oscillating.  `predict_final_state` is this projection restricted to
+the ideal single-excitation case.
 """
 
 from __future__ import annotations
@@ -60,9 +67,8 @@ from .errors import (
     StepSizeUnderflow,
     UnsupportedSector,
 )
-from .linalg import dagger, hermitian_eigen, max_abs
-from .model import ModelOperators, basis_excitations, basis_vector
-from .observables import dark_subspace
+from .linalg import dagger, hermitian_eigen, kernel_basis, max_abs
+from .model import ModelOperators, basis_excitations
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
@@ -135,15 +141,6 @@ class EffectiveHamiltonian:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SteadyStateResult:
-    state: np.ndarray
-    time: float
-    converged: bool
-    rhs_norm: float
-    tracker_value: float | None
 
 
 def lindblad_rhs(model: ModelOperators, rho) -> np.ndarray:
@@ -516,21 +513,53 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape((dim, dim), order="F")
 
 
+def _capped_superoperator(model: ModelOperators, h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """`_superoperator`, refused when its side exceeds the model's ``dimension_cap``."""
+    side = h_nh.shape[0] ** 2
+    if side > model.system.dimension_cap:
+        raise DimensionCapExceeded(f"superoperator dim {side} exceeds cap {model.system.dimension_cap}")
+    return _superoperator(h_nh, jump_ops)
+
+
 def liouvillian_matrix(model: ModelOperators) -> np.ndarray:
     """Dense superoperator L with L @ vec(rho) = vec(lindblad_rhs(rho)).
 
     Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).
     """
-    dim = model.dim
-    if dim * dim > model.system.dimension_cap:
-        raise DimensionCapExceeded(
-            f"superoperator dim {dim * dim} exceeds cap {model.system.dimension_cap}"
-        )
-    return _superoperator(*_generator(model))
+    return _capped_superoperator(model, *_generator(model))
+
+
+def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
+    """The state `evolve` tends to from ``rho0``: its projection on the kernel of L.
+
+    On the block reachable from ``rho0`` (see the module docstring), with
+    R = `kernel_basis`(L) and J = `kernel_basis`(L†) the right and left
+    kernels of the block superoperator L, the zero-eigenvalue spectral
+    projector gives rho_inf = R (J†R)^-1 J† vec(rho0) (Albert & Jiang,
+    PRA 89, 022118 (2014)); the result is embedded in the full space and
+    Hermitised.  No time horizon enters: the conserved quantities J fix it.
+
+    When L has purely imaginary eigenvalues that ``rho0`` excites (dark
+    states split by a frame detuning, say), the trajectory oscillates
+    forever and the result is its time average, not a limit; no error is
+    raised.  Raises `DimensionCapExceeded` when the block superoperator's
+    side |S|² exceeds ``dimension_cap``, like `liouvillian_matrix`.
+    """
+    rho = _check_density(rho0, model.dim)
+    h_nh, jump_ops = _generator(model)
+    keep = _reachable(rho, [h_nh, *jump_ops])
+    block = np.ix_(keep, keep)
+    liou = _capped_superoperator(model, h_nh[block], [op[block] for op in jump_ops])
+    right, left = kernel_basis(liou), kernel_basis(dagger(liou))
+    weights = np.linalg.solve(dagger(left) @ right, dagger(left) @ vec(rho[block]))
+    state = unvec(right @ weights, keep.size)
+    full = np.zeros_like(rho)
+    full[block] = (state + dagger(state)) / 2.0
+    return full
 
 
 def predict_final_state(model: ModelOperators, pure_initial) -> np.ndarray:
-    """Closed-form asymptotic state for ideal collective-only decay.
+    """Asymptotic state for ideal collective-only decay, by `asymptotic_state`.
 
     Valid only when the frame Hamiltonian vanishes (all emitters resonant
     with the rotating frame), there are no local channels or drives, and
@@ -560,50 +589,4 @@ def predict_final_state(model: ModelOperators, pure_initial) -> np.ndarray:
         raise UnsupportedSector(
             "initial state has support outside the single-excitation sector"
         )
-
-    dark = dark_subspace(model, 1).basis
-    projected = dark @ (dagger(dark) @ psi)
-    dark_weight = float(np.real(np.vdot(projected, projected)))
-    vac = basis_vector(model.layout, (0,) * model.layout.n_subsystems)
-    rho = np.outer(projected, projected.conj())
-    rho += (1.0 - dark_weight) * np.outer(vac, vac.conj())
-    return rho
-
-
-def find_steady_state(
-    model: ModelOperators,
-    rho0,
-    config: IntegratorConfig | None = None,
-    *,
-    interval: float,
-    max_time: float,
-    rhs_tol: float = 1e-9,
-    tracker: Callable[[np.ndarray], float] | None = None,
-    tracker_tol: float = 1e-6,
-) -> SteadyStateResult:
-    """Evolve in ``interval`` chunks until a steady-state stopping rule fires.
-
-    Steady is declared when ``max|rhs(rho)| < rhs_tol`` or, if a tracker is
-    given, when the tracked scalar changes by less than ``tracker_tol``
-    over one interval - whichever happens first.
-    """
-    if interval <= 0 or max_time <= 0:
-        raise ValueError("interval and max_time must be positive")
-    rho = _check_density(rho0, model.dim)
-    t = 0.0
-    tracked = tracker(rho) if tracker is not None else None
-    rhs_norm = max_abs(lindblad_rhs(model, rho))
-    while t < max_time:
-        traj = evolve(model, rho, np.array([t, t + interval]), config)
-        rho = traj.final_state
-        t += interval
-        rhs_norm = max_abs(lindblad_rhs(model, rho))
-        if rhs_norm < rhs_tol:
-            return SteadyStateResult(rho, t, True, rhs_norm, tracked)
-        if tracker is not None:
-            new_tracked = tracker(rho)
-            drift = abs(new_tracked - tracked) if tracked is not None else np.inf
-            tracked = new_tracked
-            if drift < tracker_tol:
-                return SteadyStateResult(rho, t, True, rhs_norm, tracked)
-    return SteadyStateResult(rho, t, False, rhs_norm, tracked)
+    return asymptotic_state(model, np.outer(psi, psi.conj()))

@@ -125,30 +125,25 @@ def hermitian_eigen(
 def kernel_basis(m, tol: float = DEFAULT_KERNEL_TOL) -> np.ndarray:
     """Orthonormal columns spanning the (numerical) null space of ``m``.
 
-    ``m`` may be rectangular.  The kernel is resolved through the Hermitian
-    eigendecomposition of ``m† m`` (target threshold ``tol**2 ||m† m||``),
-    and every candidate column ``v`` is then verified directly against
-    ``||m v|| <= tol ||m||`` on the unsquared matrix: squaring costs half
-    the digits, so tiny Gram eigenvalues sit in eigensolver noise while the
-    direct residual stays accurate to machine precision.  Returns an
-    ``(n, k)`` array; ``k`` may be zero.
+    ``m`` may be rectangular.  One SVD (LAPACK through numpy) gives the
+    right singular vectors; those with singular value at most
+    ``tol * sigma_max``, and those beyond the row count, are kept, so every
+    column ``v`` has ``||m v|| <= tol ||m||_2`` and the zero matrix keeps
+    them all.  Returns an ``(n, k)`` array; ``k`` may be zero.
+
+    Raises `ConvergenceFailure` if LAPACK reports that the SVD did not
+    converge.
     """
     if tol <= 0:
         raise ValueError("kernel tolerance must be positive")
     a = as_complex_matrix(m, name="matrix")
-    g = dagger(a) @ a
-    g = (g + dagger(g)) / 2.0
-    w, v = hermitian_eigen(g, hermiticity_tol=1e-8 * max(1.0, max_abs(g)))
-    lam_max = max(float(w[-1]), 0.0)
-    if lam_max == 0.0:
-        return v  # zero matrix: everything is kernel
-    noise_floor = 16.0 * g.shape[0] * np.finfo(float).eps
-    candidates = v[:, w <= max(tol * tol, noise_floor) * lam_max]
-    if candidates.shape[1] == 0:
-        return candidates
-    residuals = np.linalg.norm(a @ candidates, axis=0)
-    keep = residuals <= tol * np.sqrt(lam_max)
-    return candidates[:, keep]
+    try:
+        _, sigma, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    null = np.ones(vh.shape[0], dtype=bool)
+    null[: sigma.size] = sigma <= tol * sigma[0]
+    return dagger(vh[null])
 
 
 def partial_transpose(rho, layout: DimsLayout, subsystem_index: int) -> np.ndarray:

@@ -126,6 +126,26 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
+def _as_bool(value, where: str) -> bool:
+    _expect(isinstance(value, bool), where, "expected true or false")
+    return value
+
+
+def _as_list(value, where: str) -> list:
+    _expect(isinstance(value, list), where, "expected a list")
+    return value
+
+
+def _as_transition(value, where: str) -> tuple[int, int]:
+    _expect(isinstance(value, (list, tuple)) and len(value) == 2, where, "expected [upper, lower]")
+    return _as_int(value[0], where), _as_int(value[1], where)
+
+
+def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
+    unknown = set(data) - allowed
+    _expect(not unknown, where, f"unknown keys {sorted(unknown)}")
+
+
 def _as_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value))
@@ -259,8 +279,7 @@ class SweepResult:
 
 def _system_from_dict(data: Mapping, where: str = "system") -> SystemSpec:
     _expect(isinstance(data, Mapping), where, "expected an object")
-    unknown = set(data) - {"emitters", "collective", "local", "drives", "frame", "dimension_cap"}
-    _expect(not unknown, where, f"unknown keys {sorted(unknown)}")
+    _check_keys(data, {"emitters", "collective", "local", "drives", "frame", "dimension_cap"}, where)
 
     raw_emitters = data.get("emitters")
     _expect(isinstance(raw_emitters, list) and raw_emitters, f"{where}.emitters", "non-empty list required")
@@ -270,6 +289,7 @@ def _system_from_dict(data: Mapping, where: str = "system") -> SystemSpec:
         if e == "qubit":
             emitters.append(EmitterSpec.qubit())
         elif isinstance(e, dict):
+            _check_keys(e, {"levels", "frequencies"}, w)
             levels = _as_int(e.get("levels", 2), f"{w}.levels")
             freqs = e.get("frequencies")
             _expect(isinstance(freqs, list), f"{w}.frequencies", "list of floats required")
@@ -281,9 +301,10 @@ def _system_from_dict(data: Mapping, where: str = "system") -> SystemSpec:
 
     n = len(emitters)
     collective = []
-    for i, ch in enumerate(data.get("collective", [])):
+    for i, ch in enumerate(_as_list(data.get("collective", []), f"{where}.collective")):
         w = f"{where}.collective[{i}]"
         _expect(isinstance(ch, dict), w, "expected an object")
+        _check_keys(ch, {"rate", "weights", "transitions"}, w)
         rate = _as_float(ch.get("rate", 0.0), f"{w}.rate")
         _expect(rate >= 0, f"{w}.rate", "must be >= 0")
         weights = ch.get("weights", [1.0] * n)
@@ -295,42 +316,35 @@ def _system_from_dict(data: Mapping, where: str = "system") -> SystemSpec:
             CollectiveChannelSpec(
                 rate=rate,
                 weights=tuple(_as_complex(x, f"{w}.weights[{j}]") for j, x in enumerate(weights)),
-                transitions=tuple(
-                    ( _as_int(t[0], f"{w}.transitions[{j}]"), _as_int(t[1], f"{w}.transitions[{j}]") )
-                    for j, t in enumerate(transitions)
-                ),
+                transitions=tuple(_as_transition(t, f"{w}.transitions[{j}]") for j, t in enumerate(transitions)),
             )
         )
 
     local = []
-    for i, ch in enumerate(data.get("local", [])):
+    for i, ch in enumerate(_as_list(data.get("local", []), f"{where}.local")):
         w = f"{where}.local[{i}]"
         _expect(isinstance(ch, dict), w, "expected an object")
+        _check_keys(ch, {"rate", "emitter", "transition"}, w)
         rate = _as_float(ch.get("rate", 0.0), f"{w}.rate")
         _expect(rate >= 0, f"{w}.rate", "must be >= 0")
-        transition = ch.get("transition", [1, 0])
         local.append(
             LocalChannelSpec(
                 rate=rate,
                 emitter_index=_as_int(ch.get("emitter", 0), f"{w}.emitter"),
-                transition=(_as_int(transition[0], f"{w}.transition"),
-                            _as_int(transition[1], f"{w}.transition")),
+                transition=_as_transition(ch.get("transition", [1, 0]), f"{w}.transition"),
             )
         )
 
     drives = []
-    for i, dr in enumerate(data.get("drives", [])):
+    for i, dr in enumerate(_as_list(data.get("drives", []), f"{where}.drives")):
         w = f"{where}.drives[{i}]"
         _expect(isinstance(dr, dict), w, "expected an object")
-        transition = dr.get("transition")
-        _expect(isinstance(transition, (list, tuple)) and len(transition) == 2,
-                f"{w}.transition", "expected [upper, lower]")
+        _check_keys(dr, {"amplitude", "emitter", "transition", "detuning"}, w)
         drives.append(
             DriveSpec(
                 amplitude=_as_float(dr.get("amplitude", 0.0), f"{w}.amplitude"),
                 emitter_index=_as_int(dr.get("emitter", 0), f"{w}.emitter"),
-                transition=(_as_int(transition[0], f"{w}.transition"),
-                            _as_int(transition[1], f"{w}.transition")),
+                transition=_as_transition(dr.get("transition"), f"{w}.transition"),
                 drive_detuning=_as_float(dr.get("detuning", 0.0), f"{w}.detuning"),
             )
         )
@@ -398,16 +412,18 @@ def _observables_from_json(value, n_emitters: int, where: str = "observables"):
         elif isinstance(entry, dict) and set(entry) == {"fidelity"}:
             params = entry["fidelity"]
             _expect(isinstance(params, dict) and "target" in params, w, "fidelity needs a target")
+            _check_keys(params, {"target", "sqrt"}, w)
             obs.append(
                 ObservableSpec(
                     kind="fidelity",
                     target=_state_spec_from_json(params["target"], f"{w}.target"),
-                    sqrt=bool(params.get("sqrt", False)),
+                    sqrt=_as_bool(params.get("sqrt", False), f"{w}.sqrt"),
                 )
             )
         elif isinstance(entry, dict) and set(entry) == {"log_negativity"}:
             params = entry["log_negativity"]
             _expect(isinstance(params, dict), w, "expected an object")
+            _check_keys(params, {"bipartition"}, w)
             bip = params.get("bipartition")
             if bip is None and n_emitters == 2:
                 bip = [[0], [1]]
@@ -416,7 +432,9 @@ def _observables_from_json(value, n_emitters: int, where: str = "observables"):
                 f"{w}.bipartition",
                 "expected two emitter index groups",
             )
-            groups = tuple(tuple(_as_int(j, f"{w}.bipartition") for j in g) for g in bip)
+            groups = tuple(
+                tuple(_as_int(j, f"{w}.bipartition") for j in _as_list(g, f"{w}.bipartition")) for g in bip
+            )
             _expect(all(groups), f"{w}.bipartition", "groups must be non-empty")
             obs.append(ObservableSpec(kind="log_negativity", bipartition=groups))
         else:
@@ -427,8 +445,7 @@ def _observables_from_json(value, n_emitters: int, where: str = "observables"):
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Validate a parsed JSON object and resolve it into a `Scenario`."""
     _expect(isinstance(data, Mapping), "scenario", "top level must be an object")
-    unknown = set(data) - {"name", "system", "initial", "time", "observables", "integrator", "output"}
-    _expect(not unknown, "scenario", f"unknown keys {sorted(unknown)}")
+    _check_keys(data, {"name", "system", "initial", "time", "observables", "integrator", "output"}, "scenario")
     for key in ("system", "initial", "time", "observables"):
         _expect(key in data, "scenario", f"missing required key {key!r}")
 
@@ -441,6 +458,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
 
     traw = data["time"]
     _expect(isinstance(traw, Mapping), "time", "expected an object")
+    _check_keys(traw, {"unit", "horizon", "points"}, "time")
     unit = traw.get("unit", "omega")
     _expect(unit in ("omega", "kappa"), "time.unit", "must be 'omega' or 'kappa'")
     if unit == "kappa":
@@ -470,8 +488,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
 
     iraw = data.get("integrator", {})
     _expect(isinstance(iraw, Mapping), "integrator", "expected an object")
-    unknown = set(iraw) - {"rel_tol", "abs_tol", "initial_step", "max_step", "hermitize", "fixed_step"}
-    _expect(not unknown, "integrator", f"unknown keys {sorted(unknown)}")
+    _check_keys(iraw, {"rel_tol", "abs_tol", "initial_step", "max_step", "hermitize", "fixed_step"}, "integrator")
     try:
         integrator = IntegratorConfig(
             rel_tol=_as_float(iraw.get("rel_tol", 1e-8), "integrator.rel_tol"),
@@ -484,7 +501,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
                 None if iraw.get("max_step") is None
                 else _as_float(iraw["max_step"], "integrator.max_step")
             ),
-            hermitize_each_step=bool(iraw.get("hermitize", True)),
+            hermitize_each_step=_as_bool(iraw.get("hermitize", True), "integrator.hermitize"),
             fixed_step=(
                 None if iraw.get("fixed_step") is None
                 else _as_float(iraw["fixed_step"], "integrator.fixed_step")
@@ -495,6 +512,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
 
     oraw = data.get("output") or {}
     _expect(isinstance(oraw, Mapping), "output", "expected an object")
+    _check_keys(oraw, {"path", "format"}, "output")
     fmt = oraw.get("format", "csv")
     _expect(fmt == "csv", "output.format", "only 'csv' is supported")
     output = OutputSpec(path=oraw.get("path"), format=fmt)
@@ -792,8 +810,7 @@ def parse_sweep(text: str) -> SweepSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _expect(isinstance(data, Mapping), "sweep", "top level must be an object")
-    unknown = set(data) - {"base", "axes", "reductions"}
-    _expect(not unknown, "sweep", f"unknown keys {sorted(unknown)}")
+    _check_keys(data, {"base", "axes", "reductions"}, "sweep")
     _expect("base" in data and "axes" in data, "sweep", "base and axes are required")
 
     base = data["base"]

@@ -1,15 +1,16 @@
-"""Evolution, spectra, superoperator and the analytic final-state predictor.
+"""Evolution, spectra, superoperator, the asymptotic state and its predictor.
 
 Oracles: closed-form exponentials from the non-Hermitian generator, the
-2x2 single-excitation eigenvalue formula, and the matrix exponential of
+2x2 single-excitation eigenvalue formula, the matrix exponential of
 the vectorized generator (scipy, scaling-and-squaring) for full-propagator
-comparisons.
+comparisons, and the kernel projector of the full-space generator (scipy
+`null_space`) for the asymptotic state.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 import subrad as sr
 from subrad.errors import (
@@ -480,7 +481,97 @@ class TestSteadyState:
     def test_ideal_decay_reaches_stationary_state(self):
         model = two_qubit_model(rate=0.05)
         rho0 = pure(sr.named_state_vector("10", model.layout))
-        res = sr.find_steady_state(model, rho0, interval=20.0, max_time=2000.0, rhs_tol=1e-9)
-        assert res.converged
-        predicted = sr.predict_final_state(model, sr.named_state_vector("10", model.layout))
-        assert np.max(np.abs(res.state - predicted)) < 1e-7
+        steady = sr.asymptotic_state(model, rho0)
+        assert np.max(np.abs(sr.lindblad_rhs(model, steady))) < 1e-9
+        evolved = sr.evolve(model, rho0, np.array([0.0, 2000.0])).final_state
+        assert np.max(np.abs(steady - evolved)) < 1e-7
+
+
+def detuned_frame_model():
+    """Two resonant qubits in a frame at 1.1: the singlet and the vacuum differ in energy by 0.1."""
+    return sr.build_model(
+        sr.SystemSpec(
+            emitters=(sr.EmitterSpec.qubit(1.0),) * 2,
+            collective_channels=(sr.CollectiveChannelSpec(0.05, (1, 1), ((1, 0), (1, 0))),),
+            frame_frequency=1.1,
+        )
+    )
+
+
+class TestAsymptoticState:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=LEVELS,
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_full_space_projector(self, levels, n_collective, n_local, driven, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, levels, n_collective, n_local, driven)
+        rho0, _ = random_sector_state(rng, model)
+
+        liou = sr.liouvillian_matrix(model)
+        right = null_space(liou, rcond=1e-9)
+        left = null_space(liou.conj().T, rcond=1e-9)
+        weights = np.linalg.solve(left.conj().T @ right, left.conj().T @ sr.vec(rho0))
+        oracle = sr.unvec(right @ weights, model.dim)
+        steady = sr.asymptotic_state(model, rho0)
+        assert np.max(np.abs(steady - oracle)) < 1e-10
+        assert np.max(np.abs(sr.lindblad_rhs(model, steady))) < 1e-10
+        assert abs(np.trace(steady) - 1.0) < 1e-10
+        assert np.linalg.eigvalsh(steady)[0] > -1e-10
+
+    def test_unexcited_imaginary_eigenvalues_leave_a_limit(self):
+        model = detuned_frame_model()
+        eigenvalues = np.linalg.eigvals(sr.liouvillian_matrix(model))
+        imaginary = eigenvalues[(np.abs(eigenvalues.real) < 1e-12) & (np.abs(eigenvalues.imag) > 1e-9)]
+        assert np.allclose(sorted(imaginary.imag), [-0.1, 0.1])
+        rho0 = pure(sr.named_state_vector("10", model.layout))
+        evolved = sr.evolve(model, rho0, np.array([0.0, 2000.0])).final_state
+        assert np.max(np.abs(sr.asymptotic_state(model, rho0) - evolved)) < 1e-12
+
+    def test_oscillating_state_gives_the_time_average(self):
+        model = detuned_frame_model()
+        vector = (sr.named_state_vector("10", model.layout) + sr.named_state_vector("00", model.layout)) / np.sqrt(2)
+        rho0 = pure(vector)
+        # 40 periods of the 0.1 oscillation, 50 points each, after the decay is over
+        period = 2 * np.pi / 0.1
+        grid = np.concatenate([[0.0], 2000.0 + period * np.arange(40 * 50) / 50])
+        states = []
+        sr.evolve(model, rho0, grid, observer=lambda t, rho: states.append(rho.copy()) or {})
+        steady = sr.asymptotic_state(model, rho0)
+        assert np.max(np.abs(states[-1] - steady)) > 0.1
+        assert np.max(np.abs(np.mean(states[1:], axis=0) - steady)) < 1e-12
+
+    def test_two_excitations_keep_five_sixths_dark(self):
+        data = sr.load_preset("nqubit:4")
+        data["initial"] = ["1100"]
+        scenario = sr.scenario_from_dict(data)
+        model = sr.build_model(scenario.system)
+        vector = sr.named_state_vector("1100", model.layout)
+        with pytest.raises(UnsupportedSector):
+            sr.predict_final_state(model, vector)
+        steady = sr.asymptotic_state(model, pure(vector))
+        assert np.real(np.trace(sr.dark_projector(model) @ steady)) == pytest.approx(5 / 6, abs=1e-12)
+        evolved = sr.evolve(model, pure(vector), np.array([0.0, 4e4])).final_state
+        assert np.max(np.abs(steady - evolved)) < 1e-10
+
+    def test_clockwork_steady_entanglement(self):
+        scenario = sr.scenario_from_dict(sr.load_preset("fig3e-clockwork"))
+        model = sr.build_model(scenario.system)
+        rho0 = sr.build_initial_state(scenario.initials[0][1], model.layout)
+        halves = ((0,), (1,))
+        steady = sr.log_negativity(sr.asymptotic_state(model, rho0), model.layout, halves)
+        assert steady == pytest.approx(0.147512094796, abs=1e-9)
+        # the preset's time unit is 1/kappa with kappa = 1
+        evolved = sr.evolve(model, rho0, np.array([0.0, 50.0])).final_state
+        assert abs(sr.log_negativity(evolved, model.layout, halves) - steady) < 1e-9
+
+    def test_block_superoperator_obeys_the_dimension_cap(self):
+        model = five_qubit_model(dimension_cap=32)
+        with pytest.raises(DimensionCapExceeded):
+            sr.asymptotic_state(model, pure(sr.named_state_vector("10000", model.layout)))
+        ground = sr.named_state_vector("00000", model.layout)
+        assert np.max(np.abs(sr.asymptotic_state(model, pure(ground)) - pure(ground))) < 1e-15

@@ -66,6 +66,84 @@ class TestParsing:
             second = sr.parse_scenario(text)
             assert sr.dump_scenario(second) == text
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(
+                lambda d: d["system"]["emitters"].__setitem__(1, {"levels": 2, "frequencies": [0, 1], "level": 3}),
+                id="emitter",
+            ),
+            pytest.param(lambda d: d["system"]["collective"][0].update(rates=0.1), id="collective"),
+            pytest.param(lambda d: d["system"].update(local=[{"rate": 0.01, "emiter": 1}]), id="local"),
+            pytest.param(
+                lambda d: d["system"].update(drives=[{"amplitude": 0.1, "transition": [1, 0], "detunning": 0.1}]),
+                id="drives",
+            ),
+            pytest.param(lambda d: d["time"].update(point=3), id="time"),
+            pytest.param(lambda d: d.update(output={"path": None, "fromat": "csv"}), id="output"),
+            pytest.param(lambda d: d["observables"][1]["fidelity"].update(sqrtt=True), id="fidelity"),
+            pytest.param(
+                lambda d: d["observables"].append({"log_negativity": {"bipartition": [[0], [1]], "groups": []}}),
+                id="log_negativity",
+            ),
+        ],
+    )
+    def test_unknown_nested_keys_rejected(self, edit):
+        bad = json.loads(json.dumps(TINY_SCENARIO))
+        edit(bad)
+        with pytest.raises(ValidationError, match="unknown keys"):
+            sr.scenario_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: d["system"].update(local=5), id="local"),
+            pytest.param(lambda d: d["system"].update(drives={"amplitude": 0.1}), id="drives"),
+            pytest.param(lambda d: d["system"].update(collective="rate"), id="collective"),
+            pytest.param(lambda d: d["system"].update(local=[{"rate": 0.01, "transition": 5}]), id="transition"),
+            pytest.param(lambda d: d["system"]["collective"][0].update(transitions=[[1, 0], 1]), id="transitions"),
+            pytest.param(
+                lambda d: d["observables"].append({"log_negativity": {"bipartition": [0, [1]]}}),
+                id="bipartition-group",
+            ),
+        ],
+    )
+    def test_wrong_shapes_are_validation_errors(self, edit):
+        bad = json.loads(json.dumps(TINY_SCENARIO))
+        edit(bad)
+        with pytest.raises(ValidationError):
+            sr.scenario_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "edit, read",
+        [
+            pytest.param(
+                lambda d, v: d.update(integrator={"hermitize": v}),
+                lambda s: s.integrator.hermitize_each_step,
+                id="hermitize",
+            ),
+            pytest.param(
+                lambda d, v: d["observables"][1]["fidelity"].update(sqrt=v),
+                lambda s: s.observables[1].sqrt,
+                id="sqrt",
+            ),
+        ],
+    )
+    def test_booleans_are_json_booleans(self, edit, read):
+        for value in (True, False):
+            data = json.loads(json.dumps(TINY_SCENARIO))
+            edit(data, value)
+            assert read(sr.scenario_from_dict(data)) is value
+        for value in ("false", 0, None):
+            data = json.loads(json.dumps(TINY_SCENARIO))
+            edit(data, value)
+            with pytest.raises(ValidationError):
+                sr.scenario_from_dict(data)
+
+    def test_every_preset_parses(self):
+        for name, _ in sr.list_presets():
+            assert sr.scenario_from_dict(sr.load_preset(name)).name
+
     def test_weight_phases(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
         data["system"]["collective"][0]["weights"] = [
@@ -364,6 +442,14 @@ class TestSweeps:
         assert statuses[1].startswith("error:")
         assert statuses[2] == "ok"
         assert result.failed == 1
+
+    def test_malformed_point_is_a_failed_point(self):
+        sweep = parse_sweep(
+            json.dumps({"base": self.make_base(100.0), "axes": {"system.local[0].transition": [5]}})
+        )
+        result = run_sweep(sweep)
+        assert result.failed == 1
+        assert result.rows[0][-1] == "error:ValidationError"
 
     def test_sweep_csv_format(self):
         sweep = parse_sweep(
