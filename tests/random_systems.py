@@ -1,8 +1,8 @@
 """Random systems and states shared by the property tests.
 
-`random_model` builds a random qubit/qutrit model from an ``rng`` and
-hypothesis-drawn sizes; every draw comes from the seeded ``rng``, so a
-failing example reproduces from its seed.
+`random_system` draws a random qubit/qutrit `SystemSpec` from an ``rng`` and
+hypothesis-drawn sizes, and `random_model` builds it; every draw comes from
+the seeded ``rng``, so a failing example reproduces from its seed.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ def random_density(rng, n):
 LEVELS = st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4).filter(lambda ls: int(np.prod(ls)) <= 16)
 
 
-def random_model(rng, levels, n_collective, n_local, driven):
+def random_system(rng, levels, n_collective, n_local, driven):
     """Random qubit/qutrit system: mixed-size collective transitions, optional local loss and drive."""
     n = len(levels)
 
@@ -46,7 +46,12 @@ def random_model(rng, levels, n_collective, n_local, driven):
     if driven:
         j = int(rng.integers(n))
         drives = (sr.DriveSpec(rng.uniform(0.1, 0.5), j, transition(j), rng.uniform(-0.2, 0.2)),)
-    return sr.build_model(sr.SystemSpec(emitters, tuple(collective), tuple(local), drives))
+    return sr.SystemSpec(emitters, tuple(collective), tuple(local), drives)
+
+
+def random_model(rng, levels, n_collective, n_local, driven):
+    """`random_system` built into operators."""
+    return sr.build_model(random_system(rng, levels, n_collective, n_local, driven))
 
 
 def random_sector_state(rng, model):
