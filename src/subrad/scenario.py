@@ -6,12 +6,12 @@ Schema (all keys lowercase; defaults in brackets):
 {
   "name": str ["scenario"],
   "system": {
-    "emitters": [ "qubit" | {"levels": int, "frequencies": [float,...]} ],
-    "collective": [ {"rate": float,
-                     "weights": [weight,...],          # one per emitter
+    "emitters": [ "qubit" | {"levels": int [2], "frequencies": [float,...]} ],
+    "collective": [ {"rate": float [0],
+                     "weights": [weight,...],          # [1 per emitter]
                      "transitions": [[u,l],...] }],    # [[1,0] per emitter]
-    "local":      [ {"rate": float, "emitter": int, "transition": [u,l] [[1,0]]} ],
-    "drives":     [ {"amplitude": float, "emitter": int,
+    "local":      [ {"rate": float [0], "emitter": int [0], "transition": [u,l] [[1,0]]} ],
+    "drives":     [ {"amplitude": float [0], "emitter": int [0],
                      "transition": [u,l], "detuning": float [0]} ],
     "frame": "lab" | "rotating" | {"rotating": float} [{"rotating": 1.0}],
     "dimension_cap": int [256]
@@ -28,11 +28,15 @@ Schema (all keys lowercase; defaults in brackets):
 ```
 
 A ``weight`` is a real number, an ``[re, im]`` pair, or
-``{"magnitude": m, "phase": p}``.  A ``state`` is a label string (digit
+``{"magnitude": m [1], "phase": p [0]}``.  A ``state`` is a label string (digit
 basis strings, "vacuum", "psi_plus", "psi_minus", "W"/"psi1", "psi2",
-"psi3"), ``{"amplitudes": {label: amp}}`` or
-``{"mixture": [{"weight": w, "state": state},...], "name": str}``; non-label
-states used as initial states need a ``"name"`` for their CSV column suffix.
+"psi3"), ``{"label": str}``, ``{"amplitudes": {label: weight}}`` or
+``{"mixture": [{"weight": float, "state": state},...]}``.  An initial state
+object may add a ``"name"``, its CSV column suffix (the label by default,
+required for the other forms): `dump_scenario` writes a renamed label as
+``{"name": str, "label": str}``.  The bipartition defaults to ``[[0], [1]]``
+for two emitters.  Every object rejects unknown keys, and no field converts
+between JSON types (a number is not a string, 0 is not false).
 
 Time unit "kappa" means the grid (and the CSV ``t`` column) is in units of
 the inverse rate of the first collective channel.
@@ -41,6 +45,13 @@ CSV output: header ``t,<columns>,trace_error``; one row per grid point;
 17-significant-digit scientific notation.  With several initial states each
 observable column is suffixed ``:<label>`` and ``trace_error`` is the
 worst value across them.
+
+Sweep files: ``{"base": preset-name | scenario, "axes": {path: [value,...]},
+"reductions": [{"column": str, "kind": "final"|"fit_exp_rate" ["final"],
+"name": str ["<kind>_<column>"], "t_min": float [0], "t_max": float|null}]}``;
+the reductions default to ``[{"column": "trace_error"}]`` (named
+"final_trace_error").  An axis path such as ``system.local[0].rate``
+addresses the base's `dump_scenario` form; ``"a|b"`` sets both paths.
 """
 
 from __future__ import annotations
@@ -48,9 +59,12 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
-from typing import Any, Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,105 +121,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Schema helpers
-# ---------------------------------------------------------------------------
-
-
-def _expect(cond: bool, where: str, message: str) -> None:
-    if not cond:
-        raise ValidationError(f"{where}: {message}")
-
-
-def _as_float(value, where: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), where, "expected a number")
-    return float(value)
-
-
-def _as_int(value, where: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), where, "expected an integer")
-    return int(value)
-
-
-def _as_bool(value, where: str) -> bool:
-    _expect(isinstance(value, bool), where, "expected true or false")
-    return value
-
-
-def _as_list(value, where: str) -> list:
-    _expect(isinstance(value, list), where, "expected a list")
-    return value
-
-
-def _as_transition(value, where: str) -> tuple[int, int]:
-    _expect(isinstance(value, (list, tuple)) and len(value) == 2, where, "expected [upper, lower]")
-    return _as_int(value[0], where), _as_int(value[1], where)
-
-
-def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
-    _expect(not unknown, where, f"unknown keys {sorted(unknown)}")
-
-
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_as_float(value[0], where), _as_float(value[1], where))
-    if isinstance(value, dict):
-        mag = _as_float(value.get("magnitude", 1.0), f"{where}.magnitude")
-        phase = _as_float(value.get("phase", 0.0), f"{where}.phase")
-        return mag * np.exp(1j * phase)
-    raise ValidationError(f"{where}: expected number, [re, im] or magnitude/phase object")
-
-
-def _complex_to_json(z: complex) -> Any:
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
-
-
-def _state_spec_from_json(value, where: str) -> StateSpec:
-    if isinstance(value, str):
-        return StateSpec.named(value)
-    if isinstance(value, dict):
-        if "amplitudes" in value:
-            amps = value["amplitudes"]
-            _expect(isinstance(amps, dict) and amps, where, "amplitudes must be a non-empty object")
-            return StateSpec.from_amplitudes(
-                {str(k): _as_complex(v, f"{where}.amplitudes[{k}]") for k, v in amps.items()}
-            )
-        if "mixture" in value:
-            parts = value["mixture"]
-            _expect(isinstance(parts, list) and parts, where, "mixture must be a non-empty list")
-            mix = []
-            for i, part in enumerate(parts):
-                _expect(isinstance(part, dict) and "weight" in part and "state" in part,
-                        f"{where}.mixture[{i}]", "expected {weight, state}")
-                mix.append(
-                    (
-                        _as_float(part["weight"], f"{where}.mixture[{i}].weight"),
-                        _state_spec_from_json(part["state"], f"{where}.mixture[{i}].state"),
-                    )
-                )
-            return StateSpec.mix(mix)
-        if "label" in value:
-            return StateSpec.named(value["label"])
-    raise ValidationError(f"{where}: expected a label string, amplitudes or mixture object")
-
-
-def _state_spec_to_json(spec: StateSpec) -> Any:
-    if spec.label is not None:
-        return spec.label
-    if spec.amplitudes is not None:
-        return {"amplitudes": {k: _complex_to_json(v) for k, v in spec.amplitudes}}
-    return {
-        "mixture": [
-            {"weight": w, "state": _state_spec_to_json(s)} for w, s in spec.mixture
-        ]
-    }
-
-
-# ---------------------------------------------------------------------------
 # Scenario dataclasses
 # ---------------------------------------------------------------------------
 
@@ -215,6 +130,10 @@ class TimeSpec:
     unit: str
     horizon: float
     points: int
+
+    def __post_init__(self):
+        if self.unit not in ("omega", "kappa") or not self.horizon > 0 or self.points < 2:
+            raise ValidationError(f"need unit 'omega' or 'kappa', horizon > 0 and points >= 2, got {self}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.points)
@@ -232,6 +151,10 @@ class ObservableSpec:
 class OutputSpec:
     path: str | None = None
     format: str = "csv"
+
+    def __post_init__(self):
+        if self.format != "csv":
+            raise ValidationError(f"only the 'csv' format is supported, got {self.format!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,341 +196,364 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
+# Field tables
+# ---------------------------------------------------------------------------
+#
+# Each JSON object is read and written through one table, an ordered dict
+# from JSON key to `_Field`.  A field's kind is a ``(read, write)`` pair:
+# ``read(value, path)`` checks one JSON value and returns its parsed form,
+# ``write(parsed)`` returns the JSON value.  `_read` checks the key set,
+# reads the present keys, fills the defaults and builds the result with
+# ``make``; `_write` inverts it, so a dump parses back to the same fields.
+
+_REQUIRED = object()  # default of a key that must be present
+_ABSENT = object()  # default of a key whose absence passes no argument to ``make``
+
+
+class _Field(NamedTuple):
+    attr: str  # the keyword argument of ``make``
+    get: Callable[[Any], Any]  # reads the value back from a parsed object, for `_write`
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
+    default: Any
+
+
+def _table(*rows) -> dict[str, _Field]:
+    """Rows are ``(key, kind, default[, attr[, get]])``; ``attr`` is the key and ``get`` reads it unless given."""
+    table = {}
+    for key, kind, default, attr, get in (row + (None,) * (5 - len(row)) for row in rows):
+        table[key] = _Field(attr or key, get or attrgetter(attr or key), *kind, default)
+    return table
+
+
+def _expect(cond: bool, where: str, message: str) -> None:
+    if not cond:
+        raise ValidationError(f"{where}: {message}")
+
+
+def _build(make: Callable, kwargs: dict, where: str):
+    """``make(**kwargs)``, with a constructor's own validation error prefixed by the JSON path."""
+    try:
+        return make(**kwargs)
+    except (ValidationError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _read(data, table: dict[str, _Field], where: str, make: Callable, prefix: str | None = None):
+    """Read the object ``data`` at JSON path ``where``; a key's path is ``prefix + key`` (default ``where.key``)."""
+    if not isinstance(data, (dict, Mapping)):  # dict first: the ABC check is slow
+        raise ValidationError(f"{where}: expected an object")
+    prefix = f"{where}." if prefix is None else prefix
+    kwargs = {}
+    for key, value in data.items():
+        field = table.get(key)
+        if field is None:
+            raise ValidationError(f"{where}: unknown keys {sorted(data.keys() - table.keys())}")
+        kwargs[field.attr] = field.read(value, prefix + key)
+    if len(data) < len(table):
+        for key, field in table.items():
+            if key in data or field.default is _ABSENT:
+                continue
+            if field.default is _REQUIRED:
+                raise ValidationError(f"{where}: missing required key {key!r}")
+            kwargs[field.attr] = field.default
+    return _build(make, kwargs, where)
+
+
+def _write(obj, table: dict[str, _Field]) -> dict:
+    return {key: field.write(field.get(obj)) for key, field in table.items()}
+
+
+def _object(table: dict[str, _Field], make: Callable):
+    return (lambda value, where: _read(value, table, where, make)), partial(_write, table=table)
+
+
+def _same(value):
+    return value
+
+
+def _scalar(types: tuple, message: str, convert: Callable | None = None):
+    """The kind of a JSON scalar that is an instance of ``types``; a boolean counts only as a boolean."""
+
+    def read(value, where: str):
+        if isinstance(value, types) and (type(value) is not bool or bool in types):
+            return value if convert is None else convert(value)
+        raise ValidationError(f"{where}: {message}")
+
+    return read, _same
+
+
+def _list(kind, nonempty: bool = False):
+    read, write = kind
+
+    def read_list(value, where: str) -> tuple:
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ValidationError(f"{where}: {'non-empty list required' if nonempty else 'expected a list'}")
+        return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
+
+    return read_list, lambda items: [write(item) for item in items]
+
+
+def _optional(kind):
+    read, write = kind
+    return (lambda value, where: None if value is None else read(value, where)), (
+        lambda parsed: None if parsed is None else write(parsed)
+    )
+
+
+_FLOAT = _scalar((int, float), "expected a number", float)
+_INT = _scalar((int,), "expected an integer")
+_BOOL = _scalar((bool,), "expected true or false")
+_STR = _scalar((str,), "expected a string")
+_REAL_WEIGHT = _scalar((int, float), "expected number, [re, im] or magnitude/phase object")
+
+
+def _as_transition(value, where: str) -> tuple[int, int]:
+    _expect(isinstance(value, list) and len(value) == 2, where, "expected [upper, lower]")
+    return _INT[0](value[0], where), _INT[0](value[1], where)
+
+
+# --- Unions: the JSON values with more than one form ------------------------
+
+
+def _complex_to_json(z: complex) -> Any:
+    if z.imag == 0.0:
+        return z.real
+    return [z.real, z.imag]
+
+
+def _polar(magnitude: float, phase: float) -> complex:
+    return complex(magnitude * np.exp(1j * phase))
+
+
+def _read_weight(value, where: str) -> complex:
+    if isinstance(value, dict):
+        return _read(value, _POLAR, where, _polar)
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_FLOAT[0](value[0], where), _FLOAT[0](value[1], where))
+    return complex(_REAL_WEIGHT[0](value, where))
+
+
+def _read_amplitudes(value, where: str) -> tuple[tuple[str, complex], ...]:
+    _expect(isinstance(value, dict) and value, where, "expected a non-empty object")
+    return tuple((label, _read_weight(amp, f"{where}[{label}]")) for label, amp in value.items())
+
+
+def _read_emitter(value, where: str) -> EmitterSpec:
+    if value == "qubit":
+        return EmitterSpec.qubit()
+    _expect(isinstance(value, dict), where, "expected 'qubit' or an object")
+    return _read(value, _EMITTER, where, EmitterSpec)
+
+
+def _read_frame(value, where: str) -> tuple[str, float]:
+    """The ``(frame, frame_frequency)`` pair; `_read_system` splits it."""
+    if value in ("lab", "rotating"):
+        return value, 1.0
+    _expect(isinstance(value, dict) and value.keys() == {"rotating"}, where,
+            "expected 'lab', 'rotating' or {'rotating': freq}")
+    return "rotating", _FLOAT[0](value["rotating"], f"{where}.rotating")
+
+
+def _write_frame(frame: tuple[str, float]) -> Any:
+    return "lab" if frame[0] == "lab" else {"rotating": frame[1]}
+
+
+def _read_system(value, where: str) -> SystemSpec:
+    kwargs = _read(value, _SYSTEM, where, dict)
+    if "frame" in kwargs:
+        kwargs["frame"], kwargs["frame_frequency"] = kwargs["frame"]
+    # The collective weights and transitions default to one entry per emitter.
+    n = len(kwargs["emitters"])
+    per_emitter = {"weights": (1.0,) * n, "transitions": ((1, 0),) * n}
+    if "collective_channels" in kwargs:
+        kwargs["collective_channels"] = tuple(
+            _build(CollectiveChannelSpec, {**per_emitter, **channel}, f"{where}.collective[{i}]")
+            for i, channel in enumerate(kwargs["collective_channels"])
+        )
+    spec = _build(SystemSpec, kwargs, where)
+    _build(spec.validate, {}, where)
+    return spec
+
+
+def _read_state(value, where: str) -> StateSpec:
+    return StateSpec.named(value) if isinstance(value, str) else _read(value, _STATE, where, StateSpec)
+
+
+def _state_object(spec: StateSpec) -> dict:
+    return {key: value for key, value in _write(spec, _STATE).items() if value is not None}
+
+
+def _write_state(spec: StateSpec) -> Any:
+    return spec.label if spec.label is not None else _state_object(spec)
+
+
+def _initial(name: str | None = None, **state) -> tuple[str, StateSpec]:
+    spec = StateSpec(**state)
+    if name is None and spec.label is None:
+        raise ValidationError("non-label states need a 'name'")
+    return (spec.label if name is None else name), spec
+
+
+def _read_initial(value, where: str) -> tuple[str, StateSpec]:
+    return (value, StateSpec.named(value)) if isinstance(value, str) else _read(value, _INITIAL, where, _initial)
+
+
+def _write_initial(initial: tuple[str, StateSpec]) -> Any:
+    name, spec = initial
+    return name if spec.label == name else {"name": name, **_state_object(spec)}
+
+
+def _read_initials(value, where: str) -> tuple[tuple[str, StateSpec], ...]:
+    initials = _INITIALS[0](value if isinstance(value, list) else [value], where)
+    names = [name for name, _ in initials]
+    for i, name in enumerate(names):
+        _expect(name not in names[:i], f"{where}[{i}]", f"duplicate initial label {name!r}")
+    return initials
+
+
+def _read_bipartition(value, where: str) -> tuple[tuple[int, ...], ...]:
+    groups = _GROUPS[0](value, where)
+    _expect(len(groups) == 2, where, "expected two emitter index groups")
+    return groups
+
+
+def _read_observable(value, where: str) -> ObservableSpec:
+    if value in ("energy", "purity", "nes", "checks"):
+        return ObservableSpec(value)
+    if isinstance(value, dict) and len(value) == 1:
+        ((kind, params),) = value.items()
+        if kind in _OBSERVABLE_PARAMETERS:
+            return _read(params, _OBSERVABLE_PARAMETERS[kind], f"{where}.{kind}", partial(ObservableSpec, kind))
+    raise ValidationError(f"{where}: unknown observable {value!r}")
+
+
+def _write_observable(ob: ObservableSpec) -> Any:
+    if ob.kind in _OBSERVABLE_PARAMETERS:
+        return {ob.kind: _write(ob, _OBSERVABLE_PARAMETERS[ob.kind])}
+    return ob.kind
+
+
+def _read_output(value, where: str) -> OutputSpec:
+    return OutputSpec() if value is None else _read(value, _OUTPUT, where, OutputSpec)
+
+
+# --- Tables -----------------------------------------------------------------
+
+_Part = namedtuple("_Part", "weight state")  # one entry of a mixture
+_STATE_KIND = (_read_state, _write_state)
+_TRANSITION = (_as_transition, list)
+_AMPLITUDES = (_read_amplitudes, lambda amps: {label: _complex_to_json(amp) for label, amp in amps})
+_GROUPS = _list(_list(_INT, nonempty=True))
+
+_POLAR = _table(("magnitude", _FLOAT, 1.0), ("phase", _FLOAT, 0.0))
+_EMITTER = _table(("levels", _INT, 2), ("frequencies", _list(_FLOAT), _REQUIRED, "level_frequencies"))
+_COLLECTIVE = _table(
+    ("rate", _FLOAT, 0.0),
+    ("weights", _list((_read_weight, _complex_to_json)), _ABSENT),  # filled per emitter by `_read_system`
+    ("transitions", _list(_TRANSITION), _ABSENT),
+)
+_LOCAL = _table(
+    ("rate", _FLOAT, 0.0),
+    ("emitter", _INT, 0, "emitter_index"),
+    ("transition", _TRANSITION, _ABSENT),
+)
+_DRIVE = _table(
+    ("amplitude", _FLOAT, 0.0),
+    ("emitter", _INT, 0, "emitter_index"),
+    ("transition", _TRANSITION, _REQUIRED),
+    ("detuning", _FLOAT, _ABSENT, "drive_detuning"),
+)
+_SYSTEM = _table(
+    ("emitters", _list((_read_emitter, partial(_write, table=_EMITTER)), nonempty=True), _REQUIRED),
+    ("collective", _list(_object(_COLLECTIVE, dict)), _ABSENT, "collective_channels"),
+    ("local", _list(_object(_LOCAL, LocalChannelSpec)), _ABSENT, "local_channels"),
+    ("drives", _list(_object(_DRIVE, DriveSpec)), _ABSENT),
+    ("frame", (_read_frame, _write_frame), _ABSENT, "frame", attrgetter("frame", "frame_frequency")),
+    ("dimension_cap", _INT, _ABSENT),
+)
+_PART = _table(("weight", _FLOAT, _REQUIRED), ("state", _STATE_KIND, _REQUIRED))
+# A mixture holds plain (weight, state) pairs; `_Part` names them for `_write`.
+_PART_KIND = (_object(_PART, _Part)[0], lambda part: _write(_Part(*part), _PART))
+_STATE = _table(
+    ("label", _optional(_STR), _ABSENT),
+    ("amplitudes", _optional(_AMPLITUDES), _ABSENT),
+    ("mixture", _optional(_list(_PART_KIND, nonempty=True)), _ABSENT),
+)
+_INITIAL = {**_STATE, **_table(("name", _STR, _ABSENT))}
+_INITIALS = _list((_read_initial, _write_initial), nonempty=True)
+_OBSERVABLE_PARAMETERS = {
+    "fidelity": _table(("target", _STATE_KIND, _REQUIRED), ("sqrt", _BOOL, _ABSENT)),
+    "log_negativity": _table(("bipartition", (_read_bipartition, _GROUPS[1]), _ABSENT)),
+}
+_TIME = _table(("unit", _STR, "omega"), ("horizon", _FLOAT, _REQUIRED), ("points", _INT, _REQUIRED))
+_INTEGRATOR = _table(
+    ("rel_tol", _FLOAT, _ABSENT),
+    ("abs_tol", _FLOAT, _ABSENT),
+    ("initial_step", _optional(_FLOAT), _ABSENT),
+    ("max_step", _optional(_FLOAT), _ABSENT),
+    ("hermitize", _BOOL, _ABSENT, "hermitize_each_step"),
+    ("fixed_step", _optional(_FLOAT), _ABSENT),
+)
+_OUTPUT = _table(("path", _optional(_STR), _ABSENT), ("format", _STR, _ABSENT))
+_SCENARIO = _table(
+    ("name", _STR, "scenario"),
+    ("system", (_read_system, partial(_write, table=_SYSTEM)), _REQUIRED),
+    ("initial", (_read_initials, _INITIALS[1]), _REQUIRED, "initials"),
+    ("time", _object(_TIME, TimeSpec), _REQUIRED),
+    ("observables", _list((_read_observable, _write_observable), nonempty=True), _REQUIRED),
+    ("integrator", _object(_INTEGRATOR, IntegratorConfig), IntegratorConfig()),
+    ("output", (_read_output, partial(_write, table=_OUTPUT)), OutputSpec()),
+)
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
 
-def _system_from_dict(data: Mapping, where: str = "system") -> SystemSpec:
-    _expect(isinstance(data, Mapping), where, "expected an object")
-    _check_keys(data, {"emitters", "collective", "local", "drives", "frame", "dimension_cap"}, where)
-
-    raw_emitters = data.get("emitters")
-    _expect(isinstance(raw_emitters, list) and raw_emitters, f"{where}.emitters", "non-empty list required")
-    emitters = []
-    for i, e in enumerate(raw_emitters):
-        w = f"{where}.emitters[{i}]"
-        if e == "qubit":
-            emitters.append(EmitterSpec.qubit())
-        elif isinstance(e, dict):
-            _check_keys(e, {"levels", "frequencies"}, w)
-            levels = _as_int(e.get("levels", 2), f"{w}.levels")
-            freqs = e.get("frequencies")
-            _expect(isinstance(freqs, list), f"{w}.frequencies", "list of floats required")
-            emitters.append(
-                EmitterSpec(levels, tuple(_as_float(f, f"{w}.frequencies") for f in freqs))
-            )
-        else:
-            raise ValidationError(f"{w}: expected 'qubit' or an object")
-
-    n = len(emitters)
-    collective = []
-    for i, ch in enumerate(_as_list(data.get("collective", []), f"{where}.collective")):
-        w = f"{where}.collective[{i}]"
-        _expect(isinstance(ch, dict), w, "expected an object")
-        _check_keys(ch, {"rate", "weights", "transitions"}, w)
-        rate = _as_float(ch.get("rate", 0.0), f"{w}.rate")
-        _expect(rate >= 0, f"{w}.rate", "must be >= 0")
-        weights = ch.get("weights", [1.0] * n)
-        _expect(isinstance(weights, list) and len(weights) == n, f"{w}.weights", f"need {n} entries")
-        transitions = ch.get("transitions", [[1, 0]] * n)
-        _expect(isinstance(transitions, list) and len(transitions) == n,
-                f"{w}.transitions", f"need {n} entries")
-        collective.append(
-            CollectiveChannelSpec(
-                rate=rate,
-                weights=tuple(_as_complex(x, f"{w}.weights[{j}]") for j, x in enumerate(weights)),
-                transitions=tuple(_as_transition(t, f"{w}.transitions[{j}]") for j, t in enumerate(transitions)),
-            )
-        )
-
-    local = []
-    for i, ch in enumerate(_as_list(data.get("local", []), f"{where}.local")):
-        w = f"{where}.local[{i}]"
-        _expect(isinstance(ch, dict), w, "expected an object")
-        _check_keys(ch, {"rate", "emitter", "transition"}, w)
-        rate = _as_float(ch.get("rate", 0.0), f"{w}.rate")
-        _expect(rate >= 0, f"{w}.rate", "must be >= 0")
-        local.append(
-            LocalChannelSpec(
-                rate=rate,
-                emitter_index=_as_int(ch.get("emitter", 0), f"{w}.emitter"),
-                transition=_as_transition(ch.get("transition", [1, 0]), f"{w}.transition"),
-            )
-        )
-
-    drives = []
-    for i, dr in enumerate(_as_list(data.get("drives", []), f"{where}.drives")):
-        w = f"{where}.drives[{i}]"
-        _expect(isinstance(dr, dict), w, "expected an object")
-        _check_keys(dr, {"amplitude", "emitter", "transition", "detuning"}, w)
-        drives.append(
-            DriveSpec(
-                amplitude=_as_float(dr.get("amplitude", 0.0), f"{w}.amplitude"),
-                emitter_index=_as_int(dr.get("emitter", 0), f"{w}.emitter"),
-                transition=_as_transition(dr.get("transition"), f"{w}.transition"),
-                drive_detuning=_as_float(dr.get("detuning", 0.0), f"{w}.detuning"),
-            )
-        )
-
-    frame_raw = data.get("frame", {"rotating": 1.0})
-    if frame_raw == "lab":
-        frame, frame_freq = "lab", 1.0
-    elif frame_raw == "rotating":
-        frame, frame_freq = "rotating", 1.0
-    elif isinstance(frame_raw, dict) and set(frame_raw) == {"rotating"}:
-        frame, frame_freq = "rotating", _as_float(frame_raw["rotating"], f"{where}.frame.rotating")
-    else:
-        raise ValidationError(f"{where}.frame: expected 'lab', 'rotating' or {{'rotating': freq}}")
-
-    try:
-        spec = SystemSpec(
-            emitters=tuple(emitters),
-            collective_channels=tuple(collective),
-            local_channels=tuple(local),
-            drives=tuple(drives),
-            frame=frame,
-            frame_frequency=frame_freq,
-            dimension_cap=_as_int(data.get("dimension_cap", 256), f"{where}.dimension_cap"),
-        )
-        spec.validate()
-    except SubradError:
-        raise
-    except Exception as exc:  # dataclass-level validation errors
-        raise ValidationError(f"{where}: {exc}") from exc
-    return spec
-
-
-def _initials_from_json(value, where: str = "initial") -> tuple[tuple[str, StateSpec], ...]:
-    entries = value if isinstance(value, list) else [value]
-    _expect(len(entries) >= 1, where, "at least one initial state required")
-    initials = []
-    seen = set()
-    for i, entry in enumerate(entries):
-        w = f"{where}[{i}]"
-        if isinstance(entry, str):
-            label, spec = entry, StateSpec.named(entry)
-        elif isinstance(entry, dict):
-            spec = _state_spec_from_json(entry, w)
-            if spec.label is not None:
-                label = entry.get("name", spec.label)
-            else:
-                _expect("name" in entry, w, "non-label states need a 'name'")
-                label = entry["name"]
-        else:
-            raise ValidationError(f"{w}: expected a state")
-        label = str(label)
-        _expect(label not in seen, w, f"duplicate initial label {label!r}")
-        seen.add(label)
-        initials.append((label, spec))
-    return tuple(initials)
-
-
-def _observables_from_json(value, n_emitters: int, where: str = "observables"):
-    _expect(isinstance(value, list) and value, where, "non-empty list required")
-    obs = []
-    for i, entry in enumerate(value):
-        w = f"{where}[{i}]"
-        if entry in ("energy", "purity", "nes", "checks"):
-            obs.append(ObservableSpec(kind=entry))
-        elif isinstance(entry, dict) and set(entry) == {"fidelity"}:
-            params = entry["fidelity"]
-            _expect(isinstance(params, dict) and "target" in params, w, "fidelity needs a target")
-            _check_keys(params, {"target", "sqrt"}, w)
-            obs.append(
-                ObservableSpec(
-                    kind="fidelity",
-                    target=_state_spec_from_json(params["target"], f"{w}.target"),
-                    sqrt=_as_bool(params.get("sqrt", False), f"{w}.sqrt"),
-                )
-            )
-        elif isinstance(entry, dict) and set(entry) == {"log_negativity"}:
-            params = entry["log_negativity"]
-            _expect(isinstance(params, dict), w, "expected an object")
-            _check_keys(params, {"bipartition"}, w)
-            bip = params.get("bipartition")
-            if bip is None and n_emitters == 2:
-                bip = [[0], [1]]
-            _expect(
-                isinstance(bip, list) and len(bip) == 2,
-                f"{w}.bipartition",
-                "expected two emitter index groups",
-            )
-            groups = tuple(
-                tuple(_as_int(j, f"{w}.bipartition") for j in _as_list(g, f"{w}.bipartition")) for g in bip
-            )
-            _expect(all(groups), f"{w}.bipartition", "groups must be non-empty")
-            obs.append(ObservableSpec(kind="log_negativity", bipartition=groups))
-        else:
-            raise ValidationError(f"{w}: unknown observable {entry!r}")
-    return tuple(obs)
-
-
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Validate a parsed JSON object and resolve it into a `Scenario`."""
-    _expect(isinstance(data, Mapping), "scenario", "top level must be an object")
-    _check_keys(data, {"name", "system", "initial", "time", "observables", "integrator", "output"}, "scenario")
-    for key in ("system", "initial", "time", "observables"):
-        _expect(key in data, "scenario", f"missing required key {key!r}")
-
-    system = _system_from_dict(data["system"])
+    kwargs = _read(data, _SCENARIO, "scenario", dict, prefix="")
+    system = kwargs["system"]
     layout = system.layout()
-    initials = _initials_from_json(data["initial"])
     # Resolve every state now so unknown labels fail at parse time.
-    for label, spec in initials:
+    for label, spec in kwargs["initials"]:
         build_initial_state(spec, layout)
-
-    traw = data["time"]
-    _expect(isinstance(traw, Mapping), "time", "expected an object")
-    _check_keys(traw, {"unit", "horizon", "points"}, "time")
-    unit = traw.get("unit", "omega")
-    _expect(unit in ("omega", "kappa"), "time.unit", "must be 'omega' or 'kappa'")
-    if unit == "kappa":
-        _expect(
-            bool(system.collective_channels) and system.collective_channels[0].rate > 0,
-            "time.unit",
-            "'kappa' unit needs a first collective channel with positive rate",
-        )
-    horizon = _as_float(traw.get("horizon"), "time.horizon")
-    _expect(horizon > 0, "time.horizon", "must be > 0")
-    points = _as_int(traw.get("points"), "time.points")
-    _expect(points >= 2, "time.points", "must be >= 2")
-    time = TimeSpec(unit=unit, horizon=horizon, points=points)
-
-    observables = _observables_from_json(data["observables"], len(system.emitters))
-    for ob in observables:
+    if kwargs["time"].unit == "kappa":
+        _expect(bool(system.collective_channels) and system.collective_channels[0].rate > 0, "time.unit",
+                "'kappa' unit needs a first collective channel with positive rate")
+    n = len(system.emitters)
+    observables = list(kwargs["observables"])
+    for i, ob in enumerate(observables):
+        where = f"observables[{i}]"
         if ob.kind == "fidelity":
             state_vector(ob.target, layout)  # must be pure and resolvable
         if ob.kind == "log_negativity":
-            n = len(system.emitters)
+            if ob.bipartition is None:
+                _expect(n == 2, f"{where}.log_negativity.bipartition", "expected two emitter index groups")
+                observables[i] = ob = replace(ob, bipartition=((0,), (1,)))
             flat = [j for g in ob.bipartition for j in g]
-            _expect(
-                len(set(flat)) == len(flat) and all(0 <= j < n for j in flat),
-                "observables",
-                f"bipartition {ob.bipartition} invalid for {n} emitters",
-            )
+            _expect(len(set(flat)) == len(flat) and all(0 <= j < n for j in flat), where,
+                    f"bipartition {ob.bipartition} invalid for {n} emitters")
+    return Scenario(**{**kwargs, "observables": tuple(observables)})
 
-    iraw = data.get("integrator", {})
-    _expect(isinstance(iraw, Mapping), "integrator", "expected an object")
-    _check_keys(iraw, {"rel_tol", "abs_tol", "initial_step", "max_step", "hermitize", "fixed_step"}, "integrator")
+
+def _load_json(text: str) -> Any:
     try:
-        integrator = IntegratorConfig(
-            rel_tol=_as_float(iraw.get("rel_tol", 1e-8), "integrator.rel_tol"),
-            abs_tol=_as_float(iraw.get("abs_tol", 1e-10), "integrator.abs_tol"),
-            initial_step=(
-                None if iraw.get("initial_step") is None
-                else _as_float(iraw["initial_step"], "integrator.initial_step")
-            ),
-            max_step=(
-                None if iraw.get("max_step") is None
-                else _as_float(iraw["max_step"], "integrator.max_step")
-            ),
-            hermitize_each_step=_as_bool(iraw.get("hermitize", True), "integrator.hermitize"),
-            fixed_step=(
-                None if iraw.get("fixed_step") is None
-                else _as_float(iraw["fixed_step"], "integrator.fixed_step")
-            ),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"integrator: {exc}") from exc
-
-    oraw = data.get("output") or {}
-    _expect(isinstance(oraw, Mapping), "output", "expected an object")
-    _check_keys(oraw, {"path", "format"}, "output")
-    fmt = oraw.get("format", "csv")
-    _expect(fmt == "csv", "output.format", "only 'csv' is supported")
-    output = OutputSpec(path=oraw.get("path"), format=fmt)
-
-    return Scenario(
-        name=str(data.get("name", "scenario")),
-        system=system,
-        initials=initials,
-        time=time,
-        observables=observables,
-        integrator=integrator,
-        output=output,
-    )
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario JSON text; raises `ParseError` / `ValidationError`."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(_load_json(text))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical normalized dict form (all defaults explicit)."""
-    system = scenario.system
-    return {
-        "name": scenario.name,
-        "system": {
-            "emitters": [
-                {"levels": e.levels, "frequencies": list(e.level_frequencies)}
-                for e in system.emitters
-            ],
-            "collective": [
-                {
-                    "rate": ch.rate,
-                    "weights": [_complex_to_json(w) for w in ch.weights],
-                    "transitions": [list(t) for t in ch.transitions],
-                }
-                for ch in system.collective_channels
-            ],
-            "local": [
-                {"rate": ch.rate, "emitter": ch.emitter_index, "transition": list(ch.transition)}
-                for ch in system.local_channels
-            ],
-            "drives": [
-                {
-                    "amplitude": dr.amplitude,
-                    "emitter": dr.emitter_index,
-                    "transition": list(dr.transition),
-                    "detuning": dr.drive_detuning,
-                }
-                for dr in system.drives
-            ],
-            "frame": "lab" if system.frame == "lab" else {"rotating": system.frame_frequency},
-            "dimension_cap": system.dimension_cap,
-        },
-        "initial": [
-            (
-                _state_spec_to_json(spec)
-                if spec.label == label
-                else {"name": label, **_state_dict(spec)}
-            )
-            for label, spec in scenario.initials
-        ],
-        "time": {
-            "unit": scenario.time.unit,
-            "horizon": scenario.time.horizon,
-            "points": scenario.time.points,
-        },
-        "observables": [_observable_to_json(ob) for ob in scenario.observables],
-        "integrator": {
-            "rel_tol": scenario.integrator.rel_tol,
-            "abs_tol": scenario.integrator.abs_tol,
-            "initial_step": scenario.integrator.initial_step,
-            "max_step": scenario.integrator.max_step,
-            "hermitize": scenario.integrator.hermitize_each_step,
-            "fixed_step": scenario.integrator.fixed_step,
-        },
-        "output": {"path": scenario.output.path, "format": scenario.output.format},
-    }
-
-
-def _state_dict(spec: StateSpec) -> dict:
-    as_json = _state_spec_to_json(spec)
-    return {"label": as_json} if isinstance(as_json, str) else as_json
-
-
-def _observable_to_json(ob: ObservableSpec) -> Any:
-    if ob.kind == "fidelity":
-        return {"fidelity": {"target": _state_spec_to_json(ob.target), "sqrt": ob.sqrt}}
-    if ob.kind == "log_negativity":
-        return {"log_negativity": {"bipartition": [list(g) for g in ob.bipartition]}}
-    return ob.kind
+    return _write(scenario, _SCENARIO)
 
 
 def dump_scenario(scenario: Scenario) -> str:
@@ -804,54 +750,54 @@ def _apply_path(data: dict, path: str, value) -> None:
     node[last] = value
 
 
-def parse_sweep(text: str) -> SweepSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    _expect(isinstance(data, Mapping), "sweep", "top level must be an object")
-    _check_keys(data, {"base", "axes", "reductions"}, "sweep")
-    _expect("base" in data and "axes" in data, "sweep", "base and axes are required")
-
-    base = data["base"]
-    if isinstance(base, str):
-        base = load_preset(base)
-    elif not isinstance(base, Mapping):
-        raise ValidationError("sweep.base: expected a preset name or an inline scenario")
+def _read_base(value, where: str) -> dict:
+    if isinstance(value, str):
+        value = load_preset(value)
+    _expect(isinstance(value, Mapping), where, "expected a preset name or an inline scenario")
     # Validate the base eagerly and keep its normalized form, where every
     # axis path resolves (e.g. the shorthand "qubit" becomes an explicit emitter).
-    base_dict = scenario_to_dict(scenario_from_dict(base))
+    return scenario_to_dict(scenario_from_dict(value))
 
-    axes_raw = data["axes"]
-    _expect(isinstance(axes_raw, Mapping) and axes_raw, "sweep.axes", "non-empty object required")
-    axes = []
-    for path, values in axes_raw.items():
-        _expect(isinstance(values, list) and values, f"sweep.axes[{path}]", "non-empty list required")
-        for sub in str(path).split("|"):  # "a|b" sets both paths to the same value
+
+def _read_axes(value, where: str) -> tuple[tuple[str, tuple[Any, ...]], ...]:
+    _expect(isinstance(value, Mapping) and value, where, "non-empty object required")
+    for path, values in value.items():
+        _expect(isinstance(values, list) and values, f"{where}[{path}]", "non-empty list required")
+        for sub in path.split("|"):  # "a|b" sets both paths to the same value
             _path_tokens(sub)
-        axes.append((str(path), tuple(values)))
+    return tuple((path, tuple(values)) for path, values in value.items())
 
-    reductions = []
-    for i, red in enumerate(data.get("reductions", [])):
-        w = f"sweep.reductions[{i}]"
-        _expect(isinstance(red, Mapping), w, "expected an object")
-        kind = red.get("kind", "final")
-        _expect(kind in ("final", "fit_exp_rate"), f"{w}.kind", "must be 'final' or 'fit_exp_rate'")
-        _expect("column" in red, w, "missing 'column'")
-        reductions.append(
-            {
-                "name": str(red.get("name", f"{kind}_{red['column']}")),
-                "kind": kind,
-                "column": str(red["column"]),
-                "t_min": _as_float(red.get("t_min", 0.0), f"{w}.t_min"),
-                "t_max": None if red.get("t_max") is None else _as_float(red["t_max"], f"{w}.t_max"),
-            }
-        )
-    if not reductions:
-        reductions.append({"name": "final_trace_error", "kind": "final",
-                           "column": "trace_error", "t_min": 0.0, "t_max": None})
 
-    return SweepSpec(base=base_dict, axes=tuple(axes), reductions=tuple(reductions))
+def _read_reduction_kind(value, where: str) -> str:
+    _expect(value in ("final", "fit_exp_rate"), where, "must be 'final' or 'fit_exp_rate'")
+    return value
+
+
+def _reduction(**red) -> dict:
+    red.setdefault("name", f"{red['kind']}_{red['column']}")
+    return red
+
+
+_REDUCTION = _table(
+    ("name", _STR, _ABSENT),  # "<kind>_<column>", filled by `_reduction`
+    ("kind", (_read_reduction_kind, None), "final"),
+    ("column", _STR, _REQUIRED),
+    ("t_min", _FLOAT, 0.0),
+    ("t_max", _optional(_FLOAT), None),
+)
+_SWEEP = _table(
+    ("base", (_read_base, None), _REQUIRED),
+    ("axes", (_read_axes, None), _REQUIRED),
+    ("reductions", _list(_object(_REDUCTION, _reduction)), ()),
+)
+
+
+def parse_sweep(text: str) -> SweepSpec:
+    sweep = _read(_load_json(text), _SWEEP, "sweep", SweepSpec)
+    if sweep.reductions:
+        return sweep
+    default = _read({"column": "trace_error"}, _REDUCTION, "sweep.reductions", _reduction)
+    return replace(sweep, reductions=(default,))
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> float:

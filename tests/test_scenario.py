@@ -566,3 +566,69 @@ class TestCli:
             assert main(["run", str(scenario_path), "--out", str(out), "--fixed-step", "0.5"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestStrictFields:
+    """Misspelt keys and wrongly typed values are errors, never silent defaults or coercions."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(
+                lambda d: d.update(initial=[{"amplitudes": {"10": 1.0}, "name": "x", "nmae": "y"}]), id="initial"
+            ),
+            pytest.param(
+                lambda d: d["observables"][1]["fidelity"].update(target={"label": "psi_minus", "nmae": "y"}),
+                id="fidelity-target",
+            ),
+            pytest.param(
+                lambda d: d.update(initial=[{"name": "x", "mixture": [{"weight": 1.0, "wieght": 0.5, "state": "10"}]}]),
+                id="mixture-part",
+            ),
+            pytest.param(
+                lambda d: d["system"]["collective"][0].update(weights=[1.0, {"magnitude": 1, "phse": 3.14}]),
+                id="weight-object",
+            ),
+        ],
+    )
+    def test_unknown_state_and_weight_keys_rejected(self, edit):
+        bad = json.loads(json.dumps(TINY_SCENARIO))
+        edit(bad)
+        with pytest.raises(ValidationError, match="unknown keys"):
+            sr.scenario_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: d.update(name=5), id="name"),
+            pytest.param(lambda d: d.update(initial=[{"name": 5, "label": "10"}]), id="initial-name"),
+            pytest.param(lambda d: d.update(initial=[{"name": "x", "label": 10}]), id="label"),
+            pytest.param(lambda d: d.update(output={"path": 5}), id="output-path"),
+        ],
+    )
+    def test_strings_are_json_strings(self, edit):
+        bad = json.loads(json.dumps(TINY_SCENARIO))
+        edit(bad)
+        with pytest.raises(ValidationError, match="expected a string"):
+            sr.scenario_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "reductions",
+        [
+            pytest.param(5, id="not-a-list"),
+            pytest.param([{"column": "energy", "kind": "fit_exp_rate", "tmin": 5.0}], id="unknown-key"),
+            pytest.param([{"column": "energy", "name": 5}], id="name"),
+            pytest.param([{"column": 5}], id="column"),
+        ],
+    )
+    def test_bad_reductions_rejected(self, reductions):
+        sweep = {"base": TINY_SCENARIO, "axes": {"system.collective[0].rate": [0.05]}, "reductions": reductions}
+        with pytest.raises(ValidationError):
+            parse_sweep(json.dumps(sweep))
+
+    def test_non_string_output_path_exits_2(self, tmp_path):
+        bad = json.loads(json.dumps(TINY_SCENARIO))
+        bad["output"] = {"path": 5}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["run", str(path)]) == 2
