@@ -240,7 +240,7 @@ def _build(make: Callable, kwargs: dict, where: str):
 
 
 def _read(data, table: dict[str, _Field], where: str, make: Callable, prefix: str | None = None):
-    """Read the object ``data`` at JSON path ``where``; a key's path is ``prefix + key`` (default ``where.key``)."""
+    """Read the object ``data`` found at path ``where``; each key's path is ``prefix + key`` (``where.key``)."""
     if not isinstance(data, (dict, Mapping)):  # dict first: the ABC check is slow
         raise ValidationError(f"{where}: expected an object")
     prefix = f"{where}." if prefix is None else prefix
@@ -309,7 +309,7 @@ _REAL_WEIGHT = _scalar((int, float), "expected number, [re, im] or magnitude/pha
 
 
 def _as_transition(value, where: str) -> tuple[int, int]:
-    _expect(isinstance(value, list) and len(value) == 2, where, "expected [upper, lower]")
+    _expect(isinstance(value, (list, tuple)) and len(value) == 2, where, "expected [upper, lower]")
     return _INT[0](value[0], where), _INT[0](value[1], where)
 
 
@@ -329,7 +329,7 @@ def _polar(magnitude: float, phase: float) -> complex:
 def _read_weight(value, where: str) -> complex:
     if isinstance(value, dict):
         return _read(value, _POLAR, where, _polar)
-    if isinstance(value, list) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_FLOAT[0](value[0], where), _FLOAT[0](value[1], where))
     return complex(_REAL_WEIGHT[0](value, where))
 
