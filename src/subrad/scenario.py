@@ -232,7 +232,7 @@ def _expect(cond: bool, where: str, message: str) -> None:
 
 
 def _build(make: Callable, kwargs: dict, where: str):
-    """``make(**kwargs)``, with a constructor's own validation error prefixed by the JSON path."""
+    """``make(**kwargs)``; a constructor's `ValidationError` or `ValueError` is re-raised with the path."""
     try:
         return make(**kwargs)
     except (ValidationError, ValueError) as exc:
@@ -240,7 +240,10 @@ def _build(make: Callable, kwargs: dict, where: str):
 
 
 def _read(data, table: dict[str, _Field], where: str, make: Callable, prefix: str | None = None):
-    """Read the object ``data`` found at path ``where``; each key's path is ``prefix + key`` (``where.key``)."""
+    """Read the object ``data`` found at path ``where``.
+
+    A key's path is ``prefix + key``: ``where.key`` by default, the bare key for the scenario's top level.
+    """
     if not isinstance(data, (dict, Mapping)):  # dict first: the ABC check is slow
         raise ValidationError(f"{where}: expected an object")
     prefix = f"{where}." if prefix is None else prefix
