@@ -67,18 +67,20 @@ from .errors import (
     StepSizeUnderflow,
     UnsupportedSector,
 )
-from .linalg import dagger, hermitian_eigen, kernel_basis, max_abs
+from .linalg import DEFAULT_HERMITICITY_TOL, dagger, hermitian_eigen, kernel_basis, max_abs
 from .model import ModelOperators, basis_excitations
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
+# Record columns of the `density_checks` values, in its order.
 _RESERVED_RECORDS = ("trace_error", "herm_error", "min_eigenvalue")
 
-# Thresholds of the invariant checks, shared by `evolve`'s validation of the
-# initial state and the breach test of `scenario.run_scenario`.
+# Validity thresholds of a density matrix (see the module docstring): the
+# first three decide `within_tolerance`, the floor aborts `evolve`.
 TRACE_TOL = 1e-9
-HERMITICITY_TOL = 1e-9
+HERMITICITY_TOL = DEFAULT_HERMITICITY_TOL
 MIN_EIGENVALUE_TOL = -1e-8
+MIN_EIGENVALUE_FLOOR = -1e-6
 
 # Largest reachable block that `evolve` steps with the exact propagator; its
 # superoperator has at most 256 x 256 entries.
@@ -94,9 +96,9 @@ class IntegratorConfig:
     reachable blocks larger than `PROPAGATOR_MAX_DIM`; the propagator is
     exact and takes one step per grid interval.  ``fixed_step`` replaces
     adaptive control with a constant step (clipped at grid points) for
-    deterministic output.  ``hermitize_each_step`` and the positivity
-    switches apply to both solvers; ``min_eigenvalue_floor`` is the
-    positivity threshold below which `evolve` raises.
+    deterministic output.  ``hermitize_each_step`` applies to both
+    solvers.  The validity checks of the states take no setting: their
+    thresholds are the module constants (see the module docstring).
     """
 
     rel_tol: float = 1e-8
@@ -105,8 +107,6 @@ class IntegratorConfig:
     max_step: float | None = None
     hermitize_each_step: bool = True
     fixed_step: float | None = None
-    check_positivity: bool = True
-    min_eigenvalue_floor: float = -1e-6
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -125,13 +125,18 @@ class Trajectory:
 
     ``records`` maps column name to an array aligned with ``times``; the
     built-in columns ``trace_error``, ``herm_error`` and ``min_eigenvalue``
-    are always present (the latter is NaN when positivity checking is off).
+    are always present and never NaN (`evolve` raises on a non-finite state).
     """
 
     times: np.ndarray
     records: dict[str, np.ndarray]
     final_state: np.ndarray
     meta: dict[str, float | str] = field(default_factory=dict)
+
+    @property
+    def breached(self) -> bool:
+        """Whether some grid point's checks lie outside `within_tolerance` (NaN does)."""
+        return not np.all(within_tolerance(*(self.records[key] for key in _RESERVED_RECORDS)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,19 +285,32 @@ def _dp_step(rhs, y, h):
     return y5, err
 
 
+def density_checks(rho: np.ndarray, name: str) -> tuple[float, float, float]:
+    """Trace error, max|rho - rho†| and the lowest eigenvalue of (rho + rho†)/2.
+
+    ``rho`` is a square complex array; ``name`` describes it in the
+    `InvariantViolation` raised when an entry is not finite.
+    """
+    if not np.isfinite(rho).all():
+        raise InvariantViolation(f"non-finite entries in {name}")
+    # `hermitian_eigen` solves for (rho + rho†)/2 itself; the Hermiticity
+    # error is judged by `within_tolerance`, so the solver refuses nothing.
+    w, _ = hermitian_eigen(rho, hermiticity_tol=np.inf, vectors=False)
+    return abs(complex(np.trace(rho)) - 1.0), max_abs(rho - dagger(rho)), float(w[0])
+
+
+def within_tolerance(trace_error, herm_error, min_eigenvalue):
+    """Whether `density_checks` values meet the thresholds, elementwise; NaN does not."""
+    return (trace_error <= TRACE_TOL) & (herm_error <= HERMITICITY_TOL) & (min_eigenvalue >= MIN_EIGENVALUE_TOL)
+
+
 def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (dim, dim):
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {dim}")
-    trace_err = abs(complex(np.trace(rho)) - 1.0)
-    if trace_err > TRACE_TOL:
-        raise InvariantViolation(f"initial state trace error {trace_err:.2e}")
-    herm_err = max_abs(rho - dagger(rho))
-    if herm_err > HERMITICITY_TOL:
-        raise InvariantViolation(f"initial state Hermiticity error {herm_err:.2e}")
-    w, _ = hermitian_eigen((rho + dagger(rho)) / 2.0, hermiticity_tol=1.0, vectors=False)
-    if w[0] < MIN_EIGENVALUE_TOL:
-        raise InvariantViolation(f"initial state min eigenvalue {w[0]:.2e}")
+    checks = density_checks(rho, "the initial state")
+    if not within_tolerance(*checks):
+        raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks)
     return rho.copy()
 
 
@@ -383,8 +401,8 @@ def evolve(
     ``time_grid[0]``.  The observer (if given) is called at every grid
     point with the full ``(dim, dim)`` state and its returned mapping merged
     into the records; the keys ``trace_error``, ``herm_error`` and
-    ``min_eigenvalue`` are reserved.  A grid-point state with a non-finite
-    entry raises `InvariantViolation` before the observer sees it.
+    ``min_eigenvalue`` are reserved.  A grid-point state that aborts the run
+    (see the module docstring) raises `InvariantViolation` before the observer sees it.
 
     Only the block on the indices reachable from the support of ``rho0``
     (see the module docstring) is stepped; ``meta["evolved_dim"]`` is its
@@ -446,24 +464,11 @@ def evolve(
         return (state + dagger(state)) / 2.0
 
     def record_point(t: float, state: np.ndarray) -> None:
-        if not np.isfinite(state).all():
-            raise InvariantViolation(f"state has non-finite entries at t={t:g}")
-        rec: dict[str, float] = {
-            "trace_error": float(abs(complex(np.trace(state)) - 1.0)),
-            "herm_error": float(max_abs(state - dagger(state))),
-        }
-        if cfg.check_positivity:
-            sym = (state + dagger(state)) / 2.0
-            w, _ = hermitian_eigen(sym, hermiticity_tol=1.0, vectors=False)
-            lowest = min(float(w[0]), 0.0) if reduced else float(w[0])
-            rec["min_eigenvalue"] = lowest
-            if lowest < cfg.min_eigenvalue_floor:
-                raise InvariantViolation(
-                    f"state min eigenvalue {lowest:.3e} below floor "
-                    f"{cfg.min_eigenvalue_floor:.3e} at t={t:g}"
-                )
-        else:
-            rec["min_eigenvalue"] = float("nan")
+        trace_error, herm_error, lowest = density_checks(state, f"the state at t={t:g}")
+        lowest = min(lowest, 0.0) if reduced else lowest
+        if lowest < MIN_EIGENVALUE_FLOOR:
+            raise InvariantViolation(f"min eigenvalue {lowest:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
+        rec = {"trace_error": trace_error, "herm_error": herm_error, "min_eigenvalue": lowest}
         if observer is not None:
             extra = observer(t, embed(state))
             for key in extra:

@@ -34,7 +34,7 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
-from .linalg import DimsLayout, as_complex_matrix, dagger, kron, max_abs
+from .linalg import DimsLayout, as_complex_matrix, dagger, kron
 
 DEFAULT_DIMENSION_CAP = 256
 
@@ -384,10 +384,6 @@ def build_model(spec: SystemSpec) -> ModelOperators:
                 level_projector(levels, dr.transition[0]), dr.emitter_index, layout
             )
             frame_h += dr.drive_detuning * proj
-
-    herm_err = max_abs(frame_h - dagger(frame_h))
-    if herm_err > 1e-12:
-        raise ValidationError(f"built Hamiltonian deviates from Hermitian by {herm_err:.2e}")
 
     jumps: list[tuple[float, np.ndarray]] = []
     for ch in spec.collective_channels:

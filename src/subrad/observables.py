@@ -13,13 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamics import density_checks
 from .errors import DimensionMismatch, NonNormalizable
 from .linalg import (
     DimsLayout,
     dagger,
-    hermitian_eigen,
     kernel_basis,
-    max_abs,
     partial_trace,
     partial_transpose,
     reduced_layout,
@@ -203,18 +202,19 @@ def nes_report(rho, model: ModelOperators, equal_tol: float = 1e-9) -> NesReport
 
 
 def purity_and_checks(rho) -> dict[str, float]:
-    """Per-state sanity record: purity, trace error, min eigenvalue, Hermiticity."""
+    """Per-state sanity record: purity, trace error, min eigenvalue, Hermiticity.
+
+    The last three are `dynamics.density_checks`, which raises
+    `InvariantViolation` on a non-finite entry and `DimensionMismatch` on a
+    non-square one.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {rho.shape}")
-    herm_err = max_abs(rho - dagger(rho))
-    sym = (rho + dagger(rho)) / 2.0
-    w, _ = hermitian_eigen(sym, hermiticity_tol=1.0, vectors=False)
+    trace_error, herm_error, min_eigenvalue = density_checks(rho, "the state")
     return {
         "purity": float(np.real(np.trace(rho @ rho))),
-        "trace_error": float(abs(complex(np.trace(rho)) - 1.0)),
-        "min_eigenvalue": float(w[0]),
-        "hermiticity_error": float(herm_err),
+        "trace_error": trace_error,
+        "min_eigenvalue": min_eigenvalue,
+        "hermiticity_error": herm_error,
     }
 
 

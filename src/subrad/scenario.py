@@ -68,14 +68,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    HERMITICITY_TOL,
-    MIN_EIGENVALUE_TOL,
-    TRACE_TOL,
-    IntegratorConfig,
-    Trajectory,
-    evolve,
-)
+from .dynamics import IntegratorConfig, Trajectory, evolve
 from .errors import (
     InvariantBreach,
     ParseError,
@@ -671,16 +664,7 @@ def run_scenario(
     header.append("trace_error")
     columns.append(trace_error)
 
-    # Written so that a NaN trace or Hermiticity error counts as a breach;
-    # min_eigenvalue is NaN only when positivity checking is off.
-    breached = False
-    for traj in trajectories.values():
-        if (
-            not np.all(traj.records["trace_error"] <= TRACE_TOL)
-            or not np.all(traj.records["herm_error"] <= HERMITICITY_TOL)
-            or np.any(np.nan_to_num(traj.records["min_eigenvalue"], nan=0.0) < MIN_EIGENVALUE_TOL)
-        ):
-            breached = True
+    breached = any(traj.breached for traj in trajectories.values())
     if breached and check_strict:
         raise InvariantBreach("invariant check tripped (strict mode)")
 

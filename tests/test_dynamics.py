@@ -204,14 +204,13 @@ class TestEvolve:
         model = five_qubit_model()
         rho0 = pure(sr.named_state_vector("11100", model.layout))
         assert sr.evolve(model, rho0, np.array([0.0, 1.0])).meta["solver"] == "dp45"
-        for check_positivity in (True, False):
-            seen = []
-            cfg = sr.IntegratorConfig(fixed_step=5e4, check_positivity=check_positivity)
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                InvariantViolation, match=r"non-finite.*t=1e\+07"
-            ):
-                sr.evolve(model, rho0, np.array([0.0, 1e7]), cfg, lambda t, r: seen.append(t) or {})
-            assert seen == [0.0]
+        seen = []
+        cfg = sr.IntegratorConfig(fixed_step=5e4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvariantViolation, match=r"non-finite.*t=1e\+07"
+        ):
+            sr.evolve(model, rho0, np.array([0.0, 1e7]), cfg, lambda t, r: seen.append(t) or {})
+        assert seen == [0.0]
 
     def test_dp45_oracle_on_block_above_bound(self):
         model = five_qubit_model(deltas=(0.0, 0.002, -0.001, 0.003, 0.0), dimension_cap=1024)
