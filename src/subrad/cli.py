@@ -6,7 +6,8 @@ Verbs:
   presets                         list built-in presets
   dump <preset-name>              print a preset as a normalized scenario file
 
-Exit codes: 0 ok, 1 invariant breach or runtime failure, 2 usage/parse error.
+Exit codes: 0 ok; 1 invariant breach, failed sweep point (--check-strict) or
+runtime failure; 2 usage error or a scenario, preset or sweep that fails to load.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    loading = True
     try:
         if args.command == "presets":
             for name, desc in list_presets():
@@ -111,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             scenario = _load_scenario(args.target)
+            loading = False
             result = run_scenario(
                 scenario,
                 fixed_step=args.fixed_step,
@@ -131,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             if not path.exists():
                 raise ParseError(f"sweep file {args.target!r} not found")
             sweep = parse_sweep(path.read_text("utf-8"))
+            loading = False
             result = run_sweep(sweep, fixed_step=args.fixed_step)
             _write(format_sweep_csv(result), args.out)
             if args.check_strict and result.failed:
@@ -142,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SubradError as exc:
         sys.stderr.write(f"subrad: {type(exc).__name__}: {exc}\n")
-        return 1
+        return 2 if loading else 1
     except OSError as exc:
         sys.stderr.write(f"subrad: {exc}\n")
         return 1

@@ -181,7 +181,7 @@ class ScenarioResult:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Summary table of a sweep; ``failed`` counts the points whose status is an error."""
+    """Summary table of a sweep; ``failed`` counts the points whose status is an error, breaches included."""
 
     header: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
@@ -822,7 +822,8 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
     """Run the cartesian product of all axes; one summary row per point.
 
     Rows are ordered lexicographically by grid index.  A failing point is
-    recorded with NaN reductions and its error in the status column; the
+    recorded with NaN reductions and its error in the status column; a point
+    whose run breaches an invariant fails as ``error:InvariantBreach``.  The
     sweep always completes.
     """
     paths = [p for p, _ in sweep.axes]
@@ -839,7 +840,7 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
             for path, value in zip(paths, values):
                 for sub in path.split("|"):
                     _apply_path(point, sub, value)
-            result = run_scenario(scenario_from_dict(point), fixed_step=fixed_step)
+            result = run_scenario(scenario_from_dict(point), fixed_step=fixed_step, check_strict=True)
             for red in sweep.reductions:
                 row.append(_reduce(result, red))
             row.append("ok")

@@ -574,3 +574,87 @@ class TestAsymptoticState:
             sr.asymptotic_state(model, pure(sr.named_state_vector("10000", model.layout)))
         ground = sr.named_state_vector("00000", model.layout)
         assert np.max(np.abs(sr.asymptotic_state(model, pure(ground)) - pure(ground))) < 1e-15
+
+
+# (record column, threshold, direction in which a value leaves tolerance)
+THRESHOLDS = [
+    ("trace_error", sr.dynamics.TRACE_TOL, np.inf),
+    ("herm_error", sr.dynamics.HERMITICITY_TOL, np.inf),
+    ("min_eigenvalue", sr.dynamics.MIN_EIGENVALUE_TOL, -np.inf),
+]
+CHECKED = [column for column, _, _ in THRESHOLDS]
+
+
+class TestValidityPolicy:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        lowest=st.sampled_from([None, 0.0, -1e-9, -1e-8, -1e-6]),
+        skew=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_checks_match_oracle(self, n, lowest, skew, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(rng, n)
+        if lowest is not None:
+            w, v = np.linalg.eigh(rho)
+            w[0] = lowest
+            rho = (v * w) @ v.conj().T
+        rho = rho + skew * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        trace_error, herm_error, min_eigenvalue = sr.dynamics.density_checks(rho, "rho")
+        assert trace_error == pytest.approx(abs(np.trace(rho) - 1.0), rel=1e-15, abs=0.0)
+        assert herm_error == np.max(np.abs(rho - rho.conj().T))
+        assert min_eigenvalue == pytest.approx(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0], abs=1e-15)
+
+    @pytest.mark.parametrize("column, at, outward", THRESHOLDS)
+    def test_value_at_threshold_passes_and_next_float_fails(self, column, at, outward):
+        for value, ok in ((at, True), (np.nextafter(at, outward), False), (np.nan, False)):
+            values = dict.fromkeys(CHECKED, 0.0) | {column: value}
+            assert bool(sr.dynamics.within_tolerance(*values.values())) is ok
+            records = {key: np.array([0.0, v, 0.0]) for key, v in values.items()}
+            traj = sr.Trajectory(times=np.arange(3.0), records=records, final_state=np.eye(2) / 2)
+            assert traj.breached is not ok
+
+    @pytest.mark.parametrize("column, at, outward", THRESHOLDS)
+    def test_initial_state_refused_beyond_threshold(self, monkeypatch, column, at, outward):
+        model = two_qubit_model()
+        rho0 = pure(sr.named_state_vector("10", model.layout))
+        for value, ok in ((at, True), (np.nextafter(at, outward), False)):
+            checks = tuple((dict.fromkeys(CHECKED, 0.0) | {column: value}).values())
+            monkeypatch.setattr(sr.dynamics, "density_checks", lambda rho, name: checks)
+            for run in (lambda: sr.evolve(model, rho0, np.array([0.0])), lambda: sr.asymptotic_state(model, rho0)):
+                if ok:
+                    run()
+                else:
+                    with pytest.raises(InvariantViolation, match="initial state"):
+                        run()
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_grid_point_below_floor_aborts(self, monkeypatch, beyond):
+        floor = sr.dynamics.MIN_EIGENVALUE_FLOOR
+        lowest = np.nextafter(floor, -np.inf) if beyond else floor
+        real = sr.dynamics.density_checks
+
+        def checks(rho, name):  # the initial state passes; grid points read `lowest`
+            trace_error, herm_error, _ = real(rho, name)
+            return trace_error, herm_error, 0.0 if name == "the initial state" else lowest
+
+        monkeypatch.setattr(sr.dynamics, "density_checks", checks)
+        model = two_qubit_model()
+        rho0 = pure(sr.named_state_vector("10", model.layout))
+        if beyond:
+            with pytest.raises(InvariantViolation, match="below"):
+                sr.evolve(model, rho0, np.array([0.0, 1.0]))
+        else:
+            traj = sr.evolve(model, rho0, np.array([0.0, 1.0]))
+            assert traj.breached and traj.records["min_eigenvalue"].tolist() == [floor, floor]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_initial_state_is_an_invariant_violation(self, bad):
+        model = two_qubit_model()
+        rho0 = pure(sr.named_state_vector("10", model.layout))
+        rho0[0, 0] = bad
+        with pytest.raises(InvariantViolation, match="non-finite entries in the initial state"):
+            sr.evolve(model, rho0, np.array([0.0, 1.0]))
+        with pytest.raises(InvariantViolation, match="non-finite entries in the initial state"):
+            sr.asymptotic_state(model, rho0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subrad as sr
 from subrad.errors import (
@@ -11,8 +12,10 @@ from subrad.errors import (
     UnknownLabel,
     ValidationError,
 )
-from subrad.linalg import DimsLayout, kernel_basis
+from subrad.linalg import DimsLayout, kernel_basis, max_abs
 from subrad.model import basis_excitations, basis_levels, basis_vector, sector_indices
+
+from random_systems import LEVELS, random_system
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -181,6 +184,13 @@ class TestBuildModel:
             )
             model = sr.build_model(spec)
             assert np.max(np.abs(model.hamiltonian - model.hamiltonian.conj().T)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels=LEVELS, n_local=st.integers(0, 2), driven=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_hamiltonian_is_exactly_hermitian(self, levels, n_local, driven, seed):
+        # Real diagonal projectors plus real multiples of low + low†: no roundoff can break the symmetry.
+        model = sr.build_model(random_system(np.random.default_rng(seed), levels, 1, n_local, driven))
+        assert max_abs(model.hamiltonian - model.hamiltonian.conj().T) == 0.0
 
 
 class TestInitialStates:

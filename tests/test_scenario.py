@@ -451,6 +451,16 @@ class TestSweeps:
         assert result.failed == 1
         assert result.rows[0][-1] == "error:ValidationError"
 
+    def test_breached_point_is_a_failed_point(self):
+        # Dormand-Prince at rel_tol 1e-3 dips to a min eigenvalue of about -8e-7.
+        base = sr.load_preset("nqubit:5")
+        base.update(initial=["11100"], observables=["energy", "checks"])
+        base["time"] = {"unit": "omega", "horizon": 3000.0, "points": 31}
+        result = run_sweep(parse_sweep(json.dumps({"base": base, "axes": {"integrator.rel_tol": [1e-3, 1e-8]}})))
+        assert [row[-1] for row in result.rows] == ["error:InvariantBreach", "ok"]
+        assert np.isnan(result.rows[0][1]) and result.rows[1][1] < 1e-9
+        assert result.failed == 1
+
     def test_sweep_csv_format(self):
         sweep = parse_sweep(
             json.dumps(
@@ -515,6 +525,41 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d["system"].update(local=[{"rate": 0.01, "transition": [2, 1]}]), "InvalidTransition"),
+            (
+                lambda d: d.update(observables=[{"fidelity": {"target": {"mixture": [
+                    {"weight": 0.5, "state": "10"}, {"weight": 0.5, "state": "01"}]}}}]),
+                "NonNormalizable",
+            ),
+            (lambda d: d["system"].update(dimension_cap=2), "DimensionCapExceeded"),
+        ],
+    )
+    def test_scenario_that_fails_to_load_exits_2(self, tmp_path, capsys, edit, error):
+        bad = json.loads(json.dumps(TINY_SCENARIO))
+        edit(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps({"base": bad, "axes": {"system.collective[0].rate": [0.05]}}))
+        for argv in (["run", str(path)], ["sweep", str(sweep_path)]):
+            assert main(argv) == 2
+            assert f"subrad: {error}: " in capsys.readouterr().err
+
+    def test_failure_while_running_exits_1(self, tmp_path, capsys):
+        # Fixed-step Dormand-Prince on a block of 26 states overflows to NaN.
+        data = sr.load_preset("nqubit:5")
+        data["initial"] = ["11100"]
+        data["time"] = {"unit": "omega", "horizon": 1e7, "points": 2}
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(data))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(path), "--fixed-step", "5e4", "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "subrad: InvariantViolation: " in err and "non-finite" in err
 
     def test_sweep_cli(self, tmp_path):
         sweep = {
