@@ -4,12 +4,21 @@ The master equation convention is
 ``drho/dt = -i[H, rho] + sum_k rate_k (2 L_k rho L_k† - L_k†L_k rho - rho L_k†L_k)``.
 `_generator` compiles it once into H_nh = H - i sum_k rate_k L_k†L_k and the
 scaled jumps sqrt(2 rate_k) L_k; the rhs, the superoperator and the
-effective Hamiltonian are all built from those.  Trace is preserved by the
-generator identically, so trace drift measures pure roundoff; it is
-recorded, never silently corrected.  Hermiticity is restored after each
-step (``rho <- (rho + rho†)/2``, on by default, drift logged); positivity
-is checked at grid points and never enforced.  A grid-point state with a
-non-finite entry is an invariant violation.
+effective Hamiltonian are all built from those.
+
+State validity is one policy.  `density_checks` measures the trace error
+|tr rho - 1|, the Hermiticity error max|rho - rho†| and the lowest
+eigenvalue of (rho + rho†)/2, and refuses a non-finite state
+(`InvariantViolation`); `within_tolerance` holds them to ``TRACE_TOL``,
+``HERMITICITY_TOL`` (both 1e-9) and ``MIN_EIGENVALUE_TOL`` (-1e-8), passing
+a value at its threshold and failing NaN.  An initial state outside them is
+refused.  At every grid point `evolve` records the three values and never
+corrects them (the generator preserves trace, so trace drift is roundoff);
+a trajectory with a record outside them is flagged (`Trajectory.breached`).
+A run aborts only on a non-finite state or a lowest eigenvalue below
+``MIN_EIGENVALUE_FLOOR`` (-1e-6).  Hermiticity is restored after each step
+(``rho <- (rho + rho†)/2``, on by default, drift logged); positivity is
+never enforced.
 
 `evolve` steps only the block of the density matrix that the initial state
 can reach.  A basis index is reachable when a chain of nonzero entries of
