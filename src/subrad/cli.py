@@ -62,7 +62,8 @@ def _plot_meta(scenario: Scenario, header: tuple[str, ...]) -> str:
 
 
 _FIXED_STEP_HELP = (
-    "fixed Dormand-Prince step in scenario time units (deterministic output); "
+    "fixed Dormand-Prince step in the scenario's time unit, replacing the file's "
+    "integrator.fixed_step (deterministic output); "
     "Dormand-Prince only runs on reachable blocks of more than "
     f"{PROPAGATOR_MAX_DIM} basis states, smaller blocks take the exact propagator"
 )

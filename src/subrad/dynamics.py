@@ -17,8 +17,7 @@ corrects them (the generator preserves trace, so trace drift is roundoff);
 a trajectory with a record outside them is flagged (`Trajectory.breached`).
 A run aborts only on a non-finite state or a lowest eigenvalue below
 ``MIN_EIGENVALUE_FLOOR`` (-1e-6).  Hermiticity is restored after each step
-(``rho <- (rho + rho†)/2``, on by default, drift logged); positivity is
-never enforced.
+(``rho <- (rho + rho†)/2``, drift logged); positivity is never enforced.
 
 `evolve` steps only the block of the density matrix that the initial state
 can reach.  A basis index is reachable when a chain of nonzero entries of
@@ -57,6 +56,13 @@ kernel, the conserved quantities; that is the t -> infinity limit of
 `evolve`, or its time average where purely imaginary eigenvalues keep the
 state oscillating.  `predict_final_state` is this projection restricted to
 the ideal single-excitation case.
+
+A dense superoperator is built only for blocks of at most
+``SUPEROPERATOR_MAX_DIM`` (32) states, whatever the model's ``dimension_cap``
+(a Hilbert-space bound); larger ones raise `DimensionCapExceeded`.  32 covers
+every 5-qubit model: `asymptotic_state` from ``11100`` (|S| = 26) took 0.5 s
+and one SVD of side 1024 took 1.5 s; 64 states would cost about 64 times that
+(2-core host, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from .errors import (
     StepSizeUnderflow,
     UnsupportedSector,
 )
-from .linalg import DEFAULT_HERMITICITY_TOL, dagger, hermitian_eigen, kernel_basis, max_abs
+from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, hermitian_eigen, max_abs, svd
 from .model import ModelOperators, basis_excitations
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
@@ -87,7 +93,6 @@ _RESERVED_RECORDS = ("trace_error", "herm_error", "min_eigenvalue")
 # Validity thresholds of a density matrix (see the module docstring): the
 # first three decide `within_tolerance`, the floor aborts `evolve`.
 TRACE_TOL = 1e-9
-HERMITICITY_TOL = DEFAULT_HERMITICITY_TOL
 MIN_EIGENVALUE_TOL = -1e-8
 MIN_EIGENVALUE_FLOOR = -1e-6
 
@@ -95,26 +100,26 @@ MIN_EIGENVALUE_FLOOR = -1e-6
 # superoperator has at most 256 x 256 entries.
 PROPAGATOR_MAX_DIM = 16
 
+# Largest block whose dense superoperator `_superoperator` builds (side 1024).
+SUPEROPERATOR_MAX_DIM = 32
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and switches for `evolve`.
+    """Accuracy and step lengths of the Dormand-Prince solver of `evolve`.
 
-    ``rel_tol``, ``abs_tol``, ``initial_step``, ``max_step`` and
-    ``fixed_step`` apply to the Dormand-Prince solver only, which runs on
-    reachable blocks larger than `PROPAGATOR_MAX_DIM`; the propagator is
-    exact and takes one step per grid interval.  ``fixed_step`` replaces
-    adaptive control with a constant step (clipped at grid points) for
-    deterministic output.  ``hermitize_each_step`` applies to both
-    solvers.  The validity checks of the states take no setting: their
-    thresholds are the module constants (see the module docstring).
+    All four apply only to reachable blocks larger than
+    `PROPAGATOR_MAX_DIM`; the propagator is exact and takes one step per
+    grid interval.  Step lengths are in the model's time unit.
+    ``fixed_step`` replaces adaptive control with a constant step (clipped
+    at grid points) for deterministic output.  Everything else, the
+    Hermitisation after each step and the validity thresholds of the
+    states included, is fixed (see the module docstring).
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     initial_step: float | None = None
-    max_step: float | None = None
-    hermitize_each_step: bool = True
     fixed_step: float | None = None
 
     def __post_init__(self):
@@ -122,8 +127,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.initial_step is not None and self.initial_step <= 0:
             raise ValueError("initial_step must be positive")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive")
         if self.fixed_step is not None and self.fixed_step <= 0:
             raise ValueError("fixed_step must be positive")
 
@@ -199,7 +202,10 @@ def _superoperator(h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> np.ndarr
     """Dense matrix of the rhs `_compiled_rhs` builds from the same operators.
 
     Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).
+    Raises `DimensionCapExceeded` above `SUPEROPERATOR_MAX_DIM` states.
     """
+    if h_nh.shape[0] > SUPEROPERATOR_MAX_DIM:
+        raise DimensionCapExceeded(f"superoperator of {h_nh.shape[0]} states exceeds {SUPEROPERATOR_MAX_DIM}")
     eye = np.eye(h_nh.shape[0], dtype=np.complex128)
     liou = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
     for op in jump_ops:
@@ -302,10 +308,12 @@ def density_checks(rho: np.ndarray, name: str) -> tuple[float, float, float]:
     """
     if not np.isfinite(rho).all():
         raise InvariantViolation(f"non-finite entries in {name}")
-    # `hermitian_eigen` solves for (rho + rho†)/2 itself; the Hermiticity
-    # error is judged by `within_tolerance`, so the solver refuses nothing.
-    w, _ = hermitian_eigen(rho, hermiticity_tol=np.inf, vectors=False)
-    return abs(complex(np.trace(rho)) - 1.0), max_abs(rho - dagger(rho)), float(w[0])
+    herm_error = max_abs(rho - dagger(rho))
+    # `hermitian_eigen` refuses a state above its tolerance, so such a state
+    # goes in symmetrised; either way the solve sees the same (rho + rho†)/2.
+    hermitian = rho if herm_error <= HERMITICITY_TOL else (rho + dagger(rho)) / 2.0
+    w, _ = hermitian_eigen(hermitian, vectors=False)
+    return abs(complex(np.trace(rho)) - 1.0), herm_error, float(w[0])
 
 
 def within_tolerance(trace_error, herm_error, min_eigenvalue):
@@ -330,7 +338,6 @@ def _dp45(rhs, rho, times, cfg: IntegratorConfig, norm_count: int, hermitize, me
     accepted and rejected steps into ``meta``.
     """
     span = float(times[-1] - times[0]) if times.size > 1 else 0.0
-    max_step = cfg.max_step if cfg.max_step is not None else np.inf
 
     if cfg.initial_step is not None:
         h = float(cfg.initial_step)
@@ -342,7 +349,6 @@ def _dp45(rhs, rho, times, cfg: IntegratorConfig, norm_count: int, hermitize, me
         h = float(np.clip(h, 1e-8 * span, span / 10.0 + 1e-30))
     else:
         h = 1.0
-    h = min(h, max_step)
 
     safety = 0.9
     err_prev = 1e-2
@@ -351,7 +357,7 @@ def _dp45(rhs, rho, times, cfg: IntegratorConfig, norm_count: int, hermitize, me
     for target in times[1:]:
         target = float(target)
         while t < target * (1.0 - 1e-15) or target - t > 1e-14 * max(1.0, abs(target)):
-            h_try = min(h, target - t, max_step)
+            h_try = min(h, target - t)
             if cfg.fixed_step is not None:
                 h_try = min(cfg.fixed_step, target - t)
             if h_try < 1e-14 * max(1.0, abs(t)):
@@ -359,8 +365,7 @@ def _dp45(rhs, rho, times, cfg: IntegratorConfig, norm_count: int, hermitize, me
             y_new, err = _dp_step(rhs, rho, h_try)
 
             if cfg.fixed_step is None:
-                finite = bool(np.all(np.isfinite(y_new.real)) and np.all(np.isfinite(y_new.imag)))
-                if finite:
+                if np.isfinite(y_new).all():
                     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(rho), np.abs(y_new))
                     err_norm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2) / norm_count))
                 else:
@@ -465,8 +470,6 @@ def evolve(
     }
 
     def hermitize(state: np.ndarray) -> np.ndarray:
-        if not cfg.hermitize_each_step:
-            return state
         drift = max_abs(state - dagger(state))
         if drift > meta["max_herm_drift"]:
             meta["max_herm_drift"] = drift
@@ -527,46 +530,47 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape((dim, dim), order="F")
 
 
-def _capped_superoperator(model: ModelOperators, h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """`_superoperator`, refused when its side exceeds the model's ``dimension_cap``."""
-    side = h_nh.shape[0] ** 2
-    if side > model.system.dimension_cap:
-        raise DimensionCapExceeded(f"superoperator dim {side} exceeds cap {model.system.dimension_cap}")
-    return _superoperator(h_nh, jump_ops)
-
-
 def liouvillian_matrix(model: ModelOperators) -> np.ndarray:
     """Dense superoperator L with L @ vec(rho) = vec(lindblad_rhs(rho)).
 
     Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).
+    Raises `DimensionCapExceeded` above `SUPEROPERATOR_MAX_DIM` states.
     """
-    return _capped_superoperator(model, *_generator(model))
+    return _superoperator(*_generator(model))
 
 
 def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     """The state `evolve` tends to from ``rho0``: its projection on the kernel of L.
 
-    On the block reachable from ``rho0`` (see the module docstring), with
-    R = `kernel_basis`(L) and J = `kernel_basis`(L†) the right and left
-    kernels of the block superoperator L, the zero-eigenvalue spectral
-    projector gives rho_inf = R (J†R)^-1 J† vec(rho0) (Albert & Jiang,
-    PRA 89, 022118 (2014)); the result is embedded in the full space and
-    Hermitised.  No time horizon enters: the conserved quantities J fix it.
+    On the block reachable from ``rho0`` (see the module docstring), one SVD
+    of the block superoperator L gives its right and left kernels R and J
+    (singular values at most ``KERNEL_TOL`` sigma_max), and the
+    zero-eigenvalue spectral projector P = R (J†R)^-1 J† gives
+    rho_inf = P vec(rho0) (Albert & Jiang, PRA 89, 022118 (2014)).  No time
+    horizon enters: the conserved quantities J fix it.  A slow mode of
+    singular value s tilts R by about eps sigma_max / s; one step of
+    iterative refinement, rho_inf -= (1 - P) L^+ L rho_inf with L^+ from the
+    same SVD, removes the part of that the residual shows.  The result is
+    embedded in the full space and Hermitised.
 
     When L has purely imaginary eigenvalues that ``rho0`` excites (dark
     states split by a frame detuning, say), the trajectory oscillates
     forever and the result is its time average, not a limit; no error is
-    raised.  Raises `DimensionCapExceeded` when the block superoperator's
-    side |S|² exceeds ``dimension_cap``, like `liouvillian_matrix`.
+    raised.  Raises `DimensionCapExceeded` when |S| exceeds
+    `SUPEROPERATOR_MAX_DIM`, like `liouvillian_matrix`.
     """
     rho = _check_density(rho0, model.dim)
     h_nh, jump_ops = _generator(model)
     keep = _reachable(rho, [h_nh, *jump_ops])
     block = np.ix_(keep, keep)
-    liou = _capped_superoperator(model, h_nh[block], [op[block] for op in jump_ops])
-    right, left = kernel_basis(liou), kernel_basis(dagger(liou))
-    weights = np.linalg.solve(dagger(left) @ right, dagger(left) @ vec(rho[block]))
-    state = unvec(right @ weights, keep.size)
+    liou = _superoperator(h_nh[block], [op[block] for op in jump_ops])
+    u, sigma, vh = svd(liou)
+    null = sigma <= KERNEL_TOL * sigma[0]
+    right, left = dagger(vh[null]), u[:, null]
+    dual = np.linalg.solve(dagger(left) @ right, dagger(left))  # P = right @ dual
+    state = right @ (dual @ vec(rho[block]))
+    correction = dagger(vh[~null]) @ ((dagger(u[:, ~null]) @ (liou @ state)) / sigma[~null])
+    state = unvec(state - correction + right @ (dual @ correction), keep.size)
     full = np.zeros_like(rho)
     full[block] = (state + dagger(state)) / 2.0
     return full

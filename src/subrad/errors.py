@@ -14,7 +14,7 @@ class DimensionMismatch(SubradError):
 
 
 class DimensionCapExceeded(SubradError):
-    """The requested Hilbert (or superoperator) dimension exceeds the cap."""
+    """A Hilbert dimension above ``dimension_cap``, or a superoperator above its own bound."""
 
 
 class InvalidTransition(SubradError):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
-DEFAULT_HERMITICITY_TOL = 1e-9
-DEFAULT_KERNEL_TOL = 1e-9
+HERMITICITY_TOL = 1e-9  # see `hermitian_eigen`
+KERNEL_TOL = 1e-9  # see `kernel_basis`
 
 
 def as_complex_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -32,7 +32,7 @@ def as_complex_matrix(a, *, square: bool = False, name: str = "matrix") -> np.nd
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be a non-empty 2-D array, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
@@ -89,9 +89,7 @@ def kron(a, b) -> np.ndarray:
     )
 
 
-def hermitian_eigen(
-    m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL, *, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def hermitian_eigen(m, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a Hermitian matrix by LAPACK (`numpy.linalg.eigh`).
 
     Returns ``(w, v)`` with real eigenvalues ``w`` sorted ascending and
@@ -102,16 +100,14 @@ def hermitian_eigen(
     Raises
     ------
     NotHermitian
-        if ``max|m - m†| > hermiticity_tol``.
+        if ``max|m - m†| > HERMITICITY_TOL``.
     ConvergenceFailure
         if LAPACK reports that the solve did not converge.
     """
     a = as_complex_matrix(m, square=True, name="matrix")
     herm_err = max_abs(a - dagger(a))
-    if herm_err > hermiticity_tol:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {herm_err:.3e} > {hermiticity_tol:.3e}"
-        )
+    if herm_err > HERMITICITY_TOL:
+        raise NotHermitian(f"matrix deviates from Hermitian by {herm_err:.3e} > {HERMITICITY_TOL:.3e}")
     a = (a + dagger(a)) / 2.0
     try:
         if not vectors:
@@ -122,27 +118,29 @@ def hermitian_eigen(
         raise ConvergenceFailure(f"Hermitian eigensolve did not converge: {exc}") from exc
 
 
-def kernel_basis(m, tol: float = DEFAULT_KERNEL_TOL) -> np.ndarray:
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, sigma, vh)`` of `numpy.linalg.svd`; a LAPACK failure raises `ConvergenceFailure`."""
+    try:
+        return np.linalg.svd(as_complex_matrix(m, name="matrix"))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+
+
+def kernel_basis(m) -> np.ndarray:
     """Orthonormal columns spanning the (numerical) null space of ``m``.
 
     ``m`` may be rectangular.  One SVD (LAPACK through numpy) gives the
     right singular vectors; those with singular value at most
-    ``tol * sigma_max``, and those beyond the row count, are kept, so every
-    column ``v`` has ``||m v|| <= tol ||m||_2`` and the zero matrix keeps
-    them all.  Returns an ``(n, k)`` array; ``k`` may be zero.
+    ``KERNEL_TOL * sigma_max``, and those beyond the row count, are kept,
+    so every column ``v`` has ``||m v|| <= KERNEL_TOL ||m||_2`` and the zero
+    matrix keeps them all.  Returns an ``(n, k)`` array; ``k`` may be zero.
 
     Raises `ConvergenceFailure` if LAPACK reports that the SVD did not
     converge.
     """
-    if tol <= 0:
-        raise ValueError("kernel tolerance must be positive")
-    a = as_complex_matrix(m, name="matrix")
-    try:
-        _, sigma, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"SVD did not converge: {exc}") from exc
+    _, sigma, vh = svd(m)
     null = np.ones(vh.shape[0], dtype=bool)
-    null[: sigma.size] = sigma <= tol * sigma[0]
+    null[: sigma.size] = sigma <= KERNEL_TOL * sigma[0]
     return dagger(vh[null])
 
 
@@ -187,9 +185,9 @@ def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) ->
     return result.reshape(d_keep, d_keep)
 
 
-def trace_norm_hermitian(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w, _ = hermitian_eigen(m, hermiticity_tol=hermiticity_tol, vectors=False)
+def trace_norm_hermitian(m) -> float:
+    """Sum of absolute eigenvalues of a Hermitian matrix (see `hermitian_eigen`)."""
+    w, _ = hermitian_eigen(m, vectors=False)
     return float(np.sum(np.abs(w)))
 
 

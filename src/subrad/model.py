@@ -227,10 +227,9 @@ class ModelOperators:
     ``free_hamiltonian`` is always the drive-free lab-frame energy operator
     used for energy readout.  ``_dark_cache`` holds the per-model constants
     of the readout, each built on first use and read-only: the dark
-    subspaces of `observables.dark_subspace` (keyed ``(sector, tol)``), the
-    projectors of `observables.dark_projector` (keyed ``("projector",
-    sectors)``) and the ground-level indicator of `observables.nes_report`
-    (keyed ``"ground"``).
+    subspaces of `observables.dark_subspace` (keyed by sector number), the
+    projector of `observables.dark_projector` (keyed ``"projector"``) and the
+    ground-level indicator of `observables.nes_report` (keyed ``"ground"``).
     """
 
     dim: int

@@ -26,6 +26,9 @@ from .linalg import (
 )
 from .model import ModelOperators, basis_excitations, basis_levels, sector_indices
 
+# `nes_report` counts a state as non-equilibrium above this excitation spread.
+NES_EQUAL_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class DarkSubspace:
@@ -115,14 +118,13 @@ def log_negativity(
     return float(np.log2(trace_norm_hermitian(pt)))
 
 
-def dark_subspace(model: ModelOperators, sector: int, tol: float = 1e-9) -> DarkSubspace:
+def dark_subspace(model: ModelOperators, sector: int) -> DarkSubspace:
     """Joint kernel of all collective jump operators within one sector.
 
-    Computed once per ``(sector, tol)`` and kept on ``model``; repeat calls
-    return the same object, whose basis is read-only.
+    Computed once per sector and kept on ``model``; repeat calls return the
+    same object, whose basis is read-only.
     """
-    key = (sector, tol)
-    cached = model._dark_cache.get(key)
+    cached = model._dark_cache.get(sector)
     if cached is not None:
         return cached
     exc = basis_excitations(model.layout)
@@ -135,34 +137,31 @@ def dark_subspace(model: ModelOperators, sector: int, tol: float = 1e-9) -> Dark
             restricted = np.zeros((1, idx.size), dtype=np.complex128)
         else:
             restricted = np.vstack([op[:, idx] for op in ops])
-        local = kernel_basis(restricted, tol=tol)
+        local = kernel_basis(restricted)
         basis = np.zeros((model.dim, local.shape[1]), dtype=np.complex128)
         basis[idx, :] = local
     basis.flags.writeable = False
     result = DarkSubspace(sector=sector, basis=basis, dimension=basis.shape[1])
-    model._dark_cache[key] = result
+    model._dark_cache[sector] = result
     return result
 
 
-def dark_projector(model: ModelOperators, sectors: Sequence[int] | None = None) -> np.ndarray:
-    """Projector onto the dark subspaces of the given sectors (default: all k >= 1).
+def dark_projector(model: ModelOperators) -> np.ndarray:
+    """Projector onto the dark subspaces of all excited sectors k >= 1.
 
-    Built once per ``(model, sectors)`` and kept on ``model``; repeat calls
-    return the same read-only array.
+    Built once per model and kept on it; repeat calls return the same
+    read-only array.
     """
-    if sectors is None:
-        kmax = sum(model.layout.subsystem_dims) - model.layout.n_subsystems
-        sectors = range(1, kmax + 1)
-    key = ("projector", tuple(int(k) for k in sectors))
-    proj = model._dark_cache.get(key)
+    proj = model._dark_cache.get("projector")
     if proj is None:
         proj = np.zeros((model.dim, model.dim), dtype=np.complex128)
-        for k in key[1]:
+        kmax = sum(model.layout.subsystem_dims) - model.layout.n_subsystems
+        for k in range(1, kmax + 1):
             basis = dark_subspace(model, k).basis
             if basis.shape[1]:
                 proj += basis @ dagger(basis)
         proj.flags.writeable = False
-        model._dark_cache[key] = proj
+        model._dark_cache["projector"] = proj
     return proj
 
 
@@ -179,7 +178,7 @@ def _ground_indicator(model: ModelOperators) -> np.ndarray:
     return ground
 
 
-def nes_report(rho, model: ModelOperators, equal_tol: float = 1e-9) -> NesReport:
+def nes_report(rho, model: ModelOperators) -> NesReport:
     """Per-emitter excitation and dark weight of ``rho``.
 
     Both are linear in ``rho`` and read off with per-model constants:
@@ -188,7 +187,7 @@ def nes_report(rho, model: ModelOperators, equal_tol: float = 1e-9) -> NesReport
     tr(P_dark rho)`` with ``P_dark = dark_projector(model)``, the projector
     onto the dark subspaces of every sector k >= 1.  Indicator and
     projector are cached on ``model``.  The state counts as
-    non-equilibrium when the excitations differ by more than ``equal_tol``.
+    non-equilibrium when the excitations differ by more than ``NES_EQUAL_TOL``.
     """
     rho = model.layout.check_matrix(rho)
     excitations = 1.0 - _ground_indicator(model) @ np.diagonal(rho).real
@@ -197,7 +196,7 @@ def nes_report(rho, model: ModelOperators, equal_tol: float = 1e-9) -> NesReport
     return NesReport(
         per_emitter_excitation=tuple(excitations.tolist()),
         dark_weight=float(weight),
-        is_nonequilibrium=bool(spread > equal_tol),
+        is_nonequilibrium=bool(spread > NES_EQUAL_TOL),
     )
 
 

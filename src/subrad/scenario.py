@@ -21,8 +21,7 @@ Schema (all keys lowercase; defaults in brackets):
   "observables": [ "energy" | "purity" | "nes" | "checks"
                    | {"fidelity": {"target": state, "sqrt": bool [false]}}
                    | {"log_negativity": {"bipartition": [[int,..],[int,..]]}} ],
-  "integrator": {"rel_tol","abs_tol","initial_step","max_step",
-                 "hermitize","fixed_step"}  [spec defaults],
+  "integrator": {"rel_tol","abs_tol","initial_step","fixed_step"} [spec defaults],
   "output": {"path": str|null, "format": "csv"} [null]
 }
 ```
@@ -39,7 +38,8 @@ for two emitters.  Every object rejects unknown keys, and no field converts
 between JSON types (a number is not a string, 0 is not false).
 
 Time unit "kappa" means the grid (and the CSV ``t`` column) is in units of
-the inverse rate of the first collective channel.
+the inverse rate of the first collective channel.  The integrator's step
+lengths (``initial_step``, ``fixed_step``) are in the same unit.
 
 CSV output: header ``t,<columns>,trace_error``; one row per grid point;
 17-significant-digit scientific notation.  With several initial states each
@@ -487,8 +487,6 @@ _INTEGRATOR = _table(
     ("rel_tol", _FLOAT, _ABSENT),
     ("abs_tol", _FLOAT, _ABSENT),
     ("initial_step", _optional(_FLOAT), _ABSENT),
-    ("max_step", _optional(_FLOAT), _ABSENT),
-    ("hermitize", _BOOL, _ABSENT, "hermitize_each_step"),
     ("fixed_step", _optional(_FLOAT), _ABSENT),
 )
 _OUTPUT = _table(("path", _optional(_STR), _ABSENT), ("format", _STR, _ABSENT))
@@ -602,7 +600,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evolve every initial state and assemble the output table.
 
-    ``fixed_step`` (scenario time units) overrides the integrator config;
+    ``fixed_step`` replaces the integrator's; both step lengths are in the
+    scenario's time unit and converted to the model's with the grid;
     ``initial`` restricts the run to one labelled initial state;
     ``check_strict`` escalates any invariant breach to an exception
     (otherwise breaches are only flagged in the result).
@@ -610,15 +609,13 @@ def run_scenario(
     model = build_model(scenario.system)
     layout = model.layout
 
-    time_scale = 1.0
-    if scenario.time.unit == "kappa":
-        time_scale = 1.0 / scenario.system.collective_channels[0].rate
+    time_scale = 1.0 / scenario.system.collective_channels[0].rate if scenario.time.unit == "kappa" else 1.0
     grid_scenario_units = scenario.time.grid()
     grid = grid_scenario_units * time_scale
 
-    cfg = scenario.integrator
-    if fixed_step is not None:
-        cfg = replace(cfg, fixed_step=fixed_step * time_scale)
+    cfg = scenario.integrator if fixed_step is None else replace(scenario.integrator, fixed_step=fixed_step)
+    steps = {key: getattr(cfg, key) for key in ("initial_step", "fixed_step")}
+    cfg = replace(cfg, **{key: step * time_scale for key, step in steps.items() if step is not None})
 
     initials = scenario.initials
     if initial is not None:

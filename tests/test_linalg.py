@@ -157,7 +157,7 @@ class TestKernelBasis:
                 rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
                 + 1j * rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
             )
-            basis = kernel_basis(a, tol=1e-9)
+            basis = kernel_basis(a)
             norm = np.linalg.norm(a, 2)
             for col in range(basis.shape[1]):
                 assert np.linalg.norm(a @ basis[:, col]) <= 1e-9 * max(norm, 1e-300)

@@ -118,11 +118,6 @@ class TestParsing:
         "edit, read",
         [
             pytest.param(
-                lambda d, v: d.update(integrator={"hermitize": v}),
-                lambda s: s.integrator.hermitize_each_step,
-                id="hermitize",
-            ),
-            pytest.param(
                 lambda d, v: d["observables"][1]["fidelity"].update(sqrt=v),
                 lambda s: s.observables[1].sqrt,
                 id="sqrt",
@@ -191,6 +186,20 @@ class TestRunScenario:
             texts.append(format_csv(result.header, result.rows))
         assert texts[0] == texts[1]
         assert texts[0].splitlines()[0] == "t,energy,fidelity,trace_error"
+
+    def test_file_and_override_steps_are_in_scenario_time(self):
+        # a step of 0.01/kappa with kappa = 0.5 is 0.02 in model time, from the file or the override
+        data = {
+            "system": {"emitters": ["qubit"] * 5, "collective": [{"rate": 0.5}]},
+            "initial": "11100",
+            "time": {"unit": "kappa", "horizon": 1.0, "points": 3},
+            "observables": ["energy", "nes", "checks"],
+        }
+        from_file = sr.run_scenario(sr.scenario_from_dict({**data, "integrator": {"fixed_step": 0.01}}))
+        overridden = sr.run_scenario(sr.scenario_from_dict(data), fixed_step=0.01)
+        steps = [result.trajectories["11100"].meta["steps"] for result in (from_file, overridden)]
+        assert steps == [100, 100]
+        assert np.array_equal(from_file.rows, overridden.rows)
 
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))

@@ -95,8 +95,6 @@ def random_scenario(rng, levels, n_collective, n_local, driven):
         rel_tol=float(rng.uniform(1e-10, 1e-6)),
         abs_tol=float(rng.uniform(1e-12, 1e-8)),
         initial_step=optional_step(rng),
-        max_step=optional_step(rng),
-        hermitize_each_step=bool(rng.random() < 0.5),
         fixed_step=optional_step(rng),
     )
     return sr.Scenario(
@@ -170,7 +168,7 @@ SCENARIO_FAMILIES = [
     pytest.param(lambda d: d.pop("time"), id="missing-required-key"),
     pytest.param(time(horizon="100"), id="not-a-number"),
     pytest.param(time(points=2.5), id="not-an-integer"),
-    pytest.param(lambda d: d.update(integrator={"hermitize": 1}), id="not-a-boolean"),
+    pytest.param(lambda d: d["observables"][1]["fidelity"].update(sqrt=1), id="not-a-boolean"),
     pytest.param(system(local=5), id="not-a-list"),
     pytest.param(system(local=[{"rate": 0.01, "emitter": 0, "transition": [1]}]), id="not-a-transition"),
     pytest.param(collective(weights=[1.0, "x"]), id="not-a-weight"),
