@@ -40,8 +40,8 @@ def _load_scenario(target: str) -> Scenario:
         return parse_scenario(path.read_text("utf-8"))
     try:
         return scenario_from_dict(load_preset(target))
-    except UnknownLabel:
-        raise ParseError(f"{target!r} is neither a readable file nor a preset name")
+    except UnknownLabel as exc:
+        raise ParseError(f"{target!r} is not a readable file, and not a preset: {exc}") from exc
 
 
 def _write(text: str, out: str | None) -> None:

@@ -12,12 +12,14 @@ eigenvalue of (rho + rho†)/2, and refuses a non-finite state
 (`InvariantViolation`); `within_tolerance` holds them to ``TRACE_TOL``,
 ``HERMITICITY_TOL`` (both 1e-9) and ``MIN_EIGENVALUE_TOL`` (-1e-8), passing
 a value at its threshold and failing NaN.  An initial state outside them is
-refused.  At every grid point `evolve` records the three values and never
-corrects them (the generator preserves trace, so trace drift is roundoff);
-a trajectory with a record outside them is flagged (`Trajectory.breached`).
-A run aborts only on a non-finite state or a lowest eigenvalue below
-``MIN_EIGENVALUE_FLOOR`` (-1e-6).  Hermiticity is restored after each step
-(``rho <- (rho + rho†)/2``, drift logged); positivity is never enforced.
+refused.  The solvers only advance; `evolve` records the three values at
+every grid point, the first included, on the state as stepped, so
+``herm_error`` is the step's drift, and flags a record outside them
+(`Trajectory.breached`).  A run aborts only on a non-finite state or a lowest
+eigenvalue below ``MIN_EIGENVALUE_FLOOR`` (-1e-6).  Hermiticity is then
+restored at the grid point (``rho <- (rho + rho†)/2``) before the observer
+and the next step see the state; trace (the generator preserves it, so its
+drift is roundoff) and positivity are never corrected.
 
 `evolve` steps only the block of the density matrix that the initial state
 can reach.  A basis index is reachable when a chain of nonzero entries of
@@ -27,8 +29,8 @@ every term of the generator maps a state supported on a closed index set S
 exactly on its own and everything outside it stays zero.  Decay only lowers
 excitation, so an initial excitation in a few sectors never leaves them;
 drives or channels mixing transitions of different size simply make S
-larger, up to the whole space.  Observers and checks still see the full
-state, embedded at each grid point.
+larger, up to the whole space.  The checks run on the block; observers see
+the full state, embedded at each grid point.
 
 The block is stepped by one of two solvers, chosen by |S| alone:
 
@@ -47,7 +49,8 @@ The block is stepped by one of two solvers, chosen by |S| alone:
   control, stepping the density matrix directly as a complex array.
   Between grid points the step size adapts freely; every grid point is hit
   exactly (steps are clipped, never interpolated).  A fixed-step mode
-  exists for byte-reproducible output.  At |S| = 256 the superoperator
+  exists for byte-reproducible output.  The state is Hermitised only at
+  grid points, not after every step.  At |S| = 256 the superoperator
   would have 65 536² entries, so this is the only solver for large blocks.
 
 `asymptotic_state` takes no steps.  On the same reachable block it projects
@@ -68,7 +71,7 @@ and one SVD of side 1024 took 1.5 s; 64 states would cost about 64 times that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,8 +116,8 @@ class IntegratorConfig:
     grid interval.  Step lengths are in the model's time unit.
     ``fixed_step`` replaces adaptive control with a constant step (clipped
     at grid points) for deterministic output.  Everything else, the
-    Hermitisation after each step and the validity thresholds of the
-    states included, is fixed (see the module docstring).
+    Hermitisation at grid points and the validity thresholds of the states
+    included, is fixed (see the module docstring).
     """
 
     rel_tol: float = 1e-8
@@ -257,8 +260,7 @@ def _reachable(rho: np.ndarray, operators: Sequence[np.ndarray]) -> np.ndarray:
         reached = grown
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau (the generator is autonomous, so no nodes).
 _DP_A = (
     (),
     (1 / 5,),
@@ -269,15 +271,7 @@ _DP_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 def _dp_step(rhs, y, h):
@@ -321,24 +315,31 @@ def within_tolerance(trace_error, herm_error, min_eigenvalue):
     return (trace_error <= TRACE_TOL) & (herm_error <= HERMITICITY_TOL) & (min_eigenvalue >= MIN_EIGENVALUE_TOL)
 
 
-def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (dim, dim):
-        raise DimensionMismatch(f"state shape {rho.shape} vs model dim {dim}")
+def _block(model: ModelOperators, rho0):
+    """``np.ix_(S, S)`` of the block reachable from ``rho0``, ``rho0`` on it and `_generator` sliced to it.
+
+    Refuses a ``rho0`` of the wrong shape or outside `within_tolerance`.
+    """
+    rho = np.asarray(rho0, dtype=np.complex128)
+    if rho.shape != (model.dim, model.dim):
+        raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
     checks = density_checks(rho, "the initial state")
     if not within_tolerance(*checks):
         raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks)
-    return rho.copy()
+    h_nh, jump_ops = _generator(model)
+    keep = _reachable(rho, [h_nh, *jump_ops])
+    block = np.ix_(keep, keep)
+    return block, rho[block], h_nh[block], [op[block] for op in jump_ops]
 
 
-def _dp45(rhs, rho, times, cfg: IntegratorConfig, norm_count: int, hermitize, meta) -> Iterator[np.ndarray]:
-    """Dormand-Prince states at ``times[1:]``, starting from ``rho`` at ``times[0]``.
+def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
+    """Dormand-Prince stepper ``advance(rho, t, target)`` -> the state at ``target``.
 
-    The step-error norm averages over ``norm_count`` entries.  Counts
-    accepted and rejected steps into ``meta``.
+    The first step is probed at ``rho`` over ``span``; the step size and
+    the controller's error memory carry over from one call to the next.  The
+    step-error norm averages over ``norm_count`` entries.  Counts accepted
+    and rejected steps into ``meta``.
     """
-    span = float(times[-1] - times[0]) if times.size > 1 else 0.0
-
     if cfg.initial_step is not None:
         h = float(cfg.initial_step)
     elif cfg.fixed_step is not None:
@@ -352,10 +353,9 @@ def _dp45(rhs, rho, times, cfg: IntegratorConfig, norm_count: int, hermitize, me
 
     safety = 0.9
     err_prev = 1e-2
-    t = float(times[0])
 
-    for target in times[1:]:
-        target = float(target)
+    def advance(rho: np.ndarray, t: float, target: float) -> np.ndarray:
+        nonlocal h, err_prev
         while t < target * (1.0 - 1e-15) or target - t > 1e-14 * max(1.0, abs(target)):
             h_try = min(h, target - t)
             if cfg.fixed_step is not None:
@@ -381,25 +381,29 @@ def _dp45(rhs, rho, times, cfg: IntegratorConfig, norm_count: int, hermitize, me
                 err_prev = err_clipped
 
             t += h_try
-            rho = hermitize(y_new)
+            rho = y_new
             meta["steps"] += 1
-        t = target
-        yield rho
+        return rho
+
+    return advance
 
 
-def _propagate(liou: np.ndarray, rho, times, hermitize, meta) -> Iterator[np.ndarray]:
-    """Exact states at ``times[1:]``: one expm(liou dt) product per interval.
+def _propagator(liou: np.ndarray, meta):
+    """Exact stepper ``advance(rho, t, target)``: one expm(liou (target - t)) product.
 
     One propagator is computed per distinct interval length.  Counts the
     products as ``meta["steps"]``.
     """
     propagators: dict[float, np.ndarray] = {}
-    for dt in np.diff(times).tolist():
+
+    def advance(rho: np.ndarray, t: float, target: float) -> np.ndarray:
+        dt = target - t
         if dt not in propagators:
             propagators[dt] = _expm(liou * dt)
-        rho = hermitize(unvec(propagators[dt] @ vec(rho), rho.shape[0]))
         meta["steps"] += 1
-        yield rho
+        return unvec(propagators[dt] @ vec(rho), rho.shape[0])
+
+    return advance
 
 
 def evolve(
@@ -413,10 +417,11 @@ def evolve(
 
     ``time_grid`` must be strictly increasing; ``rho0`` is the state at
     ``time_grid[0]``.  The observer (if given) is called at every grid
-    point with the full ``(dim, dim)`` state and its returned mapping merged
-    into the records; the keys ``trace_error``, ``herm_error`` and
-    ``min_eigenvalue`` are reserved.  A grid-point state that aborts the run
-    (see the module docstring) raises `InvariantViolation` before the observer sees it.
+    point with the full ``(dim, dim)`` state, Hermitised, and its returned
+    mapping merged into the records; the keys ``trace_error``, ``herm_error``
+    and ``min_eigenvalue`` are reserved.  A grid-point state that aborts the
+    run (see the module docstring) raises `InvariantViolation` before the
+    observer sees it.
 
     Only the block on the indices reachable from the support of ``rho0``
     (see the module docstring) is stepped; ``meta["evolved_dim"]`` is its
@@ -427,12 +432,13 @@ def evolve(
     ``meta["solver"]`` names the solver the block size chose:
     ``"propagator"`` when it is at most `PROPAGATOR_MAX_DIM`, else
     ``"dp45"``.  ``meta["steps"]`` counts propagator products (one per grid
-    interval) or accepted Dormand-Prince steps, and ``meta["rejected"]`` the
-    rejected ones (always 0 for the propagator).  The Dormand-Prince
-    step-error norm still averages over all ``dim**2`` entries: the entries
-    outside the block would add exactly 0 to the sum, so dividing by the
-    full count gives the norm, and thus the step sequence, of a full-space
-    run (up to the order of roundoff).
+    interval) or accepted Dormand-Prince steps, ``meta["rejected"]`` the
+    rejected ones (always 0 for the propagator) and ``meta["max_herm_drift"]``
+    is the largest ``herm_error``.  The Dormand-Prince step-error norm still
+    averages over all ``dim**2`` entries: the entries outside the block
+    would add exactly 0 to the sum, so dividing by the full count gives the
+    norm, and thus the step sequence, of a full-space run (up to the order
+    of roundoff).
     """
     cfg = config or IntegratorConfig()
     times = np.asarray(time_grid, dtype=float)
@@ -442,47 +448,35 @@ def evolve(
         raise DimensionMismatch("time grid must be strictly increasing")
 
     dim = model.dim
-    rho = _check_density(rho0, dim)
-    h_nh, jump_ops = _generator(model)
-    keep = _reachable(rho, [h_nh, *jump_ops])
-    reduced = keep.size < dim
-    if reduced:
-        block = np.ix_(keep, keep)
-        h_nh = h_nh[block]
-        jump_ops = [op[block] for op in jump_ops]
-        rho = rho[block]
+    block, rho, h_nh, jump_ops = _block(model, rho0)
+    size = rho.shape[0]
+    solver = "propagator" if size <= PROPAGATOR_MAX_DIM else "dp45"
+    meta = {"solver": solver, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0, "evolved_dim": float(size)}
+    if solver == "propagator":
+        advance = _propagator(_superoperator(h_nh, jump_ops), meta)
+    else:
+        advance = _dp45(_compiled_rhs(h_nh, jump_ops), rho, float(times[-1] - times[0]), cfg, dim**2, meta)
 
     def embed(state: np.ndarray) -> np.ndarray:
-        if not reduced:
+        if size == dim:
             return state
         full = np.zeros((dim, dim), dtype=np.complex128)
         full[block] = state
         return full
 
     records: dict[str, list[float]] = {}
-    solver = "propagator" if keep.size <= PROPAGATOR_MAX_DIM else "dp45"
-    meta = {
-        "solver": solver,
-        "steps": 0.0,
-        "rejected": 0.0,
-        "max_herm_drift": 0.0,
-        "evolved_dim": float(keep.size),
-    }
-
-    def hermitize(state: np.ndarray) -> np.ndarray:
-        drift = max_abs(state - dagger(state))
-        if drift > meta["max_herm_drift"]:
-            meta["max_herm_drift"] = drift
-        return (state + dagger(state)) / 2.0
-
-    def record_point(t: float, state: np.ndarray) -> None:
-        trace_error, herm_error, lowest = density_checks(state, f"the state at t={t:g}")
-        lowest = min(lowest, 0.0) if reduced else lowest
+    grid = times.tolist()
+    for i, t in enumerate(grid):
+        if i:
+            rho = advance(rho, grid[i - 1], t)
+        trace_error, herm_error, lowest = density_checks(rho, f"the state at t={t:g}")
+        lowest = min(lowest, 0.0) if size < dim else lowest
         if lowest < MIN_EIGENVALUE_FLOOR:
             raise InvariantViolation(f"min eigenvalue {lowest:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
+        rho = (rho + dagger(rho)) / 2.0
         rec = {"trace_error": trace_error, "herm_error": herm_error, "min_eigenvalue": lowest}
         if observer is not None:
-            extra = observer(t, embed(state))
+            extra = observer(t, embed(rho))
             for key in extra:
                 if key in _RESERVED_RECORDS:
                     raise ValueError(f"observer key {key!r} is reserved")
@@ -490,15 +484,8 @@ def evolve(
         for key, value in rec.items():
             records.setdefault(key, []).append(value)
 
-    record_point(float(times[0]), rho)
-    if solver == "propagator":
-        states = _propagate(_superoperator(h_nh, jump_ops), rho, times, hermitize, meta)
-    else:
-        states = _dp45(_compiled_rhs(h_nh, jump_ops), rho, times, cfg, dim**2, hermitize, meta)
-    for target, rho in zip(times[1:].tolist(), states):
-        record_point(target, rho)
-
     columns = {key: np.array(values) for key, values in records.items()}
+    meta["max_herm_drift"] = float(columns["herm_error"].max())
     return Trajectory(times=times.copy(), records=columns, final_state=embed(rho).copy(), meta=meta)
 
 
@@ -547,7 +534,9 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     (singular values at most ``KERNEL_TOL`` sigma_max), and the
     zero-eigenvalue spectral projector P = R (J†R)^-1 J† gives
     rho_inf = P vec(rho0) (Albert & Jiang, PRA 89, 022118 (2014)).  No time
-    horizon enters: the conserved quantities J fix it.  A slow mode of
+    horizon enters: the conserved quantities J fix it.  The first column of
+    J is the trace functional vec(1)/sqrt(|S|) itself, so tr rho_inf =
+    tr rho0 up to roundoff, whatever the conditioning.  A slow mode of
     singular value s tilts R by about eps sigma_max / s; one step of
     iterative refinement, rho_inf -= (1 - P) L^+ L rho_inf with L^+ from the
     same SVD, removes the part of that the residual shows.  The result is
@@ -559,19 +548,23 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     raised.  Raises `DimensionCapExceeded` when |S| exceeds
     `SUPEROPERATOR_MAX_DIM`, like `liouvillian_matrix`.
     """
-    rho = _check_density(rho0, model.dim)
-    h_nh, jump_ops = _generator(model)
-    keep = _reachable(rho, [h_nh, *jump_ops])
-    block = np.ix_(keep, keep)
-    liou = _superoperator(h_nh[block], [op[block] for op in jump_ops])
+    block, rho, h_nh, jump_ops = _block(model, rho0)
+    size = rho.shape[0]
+    liou = _superoperator(h_nh, jump_ops)
     u, sigma, vh = svd(liou)
     null = sigma <= KERNEL_TOL * sigma[0]
     right, left = dagger(vh[null]), u[:, null]
+    # The trace is conserved exactly: vec(1)/sqrt(|S|) becomes the first
+    # column of J, and the others are rotated orthogonal to it.
+    trace = vec(np.eye(size)) / np.sqrt(size)
+    rotation, _ = np.linalg.qr(np.column_stack([dagger(left) @ trace, np.eye(left.shape[1])]))
+    left = left @ rotation
+    left[:, 0] = trace
     dual = np.linalg.solve(dagger(left) @ right, dagger(left))  # P = right @ dual
-    state = right @ (dual @ vec(rho[block]))
+    state = right @ (dual @ vec(rho))
     correction = dagger(vh[~null]) @ ((dagger(u[:, ~null]) @ (liou @ state)) / sigma[~null])
-    state = unvec(state - correction + right @ (dual @ correction), keep.size)
-    full = np.zeros_like(rho)
+    state = unvec(state - correction + right @ (dual @ correction), size)
+    full = np.zeros((model.dim, model.dim), dtype=np.complex128)
     full[block] = (state + dagger(state)) / 2.0
     return full
 

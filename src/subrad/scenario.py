@@ -59,6 +59,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import partial
@@ -269,11 +270,17 @@ def _same(value):
 
 
 def _scalar(types: tuple, message: str, convert: Callable | None = None):
-    """The kind of a JSON scalar that is an instance of ``types``; a boolean counts only as a boolean."""
+    """The kind of a JSON scalar that is an instance of ``types``.
+
+    A boolean counts only as a boolean.  Where floats are allowed, a number
+    must fit a finite float: `json.loads` reads ``NaN``, ``Infinity`` and
+    ``1e999`` as floats and 10**400 as an integer.
+    """
 
     def read(value, where: str):
         if isinstance(value, types) and (type(value) is not bool or bool in types):
-            return value if convert is None else convert(value)
+            if float not in types or abs(value) <= sys.float_info.max:  # False for NaN
+                return value if convert is None else convert(value)
         raise ValidationError(f"{where}: {message}")
 
     return read, _same
@@ -297,11 +304,11 @@ def _optional(kind):
     )
 
 
-_FLOAT = _scalar((int, float), "expected a number", float)
+_FLOAT = _scalar((int, float), "expected a finite number", float)
 _INT = _scalar((int,), "expected an integer")
 _BOOL = _scalar((bool,), "expected true or false")
 _STR = _scalar((str,), "expected a string")
-_REAL_WEIGHT = _scalar((int, float), "expected number, [re, im] or magnitude/phase object")
+_REAL_WEIGHT = _scalar((int, float), "expected a finite number, [re, im] or magnitude/phase object")
 
 
 def _as_transition(value, where: str) -> tuple[int, int]:

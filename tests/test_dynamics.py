@@ -15,6 +15,7 @@ from scipy.linalg import expm, null_space
 import subrad as sr
 from subrad.errors import (
     DimensionCapExceeded,
+    InvariantBreach,
     InvariantViolation,
     NonIdealModel,
     UnsupportedSector,
@@ -525,6 +526,8 @@ class TestAsymptoticState:
     @example(levels=[2, 2, 2], n_collective=1, n_local=0, driven=False, seed=18187946)
     @example(levels=[2, 2, 2], n_collective=1, n_local=1, driven=False, seed=18187946)
     @example(levels=[2, 3], n_collective=1, n_local=0, driven=False, seed=220)
+    # a trace error of 1.2e-11 before vec(1) became the first conserved quantity
+    @example(levels=[2, 2, 3], n_collective=1, n_local=0, driven=True, seed=2692155770)
     def test_property_matches_full_space_projector(self, levels, n_collective, n_local, driven, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, levels, n_collective, n_local, driven)
@@ -539,6 +542,22 @@ class TestAsymptoticState:
         assert np.max(np.abs(sr.lindblad_rhs(model, steady))) < 1e-10
         assert abs(np.trace(steady) - 1.0) < bound
         assert np.linalg.eigvalsh(steady)[0] > -1e-10
+
+    @pytest.mark.parametrize(
+        "levels, n_collective, n_local, driven, seed",
+        [
+            ([2, 2, 2], 1, 0, False, 18187946),
+            ([2, 2, 2], 1, 1, False, 18187946),
+            ([2, 3], 1, 0, False, 220),
+            ([2, 2, 3], 1, 0, True, 2692155770),
+        ],
+    )
+    def test_pinned_draws_keep_the_trace_exactly(self, levels, n_collective, n_local, driven, seed):
+        # the draws pinned above, where the conditioning bound on the trace error is weakest
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, levels, n_collective, n_local, driven)
+        rho0, _ = random_sector_state(rng, model)
+        assert abs(np.trace(sr.asymptotic_state(model, rho0)) - 1.0) <= 1e-15
 
     def test_unexcited_imaginary_eigenvalues_leave_a_limit(self):
         model = detuned_frame_model()
@@ -690,3 +709,31 @@ class TestValidityPolicy:
             sr.evolve(model, rho0, np.array([0.0, 1.0]))
         with pytest.raises(InvariantViolation, match="non-finite entries in the initial state"):
             sr.asymptotic_state(model, rho0)
+
+    def test_injected_grid_point_drift_is_caught(self, monkeypatch):
+        # each propagator product adds 1e-6 rho_00 to rho_10 and nothing to rho_01
+        real = sr.dynamics._expm
+
+        def drifting(a):
+            p = real(a).copy()
+            p[1, 0] += 1e-6
+            return p
+
+        monkeypatch.setattr(sr.dynamics, "_expm", drifting)
+        scenario = sr.scenario_from_dict(sr.load_preset("fig2"))
+        result = sr.run_scenario(scenario)
+        traj = result.trajectories["10"]
+        assert traj.meta["solver"] == "propagator"
+        assert result.breached and traj.breached
+        assert traj.records["herm_error"].max() > 100 * sr.dynamics.HERMITICITY_TOL
+        with pytest.raises(InvariantBreach):
+            sr.run_scenario(scenario, check_strict=True)
+
+    @pytest.mark.parametrize("preset, label, solver", [("fig2", "10", "propagator"), ("nqubit:5", "11100", "dp45")])
+    def test_max_herm_drift_is_the_largest_record(self, preset, label, solver):
+        model = sr.build_model(sr.scenario_from_dict(sr.load_preset(preset)).system)
+        rho0 = pure(sr.named_state_vector(label, model.layout))
+        traj = sr.evolve(model, rho0, np.linspace(0.0, 200.0, 11))
+        assert traj.meta["solver"] == solver
+        assert traj.meta["max_herm_drift"] == traj.records["herm_error"].max()
+        assert traj.records["herm_error"].max() <= 1e-15

@@ -528,6 +528,24 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
         assert main(["run", "no-such-preset"]) == 2
 
+    @pytest.mark.parametrize(
+        "target, reason",
+        [
+            ("nqubit:3:a,b", "bad nqubit phase list in 'nqubit:3:a,b'"),
+            ("nqubit:x", "bad nqubit size in 'nqubit:x'"),
+            ("no-such-preset", "unknown preset 'no-such-preset'"),
+        ],
+    )
+    def test_preset_loader_reason_is_kept(self, capsys, target, reason):
+        assert main(["run", target]) == 2
+        assert reason in capsys.readouterr().err
+
+    def test_non_finite_number_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(TINY_SCENARIO).replace('"rate": 0.05', '"rate": NaN'))
+        assert main(["run", str(path)]) == 2
+        assert "system.collective[0].rate: expected a finite number" in capsys.readouterr().err
+
     def test_validation_error_exit_code(self, tmp_path):
         bad = json.loads(json.dumps(TINY_SCENARIO))
         bad["system"]["collective"][0]["rate"] = -2.0

@@ -1,6 +1,7 @@
 """The scenario schema: dump/parse round trips on random scenarios, and one test per rejected-input family."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -277,3 +278,34 @@ def test_sweep_defaults():
     joint = parse_sweep(sweep_text(axes={"system.collective[0].rate|time.horizon": [0.05, 0.1]}))
     assert joint.axes == (("system.collective[0].rate|time.horizon", (0.05, 0.1)),)
     assert joint.base == scenario_to_dict(sr.scenario_from_dict(TINY_SCENARIO))
+
+
+NAN, INF = float("nan"), float("inf")
+
+# `json.loads` reads NaN, Infinity and 10**400; each must fail as a `ValidationError` naming its path.
+NON_FINITE = [
+    pytest.param(collective(rate=NAN), "system.collective[0].rate", id="rate"),
+    pytest.param(
+        system(emitters=[{"levels": 2, "frequencies": [0.0, NAN]}, "qubit"]),
+        "system.emitters[0].frequencies[1]",
+        id="frequency",
+    ),
+    pytest.param(time(horizon=INF), "time.horizon", id="horizon"),
+    pytest.param(collective(weights=[[1.0, INF], 1.0]), "system.collective[0].weights[0]", id="re-im-weight"),
+    pytest.param(collective(weights=[-INF, 1.0]), "system.collective[0].weights[0]", id="real-weight"),
+    pytest.param(time(horizon=10**400), "time.horizon", id="integer-beyond-float"),
+]
+
+
+@pytest.mark.parametrize("edit, path", NON_FINITE)
+def test_non_finite_numbers_are_refused(edit, path):
+    text = json.dumps(edited(edit))
+    with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: expected a finite number"):
+        sr.parse_scenario(text)
+
+
+def test_non_finite_sweep_axis_value_fails_its_point():
+    sweep = parse_sweep(sweep_text(axes={"system.collective[0].rate": [0.05, NAN]}))
+    result = sr.run_sweep(sweep)
+    assert [row[-1] for row in result.rows] == ["ok", "error:ValidationError"]
+    assert result.failed == 1
