@@ -85,7 +85,7 @@ from .errors import (
     StepSizeUnderflow,
     UnsupportedSector,
 )
-from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, hermitian_eigen, max_abs, svd
+from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, hermitian_eigen, kron, max_abs, svd
 from .model import ModelOperators, basis_excitations
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
@@ -210,9 +210,9 @@ def _superoperator(h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> np.ndarr
     if h_nh.shape[0] > SUPEROPERATOR_MAX_DIM:
         raise DimensionCapExceeded(f"superoperator of {h_nh.shape[0]} states exceeds {SUPEROPERATOR_MAX_DIM}")
     eye = np.eye(h_nh.shape[0], dtype=np.complex128)
-    liou = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
+    liou = -1j * (kron(eye, h_nh) - kron(h_nh.conj(), eye))
     for op in jump_ops:
-        liou += np.kron(op.conj(), op)
+        liou += kron(op.conj(), op)
     return liou
 
 
@@ -319,17 +319,23 @@ def _block(model: ModelOperators, rho0):
     """``np.ix_(S, S)`` of the block reachable from ``rho0``, ``rho0`` on it and `_generator` sliced to it.
 
     Refuses a ``rho0`` of the wrong shape or outside `within_tolerance`.
+    The checks run on the block: outside it ``rho0`` is exactly zero (a NaN
+    or infinite entry counts as nonzero, so it lies in the block), which
+    leaves the trace and Hermiticity errors as they are and makes the
+    lowest eigenvalue of the full state min(lambda_block, 0).
     """
     rho = np.asarray(rho0, dtype=np.complex128)
     if rho.shape != (model.dim, model.dim):
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
-    checks = density_checks(rho, "the initial state")
-    if not within_tolerance(*checks):
-        raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks)
     h_nh, jump_ops = _generator(model)
     keep = _reachable(rho, [h_nh, *jump_ops])
     block = np.ix_(keep, keep)
-    return block, rho[block], h_nh[block], [op[block] for op in jump_ops]
+    rho = rho[block]
+    trace_error, herm_error, lowest = density_checks(rho, "the initial state")
+    checks = trace_error, herm_error, min(lowest, 0.0) if keep.size < model.dim else lowest
+    if not within_tolerance(*checks):
+        raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks)
+    return block, rho, h_nh[block], [op[block] for op in jump_ops]
 
 
 def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):

@@ -12,6 +12,7 @@ leftmost (slowest-varying) tensor factor, i.e. ``kron(a, b)`` acts with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -66,7 +67,7 @@ class DimsLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.subsystem_dims))
+        return math.prod(self.subsystem_dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -82,11 +83,15 @@ class DimsLayout:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; ``a`` is the slower-varying (left) factor."""
-    return np.kron(
-        as_complex_matrix(a, name="kron left factor"),
-        as_complex_matrix(b, name="kron right factor"),
-    )
+    """Kronecker product; ``a`` is the slower-varying (left) factor.
+
+    The same broadcast product as `numpy.kron`, so bit-identical to it,
+    without its generic shape handling.
+    """
+    a = as_complex_matrix(a, name="kron left factor")
+    b = as_complex_matrix(b, name="kron right factor")
+    product = a[:, None, :, None] * b[None, :, None, :]
+    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def hermitian_eigen(m, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:

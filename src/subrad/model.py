@@ -21,6 +21,7 @@ Conventions (fixed once, used by the whole package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -325,8 +326,8 @@ def lift_site_operator(local_op, site_index: int, layout: DimsLayout) -> np.ndar
             f"local operator dim {op.shape[0]} != subsystem dim "
             f"{layout.subsystem_dims[site_index]}"
         )
-    d_left = int(np.prod(layout.subsystem_dims[:site_index], initial=1))
-    d_right = int(np.prod(layout.subsystem_dims[site_index + 1 :], initial=1))
+    d_left = math.prod(layout.subsystem_dims[:site_index])
+    d_right = math.prod(layout.subsystem_dims[site_index + 1 :])
     full = op
     if d_left > 1:
         full = kron(np.eye(d_left), full)

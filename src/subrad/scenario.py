@@ -52,6 +52,12 @@ Sweep files: ``{"base": preset-name | scenario, "axes": {path: [value,...]},
 the reductions default to ``[{"column": "trace_error"}]`` (named
 "final_trace_error").  An axis path such as ``system.local[0].rate``
 addresses the base's `dump_scenario` form; ``"a|b"`` sets both paths.
+`run_sweep` parses the base once and sets each point's axis values on the
+parsed base through the same field readers, so a point runs, or fails, as
+the base's dump form with those values in it would.  The summary CSV has
+one row per point: the axis values, the reductions and a status (``ok`` or
+``error:<type>``); a list or object axis value is written as compact JSON
+in one quoted cell.
 """
 
 from __future__ import annotations
@@ -164,7 +170,12 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """A parsed sweep; ``base`` is the normalized scenario dict the axis paths address."""
+    """A parsed sweep; ``base`` is the normalized scenario dict the axis paths address.
+
+    `run_sweep` parses ``base`` once and sets the axis values on the parsed
+    form through the same field readers; ``axes`` keeps each value as given,
+    a list or object as JSON.
+    """
 
     base: dict
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
@@ -194,21 +205,38 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 #
 # Each JSON object is read and written through one table, an ordered dict
-# from JSON key to `_Field`.  A field's kind is a ``(read, write)`` pair:
-# ``read(value, path)`` checks one JSON value and returns its parsed form,
-# ``write(parsed)`` returns the JSON value.  `_read` checks the key set,
-# reads the present keys, fills the defaults and builds the result with
-# ``make``; `_write` inverts it, so a dump parses back to the same fields.
+# from JSON key to `_Field`.  A field's kind is a `_Kind`, or a plain
+# ``(read, write)`` pair: ``read(value, path)`` checks one JSON value and
+# returns its parsed form, ``write(parsed)`` returns the JSON value.  `_read`
+# checks the key set, reads the present keys, fills the defaults and builds
+# the result with ``make``; `_write` inverts it, so a dump parses back to the
+# same fields.
 
 _REQUIRED = object()  # default of a key that must be present
 _ABSENT = object()  # default of a key whose absence passes no argument to ``make``
 
 
+class _Kind(NamedTuple):
+    """How one JSON value is read and written, and how a sweep axis path descends into it (`_setter`).
+
+    ``table`` is the field table of a kind whose parsed form is a dataclass
+    with the table's attributes; ``item`` is the kind of a list's items.
+    ``whole`` is False when ``read`` alone does not give the parsed form:
+    a collective channel takes its defaults from the system, and the frame
+    fills two fields of the system.
+    """
+
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
+    table: dict | None = None
+    item: _Kind | None = None
+    whole: bool = True
+
+
 class _Field(NamedTuple):
     attr: str  # the keyword argument of ``make``
     get: Callable[[Any], Any]  # reads the value back from a parsed object, for `_write`
-    read: Callable[[Any, str], Any]
-    write: Callable[[Any], Any]
+    kind: _Kind
     default: Any
 
 
@@ -216,7 +244,7 @@ def _table(*rows) -> dict[str, _Field]:
     """Rows are ``(key, kind, default[, attr[, get]])``; ``attr`` is the key and ``get`` reads it unless given."""
     table = {}
     for key, kind, default, attr, get in (row + (None,) * (5 - len(row)) for row in rows):
-        table[key] = _Field(attr or key, get or attrgetter(attr or key), *kind, default)
+        table[key] = _Field(attr or key, get or attrgetter(attr or key), _Kind(*kind), default)
     return table
 
 
@@ -246,7 +274,7 @@ def _read(data, table: dict[str, _Field], where: str, make: Callable, prefix: st
         field = table.get(key)
         if field is None:
             raise ValidationError(f"{where}: unknown keys {sorted(data.keys() - table.keys())}")
-        kwargs[field.attr] = field.read(value, prefix + key)
+        kwargs[field.attr] = field.kind.read(value, prefix + key)
     if len(data) < len(table):
         for key, field in table.items():
             if key in data or field.default is _ABSENT:
@@ -258,11 +286,11 @@ def _read(data, table: dict[str, _Field], where: str, make: Callable, prefix: st
 
 
 def _write(obj, table: dict[str, _Field]) -> dict:
-    return {key: field.write(field.get(obj)) for key, field in table.items()}
+    return {key: field.kind.write(field.get(obj)) for key, field in table.items()}
 
 
-def _object(table: dict[str, _Field], make: Callable):
-    return (lambda value, where: _read(value, table, where, make)), partial(_write, table=table)
+def _object(table: dict[str, _Field], make: Callable) -> _Kind:
+    return _Kind(lambda value, where: _read(value, table, where, make), partial(_write, table=table), table)
 
 
 def _same(value):
@@ -283,24 +311,26 @@ def _scalar(types: tuple, message: str, convert: Callable | None = None):
                 return value if convert is None else convert(value)
         raise ValidationError(f"{where}: {message}")
 
-    return read, _same
+    return _Kind(read, _same)
 
 
-def _list(kind, nonempty: bool = False):
-    read, write = kind
+def _list(kind, nonempty: bool = False) -> _Kind:
+    kind = _Kind(*kind)
+    read, write = kind.read, kind.write
 
     def read_list(value, where: str) -> tuple:
         if not isinstance(value, list) or (nonempty and not value):
             raise ValidationError(f"{where}: {'non-empty list required' if nonempty else 'expected a list'}")
         return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
 
-    return read_list, lambda items: [write(item) for item in items]
+    return _Kind(read_list, lambda items: [write(item) for item in items], item=kind, whole=kind.whole)
 
 
-def _optional(kind):
-    read, write = kind
-    return (lambda value, where: None if value is None else read(value, where)), (
-        lambda parsed: None if parsed is None else write(parsed)
+def _optional(kind) -> _Kind:
+    read, write = kind[:2]
+    return _Kind(
+        lambda value, where: None if value is None else read(value, where),
+        lambda parsed: None if parsed is None else write(parsed),
     )
 
 
@@ -313,7 +343,7 @@ _REAL_WEIGHT = _scalar((int, float), "expected a finite number, [re, im] or magn
 
 def _as_transition(value, where: str) -> tuple[int, int]:
     _expect(isinstance(value, (list, tuple)) and len(value) == 2, where, "expected [upper, lower]")
-    return _INT[0](value[0], where), _INT[0](value[1], where)
+    return _INT.read(value[0], where), _INT.read(value[1], where)
 
 
 # --- Unions: the JSON values with more than one form ------------------------
@@ -333,8 +363,8 @@ def _read_weight(value, where: str) -> complex:
     if isinstance(value, dict):
         return _read(value, _POLAR, where, _polar)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_FLOAT[0](value[0], where), _FLOAT[0](value[1], where))
-    return complex(_REAL_WEIGHT[0](value, where))
+        return complex(_FLOAT.read(value[0], where), _FLOAT.read(value[1], where))
+    return complex(_REAL_WEIGHT.read(value, where))
 
 
 def _read_amplitudes(value, where: str) -> tuple[tuple[str, complex], ...]:
@@ -355,7 +385,7 @@ def _read_frame(value, where: str) -> tuple[str, float]:
         return value, 1.0
     _expect(isinstance(value, dict) and value.keys() == {"rotating"}, where,
             "expected 'lab', 'rotating' or {'rotating': freq}")
-    return "rotating", _FLOAT[0](value["rotating"], f"{where}.rotating")
+    return "rotating", _FLOAT.read(value["rotating"], f"{where}.rotating")
 
 
 def _write_frame(frame: tuple[str, float]) -> Any:
@@ -363,6 +393,7 @@ def _write_frame(frame: tuple[str, float]) -> Any:
 
 
 def _read_system(value, where: str) -> SystemSpec:
+    """The system's fields; `_checked` validates them together."""
     kwargs = _read(value, _SYSTEM, where, dict)
     if "frame" in kwargs:
         kwargs["frame"], kwargs["frame_frequency"] = kwargs["frame"]
@@ -374,9 +405,7 @@ def _read_system(value, where: str) -> SystemSpec:
             _build(CollectiveChannelSpec, {**per_emitter, **channel}, f"{where}.collective[{i}]")
             for i, channel in enumerate(kwargs["collective_channels"])
         )
-    spec = _build(SystemSpec, kwargs, where)
-    _build(spec.validate, {}, where)
-    return spec
+    return _build(SystemSpec, kwargs, where)
 
 
 def _read_state(value, where: str) -> StateSpec:
@@ -408,7 +437,7 @@ def _write_initial(initial: tuple[str, StateSpec]) -> Any:
 
 
 def _read_initials(value, where: str) -> tuple[tuple[str, StateSpec], ...]:
-    initials = _INITIALS[0](value if isinstance(value, list) else [value], where)
+    initials = _INITIALS.read(value if isinstance(value, list) else [value], where)
     names = [name for name, _ in initials]
     for i, name in enumerate(names):
         _expect(name not in names[:i], f"{where}[{i}]", f"duplicate initial label {name!r}")
@@ -416,7 +445,7 @@ def _read_initials(value, where: str) -> tuple[tuple[str, StateSpec], ...]:
 
 
 def _read_bipartition(value, where: str) -> tuple[tuple[int, ...], ...]:
-    groups = _GROUPS[0](value, where)
+    groups = _GROUPS.read(value, where)
     _expect(len(groups) == 2, where, "expected two emitter index groups")
     return groups
 
@@ -451,6 +480,7 @@ _GROUPS = _list(_list(_INT, nonempty=True))
 
 _POLAR = _table(("magnitude", _FLOAT, 1.0), ("phase", _FLOAT, 0.0))
 _EMITTER = _table(("levels", _INT, 2), ("frequencies", _list(_FLOAT), _REQUIRED, "level_frequencies"))
+_EMITTER_KIND = _Kind(_read_emitter, partial(_write, table=_EMITTER), _EMITTER)
 _COLLECTIVE = _table(
     ("rate", _FLOAT, 0.0),
     ("weights", _list((_read_weight, _complex_to_json)), _ABSENT),  # filled per emitter by `_read_system`
@@ -468,16 +498,16 @@ _DRIVE = _table(
     ("detuning", _FLOAT, _ABSENT, "drive_detuning"),
 )
 _SYSTEM = _table(
-    ("emitters", _list((_read_emitter, partial(_write, table=_EMITTER)), nonempty=True), _REQUIRED),
-    ("collective", _list(_object(_COLLECTIVE, dict)), _ABSENT, "collective_channels"),
+    ("emitters", _list(_EMITTER_KIND, nonempty=True), _REQUIRED),
+    ("collective", _list(_object(_COLLECTIVE, dict)._replace(whole=False)), _ABSENT, "collective_channels"),
     ("local", _list(_object(_LOCAL, LocalChannelSpec)), _ABSENT, "local_channels"),
     ("drives", _list(_object(_DRIVE, DriveSpec)), _ABSENT),
-    ("frame", (_read_frame, _write_frame), _ABSENT, "frame", attrgetter("frame", "frame_frequency")),
+    ("frame", _Kind(_read_frame, _write_frame, whole=False), _ABSENT, "frame", attrgetter("frame", "frame_frequency")),
     ("dimension_cap", _INT, _ABSENT),
 )
 _PART = _table(("weight", _FLOAT, _REQUIRED), ("state", _STATE_KIND, _REQUIRED))
 # A mixture holds plain (weight, state) pairs; `_Part` names them for `_write`.
-_PART_KIND = (_object(_PART, _Part)[0], lambda part: _write(_Part(*part), _PART))
+_PART_KIND = (_object(_PART, _Part).read, lambda part: _write(_Part(*part), _PART))
 _STATE = _table(
     ("label", _optional(_STR), _ABSENT),
     ("amplitudes", _optional(_AMPLITUDES), _ABSENT),
@@ -487,7 +517,7 @@ _INITIAL = {**_STATE, **_table(("name", _STR, _ABSENT))}
 _INITIALS = _list((_read_initial, _write_initial), nonempty=True)
 _OBSERVABLE_PARAMETERS = {
     "fidelity": _table(("target", _STATE_KIND, _REQUIRED), ("sqrt", _BOOL, _ABSENT)),
-    "log_negativity": _table(("bipartition", (_read_bipartition, _GROUPS[1]), _ABSENT)),
+    "log_negativity": _table(("bipartition", (_read_bipartition, _GROUPS.write), _ABSENT)),
 }
 _TIME = _table(("unit", _STR, "omega"), ("horizon", _FLOAT, _REQUIRED), ("points", _INT, _REQUIRED))
 _INTEGRATOR = _table(
@@ -499,12 +529,12 @@ _INTEGRATOR = _table(
 _OUTPUT = _table(("path", _optional(_STR), _ABSENT), ("format", _STR, _ABSENT))
 _SCENARIO = _table(
     ("name", _STR, "scenario"),
-    ("system", (_read_system, partial(_write, table=_SYSTEM)), _REQUIRED),
-    ("initial", (_read_initials, _INITIALS[1]), _REQUIRED, "initials"),
+    ("system", _Kind(_read_system, partial(_write, table=_SYSTEM), _SYSTEM), _REQUIRED),
+    ("initial", (_read_initials, _INITIALS.write), _REQUIRED, "initials"),
     ("time", _object(_TIME, TimeSpec), _REQUIRED),
     ("observables", _list((_read_observable, _write_observable), nonempty=True), _REQUIRED),
     ("integrator", _object(_INTEGRATOR, IntegratorConfig), IntegratorConfig()),
-    ("output", (_read_output, partial(_write, table=_OUTPUT)), OutputSpec()),
+    ("output", _Kind(_read_output, partial(_write, table=_OUTPUT), _OUTPUT), OutputSpec()),
 )
 
 
@@ -513,19 +543,25 @@ _SCENARIO = _table(
 # ---------------------------------------------------------------------------
 
 
-def scenario_from_dict(data: Mapping) -> Scenario:
-    """Validate a parsed JSON object and resolve it into a `Scenario`."""
-    kwargs = _read(data, _SCENARIO, "scenario", dict, prefix="")
-    system = kwargs["system"]
+def _checked(scenario: Scenario) -> Scenario:
+    """``scenario`` once the rules that span its fields hold, with the default bipartition filled in.
+
+    The system is validated as a whole, every initial state and fidelity
+    target must resolve on its layout, the 'kappa' unit needs a first
+    collective channel with positive rate, and a bipartition must name
+    distinct emitters.  `scenario_from_dict` and each sweep point run it.
+    """
+    system = scenario.system
+    _build(system.validate, {}, "system")
     layout = system.layout()
-    # Resolve every state now so unknown labels fail at parse time.
-    for label, spec in kwargs["initials"]:
+    # Resolve every state now so unknown labels fail before the run.
+    for label, spec in scenario.initials:
         build_initial_state(spec, layout)
-    if kwargs["time"].unit == "kappa":
+    if scenario.time.unit == "kappa":
         _expect(bool(system.collective_channels) and system.collective_channels[0].rate > 0, "time.unit",
                 "'kappa' unit needs a first collective channel with positive rate")
     n = len(system.emitters)
-    observables = list(kwargs["observables"])
+    observables = list(scenario.observables)
     for i, ob in enumerate(observables):
         where = f"observables[{i}]"
         if ob.kind == "fidelity":
@@ -537,7 +573,12 @@ def scenario_from_dict(data: Mapping) -> Scenario:
             flat = [j for g in ob.bipartition for j in g]
             _expect(len(set(flat)) == len(flat) and all(0 <= j < n for j in flat), where,
                     f"bipartition {ob.bipartition} invalid for {n} emitters")
-    return Scenario(**{**kwargs, "observables": tuple(observables)})
+    return replace(scenario, observables=tuple(observables))
+
+
+def scenario_from_dict(data: Mapping) -> Scenario:
+    """Validate a parsed JSON object and resolve it into a `Scenario`."""
+    return _checked(_read(data, _SCENARIO, "scenario", Scenario, prefix=""))
 
 
 def _load_json(text: str) -> Any:
@@ -725,20 +766,78 @@ def _path_tokens(path: str) -> list[Any]:
     return tokens
 
 
-def _apply_path(data: dict, path: str, value) -> None:
-    tokens = _path_tokens(path)
-    node = data
-    for tok in tokens[:-1]:
-        try:
-            node = node[tok]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"parameter path {path!r}: cannot resolve {tok!r}") from exc
-    last = tokens[-1]
+def _set_json(node, tokens: Sequence, value, where: str) -> None:
+    """Put ``value`` at ``tokens`` inside the JSON value ``node``; every token must already resolve."""
     try:
-        node[last]
+        for tok in tokens[:-1]:
+            node = node[tok]
+        node[tokens[-1]]  # a path never adds a key
+        node[tokens[-1]] = value
     except (KeyError, IndexError, TypeError) as exc:
-        raise ValidationError(f"parameter path {path!r}: cannot resolve {last!r}") from exc
-    node[last] = value
+        raise ValidationError(f"{where}: cannot resolve {list(tokens)}") from exc
+
+
+def _setter(kind: _Kind, paths: list[tuple[int, tuple]], where: str) -> Callable | None:
+    """``set(parsed, values)``: ``parsed``, a value of ``kind``, with ``values[k]`` at each ``(k, tokens)`` of ``paths``.
+
+    An object with a field table is rebuilt by one `dataclasses.replace`,
+    so its constructor checks it, and a list item by item.  At any other
+    level, and where one path ends and another goes on below, the value is
+    written with ``kind.write``, the paths are set in that JSON in order, and
+    the result is read back with ``kind.read``.  Either way the result is
+    what parsing the dump form with the paths set in it gives (the dump
+    round trip is exact).  None when ``kind`` is not ``whole``: its parent
+    has to rebuild it.
+    """
+    if len(paths) == 1 and not paths[0][1]:
+        k = paths[0][0]
+        return (lambda parsed, values: kind.read(values[k], where)) if kind.whole else None
+    if all(tokens for _, tokens in paths):  # else a path ends here and another goes on below
+        groups: dict[Any, list[tuple[int, tuple]]] = {}
+        for k, tokens in paths:
+            groups.setdefault(tokens[0], []).append((k, tokens[1:]))
+        if kind.table is not None and all(isinstance(key, str) and key in kind.table for key in groups):
+            fields = {kind.table[key].attr: _setter(kind.table[key].kind, sub, f"{where}.{key}".lstrip("."))
+                      for key, sub in groups.items()}
+            if None not in fields.values():
+                def set_fields(parsed, values):
+                    changes = {attr: child(getattr(parsed, attr), values) for attr, child in fields.items()}
+                    return _build(partial(replace, parsed), changes, where or "scenario")
+
+                return set_fields
+        if kind.item is not None and all(isinstance(index, int) for index in groups):
+            items = {index: _setter(kind.item, sub, f"{where}[{index}]") for index, sub in groups.items()}
+            if None not in items.values():
+                def set_items(parsed, values):
+                    parsed = list(parsed)
+                    for index, child in items.items():
+                        _expect(index < len(parsed), where, f"no item [{index}]")
+                        parsed[index] = child(parsed[index], values)
+                    return tuple(parsed)
+
+                return set_items
+    if not kind.whole:
+        return None
+
+    def round_trip(parsed, values):
+        root = [kind.write(parsed)]
+        for k, tokens in paths:  # a later path may set something inside this value: copy it
+            _set_json(root, (0, *tokens), copy.deepcopy(values[k]), where)
+        return kind.read(root[0], where)
+
+    return round_trip
+
+
+def _axis_setter(axes: Sequence[tuple[str, Sequence]]) -> Callable[[Scenario, Sequence], Scenario]:
+    """``set(scenario, values)``: ``values[k]`` put at every path of axis ``k``, in axis order."""
+    paths = [(k, tuple(_path_tokens(sub))) for k, (path, _) in enumerate(axes) for sub in path.split("|")]
+    set_paths = _setter(_Kind(None, None, _SCENARIO, whole=False), paths, "")
+    if set_paths is None:  # some path does not start with a scenario key: every point fails
+
+        def set_paths(scenario, values):
+            raise ValidationError(f"axis paths {[path for path, _ in axes]}: a first key is not a scenario key")
+
+    return set_paths
 
 
 def _read_base(value, where: str) -> dict:
@@ -825,26 +924,28 @@ def _reduce(result: ScenarioResult, red: dict) -> float:
 def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResult:
     """Run the cartesian product of all axes; one summary row per point.
 
-    Rows are ordered lexicographically by grid index.  A failing point is
-    recorded with NaN reductions and its error in the status column; a point
-    whose run breaches an invariant fails as ``error:InvariantBreach``.  The
-    sweep always completes.
+    The base is parsed once.  Each point sets its axis values on the parsed
+    base through the same field readers and constructors that parsing the
+    base's dump form with those values in it would use, then runs the
+    checks that span fields (`_checked`), so a point fails exactly where
+    that parse would.  Rows are ordered lexicographically by grid index.  A
+    failing point is recorded with NaN reductions and its error in the
+    status column; a point whose run breaches an invariant fails as
+    ``error:InvariantBreach``.  The sweep always completes.
     """
     paths = [p for p, _ in sweep.axes]
     grids = [v for _, v in sweep.axes]
     header = tuple(paths + [red["name"] for red in sweep.reductions] + ["status"])
+    base = scenario_from_dict(sweep.base)
+    set_axes = _axis_setter(sweep.axes)
 
     rows = []
     failed = 0
     for index in np.ndindex(*[len(g) for g in grids]):
         values = [grids[k][i] for k, i in enumerate(index)]
-        point = copy.deepcopy(sweep.base)
         row: list[Any] = list(values)
         try:
-            for path, value in zip(paths, values):
-                for sub in path.split("|"):
-                    _apply_path(point, sub, value)
-            result = run_scenario(scenario_from_dict(point), fixed_step=fixed_step, check_strict=True)
+            result = run_scenario(_checked(set_axes(base, values)), fixed_step=fixed_step, check_strict=True)
             for red in sweep.reductions:
                 row.append(_reduce(result, red))
             row.append("ok")
@@ -856,16 +957,21 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
     return SweepResult(header=header, rows=tuple(rows), failed=failed)
 
 
+def _sweep_cell(value) -> str:
+    """A number in 17-digit scientific notation, a string as it is, anything else as compact JSON in one quoted cell."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)):
+        return f"{float(value):.16e}"
+    text = json.dumps(value, separators=(",", ":"))
+    return '"' + text.replace('"', '""') + '"'
+
+
 def format_sweep_csv(result: SweepResult) -> str:
+    """The summary table as CSV; a list or object axis value is one quoted cell of compact JSON."""
     lines = [",".join(result.header)]
     for row in result.rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            else:
-                cells.append(f"{float(v):.16e}")
-        lines.append(",".join(cells))
+        lines.append(",".join(map(_sweep_cell, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -422,6 +422,23 @@ class TestLiouvillian:
             off = mat - np.diag(np.diag(mat))
             assert np.max(np.abs(off)) < 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        levels=LEVELS,
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bit_identical_to_numpy_kron_formula(self, levels, n_collective, n_local, driven, seed):
+        model = random_model(np.random.default_rng(seed), levels, n_collective, n_local, driven)
+        h_nh, jump_ops = sr.dynamics._generator(model)
+        eye = np.eye(model.dim, dtype=complex)
+        expected = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
+        for op in jump_ops:
+            expected += np.kron(op.conj(), op)
+        assert np.array_equal(sr.liouvillian_matrix(model).view(float), expected.view(float))
+
     def test_dimension_cap(self):
         # the superoperator bound is 32 states, whatever the Hilbert-space cap
         for cap in (64, 256, 4096):
@@ -699,6 +716,21 @@ class TestValidityPolicy:
         else:
             traj = sr.evolve(model, rho0, np.array([0.0, 1.0]))
             assert traj.breached and traj.records["min_eigenvalue"].tolist() == [floor, floor]
+
+    def test_initial_state_is_checked_on_its_block(self, monkeypatch):
+        real = sr.dynamics.density_checks
+        shapes = []
+
+        def spy(rho, name):
+            if name == "the initial state":
+                shapes.append(rho.shape)
+            return real(rho, name)
+
+        monkeypatch.setattr(sr.dynamics, "density_checks", spy)
+        model = sr.build_model(sr.scenario_from_dict(sr.load_preset("nqubit:8")).system)
+        rho0 = pure(sr.named_state_vector("10000000", model.layout))
+        traj = sr.evolve(model, rho0, np.array([0.0, 1.0]))
+        assert shapes == [(9, 9)] and traj.meta["evolved_dim"] == 9
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_initial_state_is_an_invariant_violation(self, bad):

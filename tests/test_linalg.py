@@ -46,6 +46,29 @@ class TestKron:
         expected[0] = 1.0
         assert np.allclose(lowered, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=2, max_size=2),
+        complex_factors=st.tuples(st.booleans(), st.booleans()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_bit_identical_to_numpy(self, shapes, complex_factors, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (
+            rng.normal(size=shape) + (1j * rng.normal(size=shape) if is_complex else 0.0)
+            for shape, is_complex in zip(shapes, complex_factors)
+        )
+        expected = np.kron(a.astype(complex), b.astype(complex))
+        out = sr.kron(a, b)
+        assert out.shape == expected.shape
+        assert np.array_equal(out.view(float), expected.view(float))
+
+    @pytest.mark.parametrize("shapes", [((1, 5), (4, 1)), ((5, 1), (1, 4)), ((1, 1), (3, 3)), ((1, 7), (1, 2))])
+    def test_row_and_column_factors(self, shapes):
+        rng = np.random.default_rng(3)
+        a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes)
+        assert np.array_equal(sr.kron(a, b).view(float), np.kron(a, b).view(float))
+
 
 class TestHermitianEigen:
     def test_pauli_x_spectrum(self):

@@ -1,13 +1,16 @@
 """Scenario schema, presets, CSV output, sweeps and the CLI."""
 
+import copy
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subrad as sr
 from subrad.cli import main
-from subrad.errors import InvariantBreach, ParseError, UnknownLabel, ValidationError
+from subrad.errors import InvariantBreach, ParseError, SubradError, UnknownLabel, ValidationError
 from subrad.scenario import format_csv, format_sweep_csv, parse_sweep, run_sweep
 
 TINY_SCENARIO = {
@@ -483,6 +486,178 @@ class TestSweeps:
         lines = text.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].endswith(",ok")
+
+
+def apply_path(data, path, value):
+    """Set ``value`` at ``path`` in a scenario dict, every token of which must resolve."""
+    tokens = sr.scenario._path_tokens(path)
+    node = data
+    for tok in tokens[:-1]:
+        try:
+            node = node[tok]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ValidationError(f"parameter path {path!r}: cannot resolve {tok!r}") from exc
+    last = tokens[-1]
+    try:
+        node[last]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValidationError(f"parameter path {path!r}: cannot resolve {last!r}") from exc
+    node[last] = value
+
+
+def reference_sweep_rows(sweep):
+    """The rows of `run_sweep` from the dict form: each point deep-copies the base dict, sets its values there and parses it.
+
+    The values are copied too: one axis's list or object value must not
+    change when a later path sets something inside it.
+    """
+    rows = []
+    for index in np.ndindex(*[len(values) for _, values in sweep.axes]):
+        values = [sweep.axes[k][1][i] for k, i in enumerate(index)]
+        point = copy.deepcopy(sweep.base)
+        row = list(values)
+        try:
+            for (path, _), value in zip(sweep.axes, values):
+                for sub in path.split("|"):
+                    apply_path(point, sub, copy.deepcopy(value))
+            result = sr.run_scenario(sr.scenario_from_dict(point), check_strict=True)
+            row.extend(sr.scenario._reduce(result, red) for red in sweep.reductions)
+            row.append("ok")
+        except SubradError as exc:
+            row.extend([float("nan")] * len(sweep.reductions))
+            row.append(f"error:{type(exc).__name__}")
+        rows.append(tuple(row))
+    return rows
+
+
+ORACLE_BASES = [
+    {
+        "system": {
+            "emitters": ["qubit", {"levels": 2, "frequencies": [0.0, 1.02]}],
+            "collective": [{"rate": 0.05, "weights": [1.0, [0.0, 1.0]]}],
+            "local": [{"rate": 0.01, "emitter": 0}, {"rate": 0.0, "emitter": 1}],
+            "frame": {"rotating": 1.0},
+        },
+        "initial": [{"name": "mixed", "mixture": [{"weight": 0.5, "state": "11"}, {"weight": 0.5, "state": "01"}]}],
+        "time": {"unit": "omega", "horizon": 20.0, "points": 5},
+        "observables": ["purity", "energy", {"fidelity": {"target": "psi_minus"}}, {"log_negativity": {}}, "checks"],
+    },
+    {
+        "system": {
+            "emitters": ["qubit", "qubit"],
+            "collective": [{"rate": 0.1}],
+            "local": [{"rate": 0.02, "emitter": 1}, {"rate": 0.0, "emitter": 0}],
+            "drives": [{"amplitude": 0.05, "emitter": 0, "transition": [1, 0]}],
+        },
+        "initial": "10",
+        "time": {"unit": "kappa", "horizon": 2.0, "points": 4},
+        "observables": ["purity", "energy", "nes"],
+    },
+]
+
+# Axis paths over the bases above, each with good and bad values.
+ORACLE_AXES = {
+    "system.collective[0].rate": [0.05, 0.0, -1.0, float("nan")],
+    "system.emitters[1].frequencies[1]": [1.0, 1.1, -1.0, "x"],
+    "system.emitters[1]": ["qubit", {"levels": 2, "frequencies": [0.0, 1.05]},
+                           {"levels": 3, "frequencies": [0.0, 1.0, 2.0]}, "qutrit"],
+    "system.collective[0].weights[1]": [[0.0, 1.0], [0.5, -0.5], 1.0, 0.0, [1.0]],
+    "system.collective[0]": [{"rate": 0.02}, {"rate": 0.02, "weights": [1.0]}],
+    "system.local[0].rate|system.local[1].rate": [0.0, 0.03, -0.5],
+    "system.local[0].transition": [[1, 0], [2, 1]],
+    "system.local[5].rate": [0.1],
+    "system.emitters[1].frequencies[7]": [1.0],
+    "system.frame": ["lab", {"rotating": 1.05}, "moving"],
+    "system.dimension_cap": [256, 2],
+    "initial[0]": ["01", "psi_plus", {"name": "x", "label": "11"}, "22", 10],
+    "time.points": [3, 1, 2.5],
+    "time.unit": ["omega", "kappa"],
+    "integrator.rel_tol": [1e-6, -1.0],
+    "observables[0]": ["nes", {"log_negativity": {}}, {"log_negativity": {"bipartition": [[0], [0]]}}],
+    "tiem.points": [3],
+}
+
+ORACLE_REDUCTIONS = [
+    {"column": "energy"},
+    {"column": "energy", "kind": "fit_exp_rate", "name": "energy_rate"},
+    {"column": "trace_error"},
+]
+
+
+def assert_sweep_matches_dict_path(base, axes):
+    """`run_sweep` gives the statuses and bit-equal rows of `reference_sweep_rows`."""
+    text = json.dumps({"base": base, "axes": axes, "reductions": ORACLE_REDUCTIONS})
+    result = run_sweep(parse_sweep(text))
+    expected = reference_sweep_rows(parse_sweep(text))
+    n = len(axes)
+    assert len(result.rows) == len(expected)
+    for got, want in zip(result.rows, expected):
+        assert json.dumps(got[:n]) == json.dumps(want[:n])
+        assert got[-1] == want[-1]
+        assert np.array(got[n:-1], dtype=float).tobytes() == np.array(want[n:-1], dtype=float).tobytes()
+    assert result.failed == sum(row[-1] != "ok" for row in expected)
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("base", ORACLE_BASES, ids=["two-qubit", "driven-kappa"])
+    @pytest.mark.parametrize("path", sorted(ORACLE_AXES))
+    def test_each_axis_matches_dict_path(self, base, path):
+        assert_sweep_matches_dict_path(base, {path: ORACLE_AXES[path]})
+
+    @settings(max_examples=100, deadline=None)
+    @given(base=st.sampled_from(ORACLE_BASES), data=st.data())
+    def test_property_axis_combinations_match_dict_path(self, base, data):
+        paths = data.draw(st.lists(st.sampled_from(sorted(ORACLE_AXES)), min_size=2, max_size=3, unique=True))
+        axes = {path: data.draw(st.lists(st.sampled_from(ORACLE_AXES[path]), min_size=1, max_size=2)) for path in paths}
+        assert_sweep_matches_dict_path(base, axes)
+
+    def test_axis_values_are_not_changed_by_a_path_inside_them(self):
+        emitter = {"levels": 2, "frequencies": [0.0, 1.05]}
+        axes = {"system.emitters[1]": [emitter], "system.emitters[1].frequencies[1]": [1.1, 1.2]}
+        sweep = parse_sweep(json.dumps({"base": ORACLE_BASES[0], "axes": axes}))
+        result = run_sweep(sweep)
+        assert [row[-1] for row in result.rows] == ["ok", "ok"]
+        assert [row[0] for row in result.rows] == [emitter, emitter]
+        assert sweep.axes[0][1] == (emitter,)
+
+    def test_each_point_parses_once_and_the_base_once(self, monkeypatch):
+        calls = []
+        real = sr.scenario.scenario_from_dict
+        monkeypatch.setattr(sr.scenario, "scenario_from_dict", lambda data: calls.append(1) or real(data))
+        axes = {"system.collective[0].rate": [0.05, 0.1], "time.points": [3, 4]}
+        result = run_sweep(parse_sweep(json.dumps({"base": ORACLE_BASES[0], "axes": axes})))
+        assert result.failed == 0 and len(result.rows) == 4
+        assert len(calls) == 2  # the base in `parse_sweep` and in `run_sweep`
+
+
+class TestSweepCsvCells:
+    BASE = {**TINY_SCENARIO, "system": {**TINY_SCENARIO["system"], "local": [{"rate": 0.01, "emitter": 0}]}}
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"system.emitters[1]": ["qubit", {"levels": 2, "frequencies": [0.0, 1.05]}]},
+            {"system.local[0].transition": [[1, 0]]},
+        ],
+        ids=["emitter-object", "transition-list"],
+    )
+    def test_list_and_object_axis_values_are_json_cells(self, tmp_path, axes):
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps({"base": self.BASE, "axes": axes}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(sweep_path), "--check-strict", "--out", str(out)]) == 0
+        header, *rows = list(csv.reader(out.read_text().splitlines()))
+        (values,) = axes.values()
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            assert len(row) == len(header) and row[-1] == "ok"
+            assert row[0] == value or json.loads(row[0]) == value
+
+    def test_numbers_and_strings_unchanged(self):
+        result = sr.SweepResult(header=("a", "b", "c", "d", "status"), rows=((0.5, 2, True, None, "ok"),), failed=0)
+        assert format_sweep_csv(result) == (
+            "a,b,c,d,status\n5.0000000000000000e-01,2.0000000000000000e+00,1.0000000000000000e+00,\"null\",ok\n"
+        )
 
 
 class TestCli:
