@@ -309,12 +309,6 @@ def lowering_op(levels: int, transition: tuple[int, int]) -> np.ndarray:
     return op
 
 
-def level_projector(levels: int, level: int) -> np.ndarray:
-    op = np.zeros((levels, levels), dtype=np.complex128)
-    op[level, level] = 1.0
-    return op
-
-
 def lift_site_operator(local_op, site_index: int, layout: DimsLayout) -> np.ndarray:
     """Embed a local operator at ``site_index``: I ⊗ ... ⊗ op ⊗ ... ⊗ I."""
     op = as_complex_matrix(local_op, square=True, name="local operator")
@@ -363,27 +357,24 @@ def build_model(spec: SystemSpec) -> ModelOperators:
     layout = spec.layout()
     dim = layout.total_dim
 
-    free_h = np.zeros((dim, dim), dtype=np.complex128)
-    frame_h = np.zeros((dim, dim), dtype=np.complex128)
+    # The free and frame energies are diagonal: emitter j adds its level's value at each basis index.
+    level_at = basis_levels(layout)
+    free = np.zeros(dim)
+    frame = np.zeros(dim)
     for j, emitter in enumerate(spec.emitters):
-        for level in range(1, emitter.levels):
-            proj = lift_site_operator(level_projector(emitter.levels, level), j, layout)
-            freq = emitter.level_frequencies[level]
-            free_h += freq * proj
-            if spec.frame == "rotating":
-                frame_h += (freq - level * spec.frame_frequency) * proj
-            else:
-                frame_h += freq * proj
+        freqs = np.asarray(emitter.level_frequencies)
+        offsets = np.arange(emitter.levels) * spec.frame_frequency if spec.frame == "rotating" else 0.0
+        free += freqs[level_at[j]]
+        frame += (freqs - offsets)[level_at[j]]
 
+    frame_h = np.zeros((dim, dim), dtype=np.complex128)
     for dr in spec.drives:
         levels = spec.emitters[dr.emitter_index].levels
         low = lift_site_operator(lowering_op(levels, dr.transition), dr.emitter_index, layout)
         frame_h += dr.amplitude * (low + dagger(low))
         if dr.drive_detuning != 0.0:
-            proj = lift_site_operator(
-                level_projector(levels, dr.transition[0]), dr.emitter_index, layout
-            )
-            frame_h += dr.drive_detuning * proj
+            frame += dr.drive_detuning * (level_at[dr.emitter_index] == dr.transition[0])
+    frame_h[np.diag_indices(dim)] += frame
 
     jumps: list[tuple[float, np.ndarray]] = []
     for ch in spec.collective_channels:
@@ -397,7 +388,7 @@ def build_model(spec: SystemSpec) -> ModelOperators:
     return ModelOperators(
         dim=dim,
         hamiltonian=frame_h,
-        free_hamiltonian=free_h,
+        free_hamiltonian=np.diag(free.astype(np.complex128)),
         jumps=tuple(jumps),
         n_collective=n_collective,
         layout=layout,

@@ -52,12 +52,12 @@ Sweep files: ``{"base": preset-name | scenario, "axes": {path: [value,...]},
 the reductions default to ``[{"column": "trace_error"}]`` (named
 "final_trace_error").  An axis path such as ``system.local[0].rate``
 addresses the base's `dump_scenario` form; ``"a|b"`` sets both paths.
-`run_sweep` parses the base once and sets each point's axis values on the
-parsed base through the same field readers, so a point runs, or fails, as
-the base's dump form with those values in it would.  The summary CSV has
-one row per point: the axis values, the reductions and a status (``ok`` or
-``error:<type>``); a list or object axis value is written as compact JSON
-in one quoted cell.
+`run_sweep` parses the base once; each point writes the base's top-level
+fields that its paths start in, sets the axis values in that JSON and reads
+the fields back, so a point runs, or fails, as the base's dump form with
+those values in it would.  The summary CSV has one row per point: the axis
+values, the reductions and a status (``ok`` or ``error:<type>``); a list or
+object axis value is written as compact JSON in one quoted cell.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ class Scenario:
 class SweepSpec:
     """A parsed sweep; ``base`` is the normalized scenario dict the axis paths address.
 
-    `run_sweep` parses ``base`` once and sets the axis values on the parsed
-    form through the same field readers; ``axes`` keeps each value as given,
-    a list or object as JSON.
+    `run_sweep` parses ``base`` once and sets each point's axis values on
+    the parsed form by a dump round trip of each top-level field the paths
+    start in; ``axes`` keeps each value as given, a list or object as JSON.
     """
 
     base: dict
@@ -214,23 +214,7 @@ class SweepResult:
 
 _REQUIRED = object()  # default of a key that must be present
 _ABSENT = object()  # default of a key whose absence passes no argument to ``make``
-
-
-class _Kind(NamedTuple):
-    """How one JSON value is read and written, and how a sweep axis path descends into it (`_setter`).
-
-    ``table`` is the field table of a kind whose parsed form is a dataclass
-    with the table's attributes; ``item`` is the kind of a list's items.
-    ``whole`` is False when ``read`` alone does not give the parsed form:
-    a collective channel takes its defaults from the system, and the frame
-    fills two fields of the system.
-    """
-
-    read: Callable[[Any, str], Any]
-    write: Callable[[Any], Any]
-    table: dict | None = None
-    item: _Kind | None = None
-    whole: bool = True
+_Kind = namedtuple("_Kind", "read write")  # how one JSON value is read and written
 
 
 class _Field(NamedTuple):
@@ -290,7 +274,7 @@ def _write(obj, table: dict[str, _Field]) -> dict:
 
 
 def _object(table: dict[str, _Field], make: Callable) -> _Kind:
-    return _Kind(lambda value, where: _read(value, table, where, make), partial(_write, table=table), table)
+    return _Kind(lambda value, where: _read(value, table, where, make), partial(_write, table=table))
 
 
 def _same(value):
@@ -315,19 +299,18 @@ def _scalar(types: tuple, message: str, convert: Callable | None = None):
 
 
 def _list(kind, nonempty: bool = False) -> _Kind:
-    kind = _Kind(*kind)
-    read, write = kind.read, kind.write
+    read, write = kind
 
     def read_list(value, where: str) -> tuple:
         if not isinstance(value, list) or (nonempty and not value):
             raise ValidationError(f"{where}: {'non-empty list required' if nonempty else 'expected a list'}")
         return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
 
-    return _Kind(read_list, lambda items: [write(item) for item in items], item=kind, whole=kind.whole)
+    return _Kind(read_list, lambda items: [write(item) for item in items])
 
 
 def _optional(kind) -> _Kind:
-    read, write = kind[:2]
+    read, write = kind
     return _Kind(
         lambda value, where: None if value is None else read(value, where),
         lambda parsed: None if parsed is None else write(parsed),
@@ -480,7 +463,6 @@ _GROUPS = _list(_list(_INT, nonempty=True))
 
 _POLAR = _table(("magnitude", _FLOAT, 1.0), ("phase", _FLOAT, 0.0))
 _EMITTER = _table(("levels", _INT, 2), ("frequencies", _list(_FLOAT), _REQUIRED, "level_frequencies"))
-_EMITTER_KIND = _Kind(_read_emitter, partial(_write, table=_EMITTER), _EMITTER)
 _COLLECTIVE = _table(
     ("rate", _FLOAT, 0.0),
     ("weights", _list((_read_weight, _complex_to_json)), _ABSENT),  # filled per emitter by `_read_system`
@@ -498,11 +480,11 @@ _DRIVE = _table(
     ("detuning", _FLOAT, _ABSENT, "drive_detuning"),
 )
 _SYSTEM = _table(
-    ("emitters", _list(_EMITTER_KIND, nonempty=True), _REQUIRED),
-    ("collective", _list(_object(_COLLECTIVE, dict)._replace(whole=False)), _ABSENT, "collective_channels"),
+    ("emitters", _list((_read_emitter, partial(_write, table=_EMITTER)), nonempty=True), _REQUIRED),
+    ("collective", _list(_object(_COLLECTIVE, dict)), _ABSENT, "collective_channels"),
     ("local", _list(_object(_LOCAL, LocalChannelSpec)), _ABSENT, "local_channels"),
     ("drives", _list(_object(_DRIVE, DriveSpec)), _ABSENT),
-    ("frame", _Kind(_read_frame, _write_frame, whole=False), _ABSENT, "frame", attrgetter("frame", "frame_frequency")),
+    ("frame", (_read_frame, _write_frame), _ABSENT, "frame", attrgetter("frame", "frame_frequency")),
     ("dimension_cap", _INT, _ABSENT),
 )
 _PART = _table(("weight", _FLOAT, _REQUIRED), ("state", _STATE_KIND, _REQUIRED))
@@ -529,12 +511,12 @@ _INTEGRATOR = _table(
 _OUTPUT = _table(("path", _optional(_STR), _ABSENT), ("format", _STR, _ABSENT))
 _SCENARIO = _table(
     ("name", _STR, "scenario"),
-    ("system", _Kind(_read_system, partial(_write, table=_SYSTEM), _SYSTEM), _REQUIRED),
+    ("system", (_read_system, partial(_write, table=_SYSTEM)), _REQUIRED),
     ("initial", (_read_initials, _INITIALS.write), _REQUIRED, "initials"),
     ("time", _object(_TIME, TimeSpec), _REQUIRED),
     ("observables", _list((_read_observable, _write_observable), nonempty=True), _REQUIRED),
     ("integrator", _object(_INTEGRATOR, IntegratorConfig), IntegratorConfig()),
-    ("output", _Kind(_read_output, partial(_write, table=_OUTPUT), _OUTPUT), OutputSpec()),
+    ("output", (_read_output, partial(_write, table=_OUTPUT)), OutputSpec()),
 )
 
 
@@ -543,29 +525,30 @@ _SCENARIO = _table(
 # ---------------------------------------------------------------------------
 
 
-def _checked(scenario: Scenario) -> Scenario:
-    """``scenario`` once the rules that span its fields hold, with the default bipartition filled in.
+def _checked(scenario: Scenario) -> tuple[Scenario, tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]:
+    """``scenario`` once the rules that span its fields hold, and the states they resolve.
 
     The system is validated as a whole, every initial state and fidelity
     target must resolve on its layout, the 'kappa' unit needs a first
     collective channel with positive rate, and a bipartition must name
-    distinct emitters.  `scenario_from_dict` and each sweep point run it.
+    distinct emitters.  Returns the scenario with the default bipartition
+    filled in, the initial density matrices in ``initials`` order and each
+    observable's fidelity target vector (None for the other kinds).
+    `scenario_from_dict` and `run_scenario` run it.
     """
     system = scenario.system
     _build(system.validate, {}, "system")
     layout = system.layout()
-    # Resolve every state now so unknown labels fail before the run.
-    for label, spec in scenario.initials:
-        build_initial_state(spec, layout)
+    states = tuple(build_initial_state(spec, layout) for _, spec in scenario.initials)
     if scenario.time.unit == "kappa":
         _expect(bool(system.collective_channels) and system.collective_channels[0].rate > 0, "time.unit",
                 "'kappa' unit needs a first collective channel with positive rate")
     n = len(system.emitters)
     observables = list(scenario.observables)
+    targets = []
     for i, ob in enumerate(observables):
         where = f"observables[{i}]"
-        if ob.kind == "fidelity":
-            state_vector(ob.target, layout)  # must be pure and resolvable
+        targets.append(state_vector(ob.target, layout) if ob.kind == "fidelity" else None)  # must be pure
         if ob.kind == "log_negativity":
             if ob.bipartition is None:
                 _expect(n == 2, f"{where}.log_negativity.bipartition", "expected two emitter index groups")
@@ -573,12 +556,12 @@ def _checked(scenario: Scenario) -> Scenario:
             flat = [j for g in ob.bipartition for j in g]
             _expect(len(set(flat)) == len(flat) and all(0 <= j < n for j in flat), where,
                     f"bipartition {ob.bipartition} invalid for {n} emitters")
-    return replace(scenario, observables=tuple(observables))
+    return replace(scenario, observables=tuple(observables)), states, tuple(targets)
 
 
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Validate a parsed JSON object and resolve it into a `Scenario`."""
-    return _checked(_read(data, _SCENARIO, "scenario", Scenario, prefix=""))
+    return _checked(_read(data, _SCENARIO, "scenario", Scenario, prefix=""))[0]
 
 
 def _load_json(text: str) -> Any:
@@ -609,16 +592,15 @@ def dump_scenario(scenario: Scenario) -> str:
 
 
 def _observable_columns(
-    ob: ObservableSpec, model: ModelOperators
+    ob: ObservableSpec, target: np.ndarray | None, model: ModelOperators
 ) -> list[tuple[tuple[str, ...], Callable[[float, np.ndarray], tuple[float, ...]]]]:
-    """Column names of one observable and the function giving their values."""
+    """Column names of one observable and the function giving their values; ``target`` is a fidelity's vector."""
     layout = model.layout
     if ob.kind == "energy":
         return [(("energy",), lambda t, rho: (energy(rho, model),))]
     if ob.kind == "purity":
         return [(("purity",), lambda t, rho: (float(np.real(np.trace(rho @ rho))),))]
     if ob.kind == "fidelity":
-        target = state_vector(ob.target, layout)
         if ob.sqrt:
             return [(("fidelity_sqrt",), lambda t, rho: (dark_overlap_sqrt(rho, target),))]
         return [(("fidelity",), lambda t, rho: (dark_overlap(rho, target),))]
@@ -646,16 +628,18 @@ def run_scenario(
     check_strict: bool = False,
     initial: str | None = None,
 ) -> ScenarioResult:
-    """Evolve every initial state and assemble the output table.
+    """Check the scenario, evolve every initial state and assemble the output table.
 
-    ``fixed_step`` replaces the integrator's; both step lengths are in the
-    scenario's time unit and converted to the model's with the grid;
-    ``initial`` restricts the run to one labelled initial state;
-    ``check_strict`` escalates any invariant breach to an exception
+    The checks that span fields run first (`_checked`), so a hand-built
+    scenario fails as its file would, and the states they resolve are the
+    ones evolved.  ``fixed_step`` replaces the integrator's; both step
+    lengths are in the scenario's time unit and converted to the model's
+    with the grid; ``initial`` restricts the run to one labelled initial
+    state; ``check_strict`` escalates any invariant breach to an exception
     (otherwise breaches are only flagged in the result).
     """
+    scenario, states, targets = _checked(scenario)
     model = build_model(scenario.system)
-    layout = model.layout
 
     time_scale = 1.0 / scenario.system.collective_channels[0].rate if scenario.time.unit == "kappa" else 1.0
     grid_scenario_units = scenario.time.grid()
@@ -665,16 +649,16 @@ def run_scenario(
     steps = {key: getattr(cfg, key) for key in ("initial_step", "fixed_step")}
     cfg = replace(cfg, **{key: step * time_scale for key, step in steps.items() if step is not None})
 
-    initials = scenario.initials
+    initials = [(label, rho0) for (label, _), rho0 in zip(scenario.initials, states)]
     if initial is not None:
-        initials = tuple((lbl, sp) for lbl, sp in scenario.initials if lbl == initial)
+        initials = [(label, rho0) for label, rho0 in initials if label == initial]
         if not initials:
             raise UnknownLabel(f"scenario has no initial state labelled {initial!r}")
     multi = len(initials) > 1
 
     column_fns = []
-    for ob in scenario.observables:
-        column_fns.extend(_observable_columns(ob, model))
+    for ob, target in zip(scenario.observables, targets):
+        column_fns.extend(_observable_columns(ob, target, model))
     want_checks = any(ob.kind == "checks" for ob in scenario.observables)
 
     header: list[str] = ["t"]
@@ -682,8 +666,7 @@ def run_scenario(
     trajectories: dict[str, Trajectory] = {}
     trace_cols: list[np.ndarray] = []
 
-    for label, state_spec in initials:
-        rho0 = build_initial_state(state_spec, layout)
+    for label, rho0 in initials:
 
         def observer(t: float, rho: np.ndarray) -> dict[str, float]:
             values: dict[str, float] = {}
@@ -766,7 +749,7 @@ def _path_tokens(path: str) -> list[Any]:
     return tokens
 
 
-def _set_json(node, tokens: Sequence, value, where: str) -> None:
+def _set_json(node, tokens: Sequence, value, path: str) -> None:
     """Put ``value`` at ``tokens`` inside the JSON value ``node``; every token must already resolve."""
     try:
         for tok in tokens[:-1]:
@@ -774,68 +757,27 @@ def _set_json(node, tokens: Sequence, value, where: str) -> None:
         node[tokens[-1]]  # a path never adds a key
         node[tokens[-1]] = value
     except (KeyError, IndexError, TypeError) as exc:
-        raise ValidationError(f"{where}: cannot resolve {list(tokens)}") from exc
-
-
-def _setter(kind: _Kind, paths: list[tuple[int, tuple]], where: str) -> Callable | None:
-    """``set(parsed, values)``: ``parsed``, a value of ``kind``, with ``values[k]`` at each ``(k, tokens)`` of ``paths``.
-
-    An object with a field table is rebuilt by one `dataclasses.replace`,
-    so its constructor checks it, and a list item by item.  At any other
-    level, and where one path ends and another goes on below, the value is
-    written with ``kind.write``, the paths are set in that JSON in order, and
-    the result is read back with ``kind.read``.  Either way the result is
-    what parsing the dump form with the paths set in it gives (the dump
-    round trip is exact).  None when ``kind`` is not ``whole``: its parent
-    has to rebuild it.
-    """
-    if len(paths) == 1 and not paths[0][1]:
-        k = paths[0][0]
-        return (lambda parsed, values: kind.read(values[k], where)) if kind.whole else None
-    if all(tokens for _, tokens in paths):  # else a path ends here and another goes on below
-        groups: dict[Any, list[tuple[int, tuple]]] = {}
-        for k, tokens in paths:
-            groups.setdefault(tokens[0], []).append((k, tokens[1:]))
-        if kind.table is not None and all(isinstance(key, str) and key in kind.table for key in groups):
-            fields = {kind.table[key].attr: _setter(kind.table[key].kind, sub, f"{where}.{key}".lstrip("."))
-                      for key, sub in groups.items()}
-            if None not in fields.values():
-                def set_fields(parsed, values):
-                    changes = {attr: child(getattr(parsed, attr), values) for attr, child in fields.items()}
-                    return _build(partial(replace, parsed), changes, where or "scenario")
-
-                return set_fields
-        if kind.item is not None and all(isinstance(index, int) for index in groups):
-            items = {index: _setter(kind.item, sub, f"{where}[{index}]") for index, sub in groups.items()}
-            if None not in items.values():
-                def set_items(parsed, values):
-                    parsed = list(parsed)
-                    for index, child in items.items():
-                        _expect(index < len(parsed), where, f"no item [{index}]")
-                        parsed[index] = child(parsed[index], values)
-                    return tuple(parsed)
-
-                return set_items
-    if not kind.whole:
-        return None
-
-    def round_trip(parsed, values):
-        root = [kind.write(parsed)]
-        for k, tokens in paths:  # a later path may set something inside this value: copy it
-            _set_json(root, (0, *tokens), copy.deepcopy(values[k]), where)
-        return kind.read(root[0], where)
-
-    return round_trip
+        raise ValidationError(f"parameter path {path!r} does not resolve") from exc
 
 
 def _axis_setter(axes: Sequence[tuple[str, Sequence]]) -> Callable[[Scenario, Sequence], Scenario]:
-    """``set(scenario, values)``: ``values[k]`` put at every path of axis ``k``, in axis order."""
-    paths = [(k, tuple(_path_tokens(sub))) for k, (path, _) in enumerate(axes) for sub in path.split("|")]
-    set_paths = _setter(_Kind(None, None, _SCENARIO, whole=False), paths, "")
-    if set_paths is None:  # some path does not start with a scenario key: every point fails
+    """``set(scenario, values)``: ``values[k]`` put at every path of axis ``k``, in axis order.
 
-        def set_paths(scenario, values):
-            raise ValidationError(f"axis paths {[path for path, _ in axes]}: a first key is not a scenario key")
+    Each top-level field that a path starts in is written with its writer,
+    the paths are set in that JSON in axis order, and the fields are read
+    back with their readers in table order, so the result is what reading
+    the base's dump form with the values in it gives (the dump round trip is
+    exact).  The checks that span fields are left to `run_scenario`.
+    """
+    paths = [(k, sub, _path_tokens(sub)) for k, (path, _) in enumerate(axes) for sub in path.split("|")]
+    keys = {tokens[0] for _, _, tokens in paths}
+    fields = [(key, field) for key, field in _SCENARIO.items() if key in keys]  # any other first key fails to resolve
+
+    def set_paths(scenario, values):
+        data = {key: field.kind.write(field.get(scenario)) for key, field in fields}
+        for k, sub, tokens in paths:  # a later path may set something inside this value: copy it
+            _set_json(data, tokens, copy.deepcopy(values[k]), sub)
+        return replace(scenario, **{field.attr: field.kind.read(data[key], key) for key, field in fields})
 
     return set_paths
 
@@ -924,14 +866,15 @@ def _reduce(result: ScenarioResult, red: dict) -> float:
 def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResult:
     """Run the cartesian product of all axes; one summary row per point.
 
-    The base is parsed once.  Each point sets its axis values on the parsed
-    base through the same field readers and constructors that parsing the
-    base's dump form with those values in it would use, then runs the
-    checks that span fields (`_checked`), so a point fails exactly where
-    that parse would.  Rows are ordered lexicographically by grid index.  A
-    failing point is recorded with NaN reductions and its error in the
-    status column; a point whose run breaches an invariant fails as
-    ``error:InvariantBreach``.  The sweep always completes.
+    The base is parsed once.  Each point writes the parsed base's top-level
+    fields that its paths start in, sets its axis values there, reads the
+    fields back (`_axis_setter`) and hands the result to `run_scenario`,
+    which runs the checks that span fields, so a point fails exactly where
+    parsing the base's dump form with those values in it would.  Rows are
+    ordered lexicographically by grid index.  A failing point is recorded
+    with NaN reductions and its error in the status column; a point whose
+    run breaches an invariant fails as ``error:InvariantBreach``.  The
+    sweep always completes.
     """
     paths = [p for p, _ in sweep.axes]
     grids = [v for _, v in sweep.axes]
@@ -945,7 +888,7 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
         values = [grids[k][i] for k, i in enumerate(index)]
         row: list[Any] = list(values)
         try:
-            result = run_scenario(_checked(set_axes(base, values)), fixed_step=fixed_step, check_strict=True)
+            result = run_scenario(set_axes(base, values), fixed_step=fixed_step, check_strict=True)
             for red in sweep.reductions:
                 row.append(_reduce(result, red))
             row.append("ok")

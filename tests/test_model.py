@@ -1,5 +1,7 @@
 """Model compilation: operator embedding, channels, frames, initial states."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from subrad.errors import (
     ValidationError,
 )
 from subrad.linalg import DimsLayout, kernel_basis, max_abs
-from subrad.model import basis_excitations, basis_levels, basis_vector, sector_indices
+from subrad.model import basis_excitations, basis_levels, basis_vector, lowering_op, sector_indices
 
 from random_systems import LEVELS, random_system
 
@@ -184,6 +186,36 @@ class TestBuildModel:
             )
             model = sr.build_model(spec)
             assert np.max(np.abs(model.hamiltonian - model.hamiltonian.conj().T)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels=LEVELS, frame=st.sampled_from(["lab", "rotating"]), driven=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_diagonal_energies_equal_lifted_projector_sums(self, levels, frame, driven, seed):
+        # The reference is the dense formula: one lifted level projector per emitter level and drive detuning.
+        spec = random_system(np.random.default_rng(seed), levels, 1, 0, driven and frame == "rotating")
+        spec = replace(spec, frame=frame, frame_frequency=0.97)
+        model = sr.build_model(spec)
+
+        def projector(j, level):
+            local = np.zeros((levels[j], levels[j]), dtype=complex)
+            local[level, level] = 1.0
+            return sr.lift_site_operator(local, j, model.layout)
+
+        free = np.zeros((model.dim, model.dim), dtype=complex)
+        frame_h = np.zeros_like(free)
+        for j, emitter in enumerate(spec.emitters):
+            for level in range(1, emitter.levels):
+                freq = emitter.level_frequencies[level]
+                free += freq * projector(j, level)
+                frame_h += (freq - level * spec.frame_frequency if frame == "rotating" else freq) * projector(j, level)
+        for dr in spec.drives:
+            j = dr.emitter_index
+            low = sr.lift_site_operator(lowering_op(levels[j], dr.transition), j, model.layout)
+            frame_h += dr.amplitude * (low + low.conj().T)
+            if dr.drive_detuning != 0.0:
+                frame_h += dr.drive_detuning * projector(j, dr.transition[0])
+        assert model.free_hamiltonian.tobytes() == free.tobytes()
+        assert model.hamiltonian.tobytes() == frame_h.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(levels=LEVELS, n_local=st.integers(0, 2), driven=st.booleans(), seed=st.integers(0, 2**32 - 1))

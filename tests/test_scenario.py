@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import subrad as sr
 from subrad.cli import main
 from subrad.errors import InvariantBreach, ParseError, SubradError, UnknownLabel, ValidationError
-from subrad.scenario import format_csv, format_sweep_csv, parse_sweep, run_sweep
+from subrad.scenario import ObservableSpec, OutputSpec, TimeSpec, format_csv, format_sweep_csv, parse_sweep, run_sweep
 
 TINY_SCENARIO = {
     "name": "tiny",
@@ -203,6 +204,21 @@ class TestRunScenario:
         steps = [result.trajectories["11100"].meta["steps"] for result in (from_file, overridden)]
         assert steps == [100, 100]
         assert np.array_equal(from_file.rows, overridden.rows)
+
+    def test_hand_built_scenario_gets_the_parse_time_checks(self):
+        local_only = sr.Scenario(
+            name="local-only",
+            system=sr.SystemSpec((sr.EmitterSpec.qubit(),) * 2, local_channels=(sr.LocalChannelSpec(0.1, 0),)),
+            initials=(("10", sr.StateSpec.named("10")),),
+            time=TimeSpec("omega", 1.0, 3),
+            observables=(ObservableSpec("energy"),),
+            integrator=sr.IntegratorConfig(),
+            output=OutputSpec(),
+        )
+        with pytest.raises(ValidationError, match="kappa"):
+            sr.run_scenario(replace(local_only, time=TimeSpec("kappa", 1.0, 3)))
+        result = sr.run_scenario(replace(local_only, observables=(ObservableSpec("log_negativity"),)))
+        assert result.header == ("t", "log_negativity[0|1]", "trace_error")
 
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
@@ -611,6 +627,24 @@ class TestSweepOracle:
         axes = {path: data.draw(st.lists(st.sampled_from(ORACLE_AXES[path]), min_size=1, max_size=2)) for path in paths}
         assert_sweep_matches_dict_path(base, axes)
 
+    @pytest.mark.parametrize("base", ORACLE_BASES, ids=["two-qubit", "driven-kappa"])
+    @pytest.mark.parametrize(
+        "axes, status",
+        [
+            ({"initial[0]": ["22"], "time.points": [1]}, "error:ValidationError"),
+            ({"system.dimension_cap": [2], "initial[0]": ["22"]}, "error:DimensionCapExceeded"),
+            ({"system.emitters[1]": [{"levels": 2, "frequencies": [0.0, 1.05]}],
+              "system.emitters[1].frequencies[1]": [1.1]}, "ok"),
+            ({"time.unit": ["kappa"], "system.collective[0].rate": [0]}, "error:ValidationError"),
+        ],
+        ids=["fields-read-before-states", "system-before-states", "path-inside-object", "kappa-without-rate"],
+    )
+    def test_pairs_pin_the_read_and_check_order(self, base, axes, status):
+        """Every touched field is read before the checks that span fields run, and those run in their own order."""
+        assert_sweep_matches_dict_path(base, axes)
+        result = run_sweep(parse_sweep(json.dumps({"base": base, "axes": axes})))
+        assert [row[-1] for row in result.rows] == [status]
+
     def test_axis_values_are_not_changed_by_a_path_inside_them(self):
         emitter = {"levels": 2, "frequencies": [0.0, 1.05]}
         axes = {"system.emitters[1]": [emitter], "system.emitters[1].frequencies[1]": [1.1, 1.2]}
@@ -628,6 +662,15 @@ class TestSweepOracle:
         result = run_sweep(parse_sweep(json.dumps({"base": ORACLE_BASES[0], "axes": axes})))
         assert result.failed == 0 and len(result.rows) == 4
         assert len(calls) == 2  # the base in `parse_sweep` and in `run_sweep`
+
+    def test_each_point_resolves_its_states_once(self, monkeypatch):
+        calls = []
+        real = sr.scenario.build_initial_state
+        monkeypatch.setattr(sr.scenario, "build_initial_state", lambda *args: calls.append(1) or real(*args))
+        axes = {"system.collective[0].rate": [0.05, 0.1], "time.points": [3, 4]}
+        result = run_sweep(parse_sweep(json.dumps({"base": ORACLE_BASES[0], "axes": axes})))
+        assert result.failed == 0 and len(result.rows) == 4
+        assert len(calls) == 4 + 2  # one per point, and the base in `parse_sweep` and in `run_sweep`
 
 
 class TestSweepCsvCells:
