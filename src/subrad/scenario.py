@@ -44,7 +44,11 @@ lengths (``initial_step``, ``fixed_step``) are in the same unit.
 CSV output: header ``t,<columns>,trace_error``; one row per grid point;
 17-significant-digit scientific notation.  With several initial states each
 observable column is suffixed ``:<label>`` and ``trace_error`` is the
-worst value across them.
+worst value across them.  A log-negativity column separates the emitters of
+a group by spaces: ``log_negativity[0 1|2]``.  Both CSV writers write a
+number in 17-digit notation, text as it is unless it holds a comma, a quote
+or a line break (then quoted, its quotes doubled), and anything else,
+booleans included, as compact JSON in one quoted cell.
 
 Sweep files: ``{"base": preset-name | scenario, "axes": {path: [value,...]},
 "reductions": [{"column": str, "kind": "final"|"fit_exp_rate" ["final"],
@@ -56,8 +60,7 @@ addresses the base's `dump_scenario` form; ``"a|b"`` sets both paths.
 fields that its paths start in, sets the axis values in that JSON and reads
 the fields back, so a point runs, or fails, as the base's dump form with
 those values in it would.  The summary CSV has one row per point: the axis
-values, the reductions and a status (``ok`` or ``error:<type>``); a list or
-object axis value is written as compact JSON in one quoted cell.
+values, the reductions and a status (``ok`` or ``error:<type>``).
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import json
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
 from operator import attrgetter
@@ -159,6 +162,16 @@ class OutputSpec:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """One simulation, checked when it is built: parsed, `replace`d or by hand alike.
+
+    The system must validate as a whole, every initial state and fidelity
+    target must resolve on its layout, the 'kappa' unit needs a first
+    collective channel with positive rate, and a bipartition must name
+    distinct emitters (``[[0], [1]]`` when two emitters give none).
+    ``states`` holds the initial density matrices in ``initials`` order and
+    ``targets`` each observable's fidelity vector (None for other kinds).
+    """
+
     name: str
     system: SystemSpec
     initials: tuple[tuple[str, StateSpec], ...]
@@ -166,6 +179,33 @@ class Scenario:
     observables: tuple[ObservableSpec, ...]
     integrator: IntegratorConfig
     output: OutputSpec
+    states: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    targets: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        system = self.system
+        _build(system.validate, {}, "system")
+        layout = system.layout()
+        states = tuple(build_initial_state(spec, layout) for _, spec in self.initials)
+        if self.time.unit == "kappa":
+            _expect(bool(system.collective_channels) and system.collective_channels[0].rate > 0, "time.unit",
+                    "'kappa' unit needs a first collective channel with positive rate")
+        n = len(system.emitters)
+        observables = list(self.observables)
+        targets = []
+        for i, ob in enumerate(observables):
+            where = f"observables[{i}]"
+            targets.append(state_vector(ob.target, layout) if ob.kind == "fidelity" else None)  # must be pure
+            if ob.kind == "log_negativity":
+                if ob.bipartition is None:
+                    _expect(n == 2, f"{where}.log_negativity.bipartition", "expected two emitter index groups")
+                    observables[i] = ob = replace(ob, bipartition=((0,), (1,)))
+                flat = [j for g in ob.bipartition for j in g]
+                _expect(len(set(flat)) == len(flat) and all(0 <= j < n for j in flat), where,
+                        f"bipartition {ob.bipartition} invalid for {n} emitters")
+        object.__setattr__(self, "observables", tuple(observables))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "targets", tuple(targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +416,7 @@ def _write_frame(frame: tuple[str, float]) -> Any:
 
 
 def _read_system(value, where: str) -> SystemSpec:
-    """The system's fields; `_checked` validates them together."""
+    """The system's fields; the `Scenario` validates them together."""
     kwargs = _read(value, _SYSTEM, where, dict)
     if "frame" in kwargs:
         kwargs["frame"], kwargs["frame_frequency"] = kwargs["frame"]
@@ -525,43 +565,10 @@ _SCENARIO = _table(
 # ---------------------------------------------------------------------------
 
 
-def _checked(scenario: Scenario) -> tuple[Scenario, tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]:
-    """``scenario`` once the rules that span its fields hold, and the states they resolve.
-
-    The system is validated as a whole, every initial state and fidelity
-    target must resolve on its layout, the 'kappa' unit needs a first
-    collective channel with positive rate, and a bipartition must name
-    distinct emitters.  Returns the scenario with the default bipartition
-    filled in, the initial density matrices in ``initials`` order and each
-    observable's fidelity target vector (None for the other kinds).
-    `scenario_from_dict` and `run_scenario` run it.
-    """
-    system = scenario.system
-    _build(system.validate, {}, "system")
-    layout = system.layout()
-    states = tuple(build_initial_state(spec, layout) for _, spec in scenario.initials)
-    if scenario.time.unit == "kappa":
-        _expect(bool(system.collective_channels) and system.collective_channels[0].rate > 0, "time.unit",
-                "'kappa' unit needs a first collective channel with positive rate")
-    n = len(system.emitters)
-    observables = list(scenario.observables)
-    targets = []
-    for i, ob in enumerate(observables):
-        where = f"observables[{i}]"
-        targets.append(state_vector(ob.target, layout) if ob.kind == "fidelity" else None)  # must be pure
-        if ob.kind == "log_negativity":
-            if ob.bipartition is None:
-                _expect(n == 2, f"{where}.log_negativity.bipartition", "expected two emitter index groups")
-                observables[i] = ob = replace(ob, bipartition=((0,), (1,)))
-            flat = [j for g in ob.bipartition for j in g]
-            _expect(len(set(flat)) == len(flat) and all(0 <= j < n for j in flat), where,
-                    f"bipartition {ob.bipartition} invalid for {n} emitters")
-    return replace(scenario, observables=tuple(observables)), states, tuple(targets)
-
-
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Validate a parsed JSON object and resolve it into a `Scenario`."""
-    return _checked(_read(data, _SCENARIO, "scenario", Scenario, prefix=""))[0]
+    # Built outside `_read`, which would prefix "scenario: " to the paths the constructor's checks name.
+    return Scenario(**_read(data, _SCENARIO, "scenario", dict, prefix=""))
 
 
 def _load_json(text: str) -> Any:
@@ -606,7 +613,7 @@ def _observable_columns(
         return [(("fidelity",), lambda t, rho: (dark_overlap(rho, target),))]
     if ob.kind == "log_negativity":
         bip = ob.bipartition
-        name = "log_negativity[" + ",".join(map(str, bip[0])) + "|" + ",".join(map(str, bip[1])) + "]"
+        name = "log_negativity[" + "|".join(" ".join(map(str, group)) for group in bip) + "]"
         return [((name,), lambda t, rho: (log_negativity(rho, layout, bip),))]
     if ob.kind == "nes":
         names = tuple(f"nes_excitation_{j}" for j in range(layout.n_subsystems))
@@ -628,17 +635,14 @@ def run_scenario(
     check_strict: bool = False,
     initial: str | None = None,
 ) -> ScenarioResult:
-    """Check the scenario, evolve every initial state and assemble the output table.
+    """Evolve every initial state the scenario resolved when it was built and assemble the output table.
 
-    The checks that span fields run first (`_checked`), so a hand-built
-    scenario fails as its file would, and the states they resolve are the
-    ones evolved.  ``fixed_step`` replaces the integrator's; both step
-    lengths are in the scenario's time unit and converted to the model's
-    with the grid; ``initial`` restricts the run to one labelled initial
-    state; ``check_strict`` escalates any invariant breach to an exception
+    ``fixed_step`` replaces the integrator's; both step lengths are in the
+    scenario's time unit and converted to the model's with the grid;
+    ``initial`` restricts the run to one labelled initial state;
+    ``check_strict`` escalates any invariant breach to an exception
     (otherwise breaches are only flagged in the result).
     """
-    scenario, states, targets = _checked(scenario)
     model = build_model(scenario.system)
 
     time_scale = 1.0 / scenario.system.collective_channels[0].rate if scenario.time.unit == "kappa" else 1.0
@@ -649,7 +653,7 @@ def run_scenario(
     steps = {key: getattr(cfg, key) for key in ("initial_step", "fixed_step")}
     cfg = replace(cfg, **{key: step * time_scale for key, step in steps.items() if step is not None})
 
-    initials = [(label, rho0) for (label, _), rho0 in zip(scenario.initials, states)]
+    initials = [(label, rho0) for (label, _), rho0 in zip(scenario.initials, scenario.states)]
     if initial is not None:
         initials = [(label, rho0) for label, rho0 in initials if label == initial]
         if not initials:
@@ -657,9 +661,11 @@ def run_scenario(
     multi = len(initials) > 1
 
     column_fns = []
-    for ob, target in zip(scenario.observables, targets):
+    for ob, target in zip(scenario.observables, scenario.targets):
         column_fns.extend(_observable_columns(ob, target, model))
-    want_checks = any(ob.kind == "checks" for ob in scenario.observables)
+    record_names = [name for names, _ in column_fns for name in names]
+    if any(ob.kind == "checks" for ob in scenario.observables):
+        record_names += ["herm_error", "min_eigenvalue"]
 
     header: list[str] = ["t"]
     columns: list[np.ndarray] = [grid_scenario_units]
@@ -677,15 +683,9 @@ def run_scenario(
         traj = evolve(model, rho0, grid, cfg, observer)
         trajectories[label] = traj
         suffix = f":{label}" if multi else ""
-        for names, _ in column_fns:
-            for name in names:
-                header.append(name + suffix)
-                columns.append(traj.records[name])
-        if want_checks:
-            header.append("herm_error" + suffix)
-            columns.append(traj.records["herm_error"])
-            header.append("min_eigenvalue" + suffix)
-            columns.append(traj.records["min_eigenvalue"])
+        for name in record_names:
+            header.append(name + suffix)
+            columns.append(traj.records[name])
         trace_cols.append(traj.records["trace_error"])
 
     trace_error = np.max(np.vstack(trace_cols), axis=0)
@@ -711,10 +711,20 @@ def run_scenario(
 _CSV_CHUNK_ROWS = 128
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell by the rule in the module docstring."""
+    if isinstance(value, str) and not any(c in value for c in ',"\n\r'):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return f"{float(value):.16e}"
+    text = value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+    return '"' + text.replace('"', '""') + '"'
+
+
 def format_csv(header: Sequence[str], rows: np.ndarray) -> str:
-    """17-significant-digit scientific CSV, deterministic for equal input."""
+    """17-significant-digit scientific CSV, deterministic for equal input; header names written by `_csv_cell`."""
     rows = np.atleast_2d(rows)
-    chunks = [",".join(header) + "\n"]
+    chunks = [",".join(map(_csv_cell, header)) + "\n"]
     for start in range(0, len(rows), _CSV_CHUNK_ROWS):
         chunks.append(
             "".join(
@@ -767,7 +777,7 @@ def _axis_setter(axes: Sequence[tuple[str, Sequence]]) -> Callable[[Scenario, Se
     the paths are set in that JSON in axis order, and the fields are read
     back with their readers in table order, so the result is what reading
     the base's dump form with the values in it gives (the dump round trip is
-    exact).  The checks that span fields are left to `run_scenario`.
+    exact); the `replace` runs the `Scenario`'s checks that span fields.
     """
     paths = [(k, sub, _path_tokens(sub)) for k, (path, _) in enumerate(axes) for sub in path.split("|")]
     keys = {tokens[0] for _, _, tokens in paths}
@@ -868,9 +878,9 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
 
     The base is parsed once.  Each point writes the parsed base's top-level
     fields that its paths start in, sets its axis values there, reads the
-    fields back (`_axis_setter`) and hands the result to `run_scenario`,
-    which runs the checks that span fields, so a point fails exactly where
-    parsing the base's dump form with those values in it would.  Rows are
+    fields back (`_axis_setter`), whose `replace` runs the `Scenario`'s
+    checks that span fields, so a point fails exactly where parsing the
+    base's dump form with those values in it would.  Rows are
     ordered lexicographically by grid index.  A failing point is recorded
     with NaN reductions and its error in the status column; a point whose
     run breaches an invariant fails as ``error:InvariantBreach``.  The
@@ -900,21 +910,9 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
     return SweepResult(header=header, rows=tuple(rows), failed=failed)
 
 
-def _sweep_cell(value) -> str:
-    """A number in 17-digit scientific notation, a string as it is, anything else as compact JSON in one quoted cell."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)):
-        return f"{float(value):.16e}"
-    text = json.dumps(value, separators=(",", ":"))
-    return '"' + text.replace('"', '""') + '"'
-
-
 def format_sweep_csv(result: SweepResult) -> str:
-    """The summary table as CSV; a list or object axis value is one quoted cell of compact JSON."""
-    lines = [",".join(result.header)]
-    for row in result.rows:
-        lines.append(",".join(map(_sweep_cell, row)))
+    """The summary table as CSV, every header name and cell written by `_csv_cell`."""
+    lines = [",".join(map(_csv_cell, row)) for row in (result.header, *result.rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 from dataclasses import replace
 
@@ -219,6 +220,31 @@ class TestRunScenario:
             sr.run_scenario(replace(local_only, time=TimeSpec("kappa", 1.0, 3)))
         result = sr.run_scenario(replace(local_only, observables=(ObservableSpec("log_negativity"),)))
         assert result.header == ("t", "log_negativity[0|1]", "trace_error")
+
+    def test_run_resolves_each_initial_state_once(self, monkeypatch):
+        calls = []
+        real = sr.scenario.build_initial_state
+        monkeypatch.setattr(sr.scenario, "build_initial_state", lambda *args: calls.append(1) or real(*args))
+        scenario = sr.scenario_from_dict(sr.load_preset("fig2"))
+        assert len(calls) == 4
+        sr.run_scenario(scenario)
+        assert len(calls) == 4  # the run evolves the states resolved at parse
+
+    def test_construction_runs_the_checks(self):
+        fields = dict(
+            name="local-only",
+            system=sr.SystemSpec((sr.EmitterSpec.qubit(),) * 2, local_channels=(sr.LocalChannelSpec(0.1, 0),)),
+            initials=(("99", sr.StateSpec.named("99")),),
+            time=TimeSpec("omega", 1.0, 3),
+            observables=(ObservableSpec("energy"),),
+            integrator=sr.IntegratorConfig(),
+            output=OutputSpec(),
+        )
+        with pytest.raises(UnknownLabel):
+            sr.Scenario(**fields)
+        local_only = sr.Scenario(**{**fields, "initials": (("10", sr.StateSpec.named("10")),)})
+        with pytest.raises(ValidationError, match="kappa"):
+            replace(local_only, time=TimeSpec("kappa", 1.0, 3))
 
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
@@ -699,8 +725,61 @@ class TestSweepCsvCells:
     def test_numbers_and_strings_unchanged(self):
         result = sr.SweepResult(header=("a", "b", "c", "d", "status"), rows=((0.5, 2, True, None, "ok"),), failed=0)
         assert format_sweep_csv(result) == (
-            "a,b,c,d,status\n5.0000000000000000e-01,2.0000000000000000e+00,1.0000000000000000e+00,\"null\",ok\n"
+            "a,b,c,d,status\n5.0000000000000000e-01,2.0000000000000000e+00,\"true\",\"null\",ok\n"
         )
+
+
+def read_csv(text):
+    """The rows of a CSV text, each checked to have as many fields as the header."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert all(len(row) == len(header) for row in rows), (header, rows)
+    return header, rows
+
+
+class TestCsvQuoting:
+    def test_multi_emitter_group_column_has_no_comma(self):
+        data = {
+            **TINY_SCENARIO,
+            "system": {"emitters": ["qubit"] * 3, "collective": [{"rate": 0.05}]},
+            "initial": "100",
+            "observables": [{"log_negativity": {"bipartition": [[0, 1], [2]]}}],
+        }
+        result = sr.run_scenario(sr.scenario_from_dict(data))
+        text = format_csv(result.header, result.rows)
+        assert read_csv(text)[0] == ["t", "log_negativity[0 1|2]", "trace_error"]
+        table = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
+        assert table.shape == (11,) and len(table.dtype.names) == 3
+
+    def test_initial_name_with_a_comma_is_one_header_cell(self):
+        data = {**TINY_SCENARIO, "initial": [{"name": "a,b", "label": "10"}, "01"]}
+        result = sr.run_scenario(sr.scenario_from_dict(data))
+        header, rows = read_csv(format_csv(result.header, result.rows))
+        assert header[1] == "energy:a,b" and len(rows) == 11
+
+    @pytest.mark.parametrize(
+        "axes, reductions, header, cells",
+        [
+            ({"name": ["a,b", "c"]}, [], ["name", "final_trace_error", "status"], ["a,b", "c"]),
+            ({"time.points": [3]}, [{"column": "energy", "name": "final,energy"}],
+             ["time.points", "final,energy", "status"], ["3.0000000000000000e+00"]),
+            ({"observables[1].fidelity.sqrt": [True, False]}, [],
+             ["observables[1].fidelity.sqrt", "final_trace_error", "status"], ["true", "false"]),
+        ],
+        ids=["string-axis-value", "reduction-name", "boolean-axis-value"],
+    )
+    def test_sweep_cells_keep_their_columns(self, axes, reductions, header, cells):
+        sweep = {"base": TINY_SCENARIO, "axes": axes, "reductions": reductions}
+        result = run_sweep(parse_sweep(json.dumps(sweep)))
+        written_header, rows = read_csv(format_sweep_csv(result))
+        assert written_header == header
+        assert [row[0] for row in rows] == cells and all(row[-1] == "ok" for row in rows)
+
+    def test_quotes_and_line_breaks_are_quoted(self):
+        values = ('say "hi"', "two\nlines", "cr\rhere", "plain")
+        result = sr.SweepResult(header=("a,b", "c", "d", "e", "status"), rows=((*values, "ok"),), failed=0)
+        text = format_sweep_csv(result)
+        assert text == '"a,b",c,d,e,status\n"say ""hi""","two\nlines","cr\rhere",plain,ok\n'
+        assert read_csv(text) == (["a,b", "c", "d", "e", "status"], [[*values, "ok"]])
 
 
 class TestCli:
