@@ -7,7 +7,8 @@ Verbs:
   dump <preset-name>              print a preset as a normalized scenario file
 
 Exit codes: 0 ok; 1 invariant breach, failed sweep point (--check-strict) or
-runtime failure; 2 usage error or a scenario, preset or sweep that fails to load.
+runtime failure; 2 usage error or a scenario, preset or sweep that fails to load
+(a file that cannot be read or decoded as UTF-8 included).
 """
 
 from __future__ import annotations
@@ -34,10 +35,18 @@ from .scenario import (
 )
 
 
+def _read_input(path: Path) -> str:
+    """The text of an input file; reading or decoding it is part of loading, so a failure is a `ParseError`."""
+    try:
+        return path.read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
 def _load_scenario(target: str) -> Scenario:
     path = Path(target)
     if path.exists():
-        return parse_scenario(path.read_text("utf-8"))
+        return parse_scenario(_read_input(path))
     try:
         return scenario_from_dict(load_preset(target))
     except UnknownLabel as exc:
@@ -131,10 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "sweep":
-            path = Path(args.target)
-            if not path.exists():
-                raise ParseError(f"sweep file {args.target!r} not found")
-            sweep = parse_sweep(path.read_text("utf-8"))
+            sweep = parse_sweep(_read_input(Path(args.target)))
             loading = False
             result = run_sweep(sweep, fixed_step=args.fixed_step)
             _write(format_sweep_csv(result), args.out)

@@ -145,7 +145,7 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Complete declarative description of an emitter network."""
+    """Complete declarative description of an emitter network, checked as a whole when it is built."""
 
     emitters: tuple[EmitterSpec, ...]
     collective_channels: tuple[CollectiveChannelSpec, ...] = ()
@@ -162,11 +162,6 @@ class SystemSpec:
         object.__setattr__(self, "drives", tuple(self.drives))
         object.__setattr__(self, "frame_frequency", float(self.frame_frequency))
         object.__setattr__(self, "dimension_cap", int(self.dimension_cap))
-
-    def layout(self) -> DimsLayout:
-        return DimsLayout(tuple(e.levels for e in self.emitters))
-
-    def validate(self) -> None:
         if not self.emitters:
             raise ValidationError("at least one emitter is required")
         if self.frame not in ("lab", "rotating"):
@@ -195,14 +190,13 @@ class SystemSpec:
                     "collective channel needs >= 2 emitters with nonzero weight "
                     "(use a local channel for a single emitter)"
                 )
-        for ch in self.local_channels:
-            self._check_emitter(ch.emitter_index)
+        for ch in (*self.local_channels, *self.drives):
             self._check_transition(ch.emitter_index, ch.transition)
-        for dr in self.drives:
-            self._check_emitter(dr.emitter_index)
-            self._check_transition(dr.emitter_index, dr.transition)
         if self.drives and self.frame != "rotating":
             raise ValidationError("drives are only representable in the rotating frame")
+
+    def layout(self) -> DimsLayout:
+        return DimsLayout(tuple(e.levels for e in self.emitters))
 
     def _check_emitter(self, j: int) -> None:
         if not 0 <= j < len(self.emitters):
@@ -334,8 +328,8 @@ def collective_lowering(spec: CollectiveChannelSpec, layout: DimsLayout) -> np.n
     """Weighted sum of lifted lowering operators, one per nonzero weight.
 
     Degenerate single-weight input is accepted here (it reduces to a plain
-    local lowering); `SystemSpec.validate` is where the >= 2 participant
-    rule for declared collective channels lives.
+    local lowering); the `SystemSpec` constructor is where the >= 2
+    participant rule for declared collective channels lives.
     """
     if len(spec.weights) != layout.n_subsystems:
         raise DimensionMismatch(
@@ -352,8 +346,7 @@ def collective_lowering(spec: CollectiveChannelSpec, layout: DimsLayout) -> np.n
 
 
 def build_model(spec: SystemSpec) -> ModelOperators:
-    """Compile a `SystemSpec` into Hamiltonian and jump operators."""
-    spec.validate()
+    """Compile a `SystemSpec`, checked when it was built, into Hamiltonian and jump operators."""
     layout = spec.layout()
     dim = layout.total_dim
 
@@ -405,7 +398,8 @@ def build_model(spec: SystemSpec) -> ModelOperators:
 class StateSpec:
     """A named state, an amplitude table, or a convex mixture of states.
 
-    Exactly one of ``label``, ``amplitudes``, ``mixture`` is set.
+    Exactly one of ``label``, ``amplitudes``, ``mixture`` is set; a table or
+    mixture has at least one entry.
     """
 
     label: str | None = None
@@ -416,6 +410,8 @@ class StateSpec:
         set_fields = sum(x is not None for x in (self.label, self.amplitudes, self.mixture))
         if set_fields != 1:
             raise ValidationError("StateSpec needs exactly one of label/amplitudes/mixture")
+        if any(entries is not None and not entries for entries in (self.amplitudes, self.mixture)):
+            raise ValidationError("an amplitude table or mixture needs at least one entry")
 
     @staticmethod
     def named(label: str) -> "StateSpec":
@@ -423,17 +419,11 @@ class StateSpec:
 
     @staticmethod
     def from_amplitudes(amps: Mapping[str, complex]) -> "StateSpec":
-        items = tuple((str(k), complex(v)) for k, v in amps.items())
-        if not items:
-            raise NonNormalizable("empty amplitude table")
-        return StateSpec(amplitudes=items)
+        return StateSpec(amplitudes=tuple((str(k), complex(v)) for k, v in amps.items()))
 
     @staticmethod
     def mix(parts: Sequence[tuple[float, "StateSpec"]]) -> "StateSpec":
-        items = tuple((float(w), s) for w, s in parts)
-        if not items:
-            raise NonNormalizable("empty mixture")
-        return StateSpec(mixture=items)
+        return StateSpec(mixture=tuple((float(w), s) for w, s in parts))
 
 
 def parse_basis_label(label: str, layout: DimsLayout) -> tuple[int, ...]:

@@ -144,10 +144,18 @@ class TimeSpec:
 
 @dataclass(frozen=True)
 class ObservableSpec:
+    """One observable of `_OBSERVABLES`; a fidelity needs a target, a bipartition two non-empty groups."""
+
     kind: str
     target: StateSpec | None = None
     sqrt: bool = False
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+
+    def __post_init__(self):
+        _expect(self.kind in _OBSERVABLES, "kind", f"unknown observable {self.kind!r}")
+        _expect(self.kind != "fidelity" or self.target is not None, "target", "a fidelity needs a target state")
+        _expect(self.bipartition is None or (len(self.bipartition) == 2 and all(self.bipartition)), "bipartition",
+                f"expected two non-empty emitter index groups, got {self.bipartition}")
 
 
 @dataclass(frozen=True)
@@ -164,10 +172,12 @@ class OutputSpec:
 class Scenario:
     """One simulation, checked when it is built: parsed, `replace`d or by hand alike.
 
-    The system must validate as a whole, every initial state and fidelity
-    target must resolve on its layout, the 'kappa' unit needs a first
-    collective channel with positive rate, and a bipartition must name
-    distinct emitters (``[[0], [1]]`` when two emitters give none).
+    Each field checks its own rules; this constructor checks the rules that
+    need the whole scenario: one or more initial states with distinct labels
+    and one or more observables, each state and fidelity target resolving on
+    the layout, a first collective channel with positive rate for the 'kappa'
+    unit, and distinct emitters in a bipartition (``[[0], [1]]`` when two
+    emitters give none).
     ``states`` holds the initial density matrices in ``initials`` order and
     ``targets`` each observable's fidelity vector (None for other kinds).
     """
@@ -183,14 +193,16 @@ class Scenario:
     targets: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        system = self.system
-        _build(system.validate, {}, "system")
-        layout = system.layout()
+        _expect(bool(self.initials), "initial", "at least one initial state is required")
+        names = [name for name, _ in self.initials]
+        _expect(len(set(names)) == len(names), "initial", f"duplicate initial labels in {names}")
+        _expect(bool(self.observables), "observables", "at least one observable is required")
+        layout = self.system.layout()
         states = tuple(build_initial_state(spec, layout) for _, spec in self.initials)
-        if self.time.unit == "kappa":
-            _expect(bool(system.collective_channels) and system.collective_channels[0].rate > 0, "time.unit",
-                    "'kappa' unit needs a first collective channel with positive rate")
-        n = len(system.emitters)
+        channels = self.system.collective_channels
+        _expect(self.time.unit != "kappa" or bool(channels) and channels[0].rate > 0, "time.unit",
+                "'kappa' unit needs a first collective channel with positive rate")
+        n = layout.n_subsystems
         observables = list(self.observables)
         targets = []
         for i, ob in enumerate(observables):
@@ -338,12 +350,11 @@ def _scalar(types: tuple, message: str, convert: Callable | None = None):
     return _Kind(read, _same)
 
 
-def _list(kind, nonempty: bool = False) -> _Kind:
+def _list(kind) -> _Kind:
     read, write = kind
 
     def read_list(value, where: str) -> tuple:
-        if not isinstance(value, list) or (nonempty and not value):
-            raise ValidationError(f"{where}: {'non-empty list required' if nonempty else 'expected a list'}")
+        _expect(isinstance(value, list), where, "expected a list")
         return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
 
     return _Kind(read_list, lambda items: [write(item) for item in items])
@@ -391,7 +402,7 @@ def _read_weight(value, where: str) -> complex:
 
 
 def _read_amplitudes(value, where: str) -> tuple[tuple[str, complex], ...]:
-    _expect(isinstance(value, dict) and value, where, "expected a non-empty object")
+    _expect(isinstance(value, dict), where, "expected an object")
     return tuple((label, _read_weight(amp, f"{where}[{label}]")) for label, amp in value.items())
 
 
@@ -416,7 +427,7 @@ def _write_frame(frame: tuple[str, float]) -> Any:
 
 
 def _read_system(value, where: str) -> SystemSpec:
-    """The system's fields; the `Scenario` validates them together."""
+    """The system, which `SystemSpec` checks as a whole when it is built."""
     kwargs = _read(value, _SYSTEM, where, dict)
     if "frame" in kwargs:
         kwargs["frame"], kwargs["frame_frequency"] = kwargs["frame"]
@@ -445,8 +456,7 @@ def _write_state(spec: StateSpec) -> Any:
 
 def _initial(name: str | None = None, **state) -> tuple[str, StateSpec]:
     spec = StateSpec(**state)
-    if name is None and spec.label is None:
-        raise ValidationError("non-label states need a 'name'")
+    _expect(name is not None or spec.label is not None, "name", "required for a state that is not a label")
     return (spec.label if name is None else name), spec
 
 
@@ -460,33 +470,23 @@ def _write_initial(initial: tuple[str, StateSpec]) -> Any:
 
 
 def _read_initials(value, where: str) -> tuple[tuple[str, StateSpec], ...]:
-    initials = _INITIALS.read(value if isinstance(value, list) else [value], where)
-    names = [name for name, _ in initials]
-    for i, name in enumerate(names):
-        _expect(name not in names[:i], f"{where}[{i}]", f"duplicate initial label {name!r}")
-    return initials
-
-
-def _read_bipartition(value, where: str) -> tuple[tuple[int, ...], ...]:
-    groups = _GROUPS.read(value, where)
-    _expect(len(groups) == 2, where, "expected two emitter index groups")
-    return groups
+    return _INITIALS.read(value if isinstance(value, list) else [value], where)
 
 
 def _read_observable(value, where: str) -> ObservableSpec:
-    if value in ("energy", "purity", "nes", "checks"):
+    """A kind without parameters is its bare name, any other ``{kind: parameters}``."""
+    if isinstance(value, str) and value in _OBSERVABLES and _OBSERVABLES[value] is None:
         return ObservableSpec(value)
     if isinstance(value, dict) and len(value) == 1:
         ((kind, params),) = value.items()
-        if kind in _OBSERVABLE_PARAMETERS:
-            return _read(params, _OBSERVABLE_PARAMETERS[kind], f"{where}.{kind}", partial(ObservableSpec, kind))
+        if _OBSERVABLES.get(kind) is not None:
+            return _read(params, _OBSERVABLES[kind], f"{where}.{kind}", partial(ObservableSpec, kind))
     raise ValidationError(f"{where}: unknown observable {value!r}")
 
 
 def _write_observable(ob: ObservableSpec) -> Any:
-    if ob.kind in _OBSERVABLE_PARAMETERS:
-        return {ob.kind: _write(ob, _OBSERVABLE_PARAMETERS[ob.kind])}
-    return ob.kind
+    table = _OBSERVABLES[ob.kind]
+    return ob.kind if table is None else {ob.kind: _write(ob, table)}
 
 
 def _read_output(value, where: str) -> OutputSpec:
@@ -499,7 +499,6 @@ _Part = namedtuple("_Part", "weight state")  # one entry of a mixture
 _STATE_KIND = (_read_state, _write_state)
 _TRANSITION = (_as_transition, list)
 _AMPLITUDES = (_read_amplitudes, lambda amps: {label: _complex_to_json(amp) for label, amp in amps})
-_GROUPS = _list(_list(_INT, nonempty=True))
 
 _POLAR = _table(("magnitude", _FLOAT, 1.0), ("phase", _FLOAT, 0.0))
 _EMITTER = _table(("levels", _INT, 2), ("frequencies", _list(_FLOAT), _REQUIRED, "level_frequencies"))
@@ -520,7 +519,7 @@ _DRIVE = _table(
     ("detuning", _FLOAT, _ABSENT, "drive_detuning"),
 )
 _SYSTEM = _table(
-    ("emitters", _list((_read_emitter, partial(_write, table=_EMITTER)), nonempty=True), _REQUIRED),
+    ("emitters", _list((_read_emitter, partial(_write, table=_EMITTER))), _REQUIRED),
     ("collective", _list(_object(_COLLECTIVE, dict)), _ABSENT, "collective_channels"),
     ("local", _list(_object(_LOCAL, LocalChannelSpec)), _ABSENT, "local_channels"),
     ("drives", _list(_object(_DRIVE, DriveSpec)), _ABSENT),
@@ -533,13 +532,15 @@ _PART_KIND = (_object(_PART, _Part).read, lambda part: _write(_Part(*part), _PAR
 _STATE = _table(
     ("label", _optional(_STR), _ABSENT),
     ("amplitudes", _optional(_AMPLITUDES), _ABSENT),
-    ("mixture", _optional(_list(_PART_KIND, nonempty=True)), _ABSENT),
+    ("mixture", _optional(_list(_PART_KIND)), _ABSENT),
 )
 _INITIAL = {**_STATE, **_table(("name", _STR, _ABSENT))}
-_INITIALS = _list((_read_initial, _write_initial), nonempty=True)
-_OBSERVABLE_PARAMETERS = {
+_INITIALS = _list((_read_initial, _write_initial))
+# Every observable kind, with the table of its parameters (None: written as the bare kind).
+_OBSERVABLES = {
+    **dict.fromkeys(("energy", "purity", "nes", "checks")),
     "fidelity": _table(("target", _STATE_KIND, _REQUIRED), ("sqrt", _BOOL, _ABSENT)),
-    "log_negativity": _table(("bipartition", (_read_bipartition, _GROUPS.write), _ABSENT)),
+    "log_negativity": _table(("bipartition", _list(_list(_INT)), _ABSENT)),
 }
 _TIME = _table(("unit", _STR, "omega"), ("horizon", _FLOAT, _REQUIRED), ("points", _INT, _REQUIRED))
 _INTEGRATOR = _table(
@@ -551,12 +552,13 @@ _INTEGRATOR = _table(
 _OUTPUT = _table(("path", _optional(_STR), _ABSENT), ("format", _STR, _ABSENT))
 _SCENARIO = _table(
     ("name", _STR, "scenario"),
-    ("system", (_read_system, partial(_write, table=_SYSTEM)), _REQUIRED),
     ("initial", (_read_initials, _INITIALS.write), _REQUIRED, "initials"),
     ("time", _object(_TIME, TimeSpec), _REQUIRED),
-    ("observables", _list((_read_observable, _write_observable), nonempty=True), _REQUIRED),
+    ("observables", _list((_read_observable, _write_observable)), _REQUIRED),
     ("integrator", _object(_INTEGRATOR, IntegratorConfig), IntegratorConfig()),
     ("output", (_read_output, partial(_write, table=_OUTPUT)), OutputSpec()),
+    # Last: a sweep point reports a fault in another field before one that the system's checks find.
+    ("system", (_read_system, partial(_write, table=_SYSTEM)), _REQUIRED),
 )
 
 
@@ -623,9 +625,7 @@ def _observable_columns(
             return (*report.per_emitter_excitation, report.dark_weight, float(report.is_nonequilibrium))
 
         return [(names + ("nes_dark_weight", "nes_is_nonequilibrium"), nes_values)]
-    if ob.kind == "checks":
-        return []  # filled from the integrator's built-in records
-    raise ValidationError(f"unknown observable kind {ob.kind!r}")
+    return []  # "checks": filled from the integrator's built-in records
 
 
 def run_scenario(

@@ -120,46 +120,42 @@ class TestBuildModel:
         assert np.allclose(model.hamiltonian, np.diag([0.0, 0.1, 0.0, 0.1]))
 
     def test_dimension_cap(self):
-        spec = sr.SystemSpec(
-            emitters=(sr.EmitterSpec.qubit(),) * 9,
-            collective_channels=(
-                sr.CollectiveChannelSpec(1.0, (1,) * 9, ((1, 0),) * 9),
-            ),
-        )
         with pytest.raises(DimensionCapExceeded):
-            sr.build_model(spec)
+            sr.build_model(sr.SystemSpec(
+                emitters=(sr.EmitterSpec.qubit(),) * 9,
+                collective_channels=(
+                    sr.CollectiveChannelSpec(1.0, (1,) * 9, ((1, 0),) * 9),
+                ),
+            ))
 
     def test_invalid_transition(self):
-        spec = sr.SystemSpec(
-            emitters=(sr.EmitterSpec.qubit(), sr.EmitterSpec.qubit()),
-            collective_channels=(
-                sr.CollectiveChannelSpec(1.0, (1, 1), ((2, 0), (1, 0))),
-            ),
-        )
         with pytest.raises(InvalidTransition):
-            sr.build_model(spec)
+            sr.build_model(sr.SystemSpec(
+                emitters=(sr.EmitterSpec.qubit(), sr.EmitterSpec.qubit()),
+                collective_channels=(
+                    sr.CollectiveChannelSpec(1.0, (1, 1), ((2, 0), (1, 0))),
+                ),
+            ))
 
     def test_collective_channel_needs_two_participants(self):
-        spec = sr.SystemSpec(
-            emitters=(sr.EmitterSpec.qubit(), sr.EmitterSpec.qubit()),
-            collective_channels=(
-                sr.CollectiveChannelSpec(1.0, (1, 0), ((1, 0), (1, 0))),
-            ),
-        )
         with pytest.raises(ValidationError):
-            sr.build_model(spec)
+            sr.build_model(sr.SystemSpec(
+                emitters=(sr.EmitterSpec.qubit(), sr.EmitterSpec.qubit()),
+                collective_channels=(
+                    sr.CollectiveChannelSpec(1.0, (1, 0), ((1, 0), (1, 0))),
+                ),
+            ))
 
     def test_drives_require_rotating_frame(self):
-        spec = sr.SystemSpec(
-            emitters=(sr.EmitterSpec.qubit(), sr.EmitterSpec.qubit()),
-            collective_channels=(
-                sr.CollectiveChannelSpec(1.0, (1, 1), ((1, 0), (1, 0))),
-            ),
-            drives=(sr.DriveSpec(1.0, 0, (1, 0)),),
-            frame="lab",
-        )
         with pytest.raises(ValidationError):
-            sr.build_model(spec)
+            sr.build_model(sr.SystemSpec(
+                emitters=(sr.EmitterSpec.qubit(), sr.EmitterSpec.qubit()),
+                collective_channels=(
+                    sr.CollectiveChannelSpec(1.0, (1, 1), ((1, 0), (1, 0))),
+                ),
+                drives=(sr.DriveSpec(1.0, 0, (1, 0)),),
+                frame="lab",
+            ))
 
     def test_random_specs_give_hermitian_hamiltonians(self):
         rng = np.random.default_rng(11)
@@ -278,6 +274,21 @@ class TestInitialStates:
         layout = DimsLayout((2, 4))
         vec = sr.named_state_vector("13", layout)
         assert vec[sr.model.basis_index(layout, (1, 3))] == 1.0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: sr.SystemSpec(emitters=()), "at least one emitter", id="no-emitters"),
+        pytest.param(lambda: sr.StateSpec(amplitudes=()), "at least one entry", id="empty-amplitudes"),
+        pytest.param(lambda: sr.StateSpec(mixture=()), "at least one entry", id="empty-mixture"),
+        pytest.param(lambda: sr.StateSpec.from_amplitudes({}), "at least one entry", id="from-no-amplitudes"),
+        pytest.param(lambda: sr.StateSpec.mix([]), "at least one entry", id="mix-of-nothing"),
+    ],
+)
+def test_specs_are_checked_when_built(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
 
 
 class TestExcitationBookkeeping:

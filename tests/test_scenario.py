@@ -246,6 +246,24 @@ class TestRunScenario:
         with pytest.raises(ValidationError, match="kappa"):
             replace(local_only, time=TimeSpec("kappa", 1.0, 3))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda s: replace(s, initials=()), id="no-initial-state"),
+            pytest.param(lambda s: replace(s, initials=(s.initials[0], s.initials[0])), id="duplicate-initial-label"),
+            pytest.param(lambda s: replace(s, observables=()), id="no-observables"),
+            pytest.param(lambda s: ObservableSpec("bogus"), id="unknown-observable"),
+            pytest.param(lambda s: ObservableSpec("fidelity"), id="fidelity-without-target"),
+            pytest.param(lambda s: ObservableSpec("log_negativity", bipartition=((0,),)), id="one-group"),
+            pytest.param(lambda s: ObservableSpec("log_negativity", bipartition=((0,), ())), id="empty-group"),
+        ],
+    )
+    def test_specs_are_checked_when_built(self, make):
+        """Rules a file is held to hold for a hand-built or `replace`d spec, at construction."""
+        fig2 = sr.scenario_from_dict(sr.load_preset("fig2"))
+        with pytest.raises(ValidationError):
+            make(fig2)
+
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
         data["observables"] = ["energy", "checks"]
@@ -872,6 +890,27 @@ class TestCli:
         for argv in (["run", str(path)], ["sweep", str(sweep_path)]):
             assert main(argv) == 2
             assert f"subrad: {error}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+            pytest.param(lambda path: path.write_bytes(b'{"name": "\xff"}'), "can't decode", id="not-utf-8"),
+        ],
+    )
+    def test_file_that_cannot_be_read_exits_2(self, tmp_path, capsys, verb, make, reason):
+        path = tmp_path / "input.json"
+        make(path)
+        assert main([verb, str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subrad: ") and reason in err and len(err.splitlines()) == 1
+
+    def test_output_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY_SCENARIO))
+        assert main(["run", str(path), "--out", str(tmp_path / "no-such-dir" / "out.csv")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_failure_while_running_exits_1(self, tmp_path, capsys):
         # Fixed-step Dormand-Prince on a block of 26 states overflows to NaN.
