@@ -10,15 +10,12 @@ parameter sweeps.
 
 from . import errors
 from .dynamics import (
-    EffectiveHamiltonian,
     IntegratorConfig,
     Trajectory,
     asymptotic_state,
-    effective_hamiltonian,
     evolve,
     lindblad_rhs,
     liouvillian_matrix,
-    predict_final_state,
     unvec,
     vec,
 )
@@ -45,8 +42,6 @@ from .model import (
     build_initial_state,
     build_model,
     collective_lowering,
-    lift_site_operator,
-    lowering_op,
     named_state_vector,
     sector_indices,
     state_vector,
@@ -61,7 +56,6 @@ from .observables import (
     energy,
     log_negativity,
     nes_report,
-    purity_and_checks,
     trace_distance,
 )
 from .scenario import (

@@ -3,8 +3,8 @@
 The master equation convention is
 ``drho/dt = -i[H, rho] + sum_k rate_k (2 L_k rho L_k† - L_k†L_k rho - rho L_k†L_k)``.
 `_generator` compiles it once into H_nh = H - i sum_k rate_k L_k†L_k and the
-scaled jumps sqrt(2 rate_k) L_k; the rhs, the superoperator and the
-effective Hamiltonian are all built from those.
+scaled jumps sqrt(2 rate_k) L_k; the rhs and the superoperator are both
+built from those.
 
 State validity is one policy.  `density_checks` measures the trace error
 |tr rho - 1|, the Hermiticity error max|rho - rho†| and the lowest
@@ -22,15 +22,19 @@ and the next step see the state; trace (the generator preserves it, so its
 drift is roundoff) and positivity are never corrected.
 
 `evolve` steps only the block of the density matrix that the initial state
-can reach.  A basis index is reachable when a chain of nonzero entries of
-H_nh or of some jump operator leads to it from the support of ``rho0``;
-every term of the generator maps a state supported on a closed index set S
-(rows and columns in S) to one supported on S, so the S x S block evolves
+can reach.  A basis index is reachable when a chain of nonzero entries
+leads to it from the support of ``rho0``, each link an entry of H, of some
+jump operator L of nonzero rate, or of the pattern of L†L (k reaches i when
+L maps k and i to a common index).  These are the patterns of every term
+of the generator, so it maps a state supported on a closed index set S
+(rows and columns in S) to one supported on S: the S x S block evolves
 exactly on its own and everything outside it stays zero.  Decay only lowers
 excitation, so an initial excitation in a few sectors never leaves them;
 drives or channels mixing transitions of different size simply make S
-larger, up to the whole space.  The checks run on the block; observers see
-the full state, embedded at each grid point.
+larger, up to the whole space.  H and the jumps are sliced to S before
+`_generator` forms H_nh, so a run costs no full-space product.  The checks
+run on the block; observers see the full state, embedded at each grid
+point.
 
 The block is stepped by one of two solvers, chosen by |S| alone:
 
@@ -57,8 +61,7 @@ The block is stepped by one of two solvers, chosen by |S| alone:
 vec(rho0) onto the right kernel of the block superoperator along its left
 kernel, the conserved quantities; that is the t -> infinity limit of
 `evolve`, or its time average where purely imaginary eigenvalues keep the
-state oscillating.  `predict_final_state` is this projection restricted to
-the ideal single-excitation case.
+state oscillating.
 
 A dense superoperator is built only for blocks of at most
 ``SUPEROPERATOR_MAX_DIM`` (32) states, whatever the model's ``dimension_cap``
@@ -75,18 +78,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionCapExceeded,
-    DimensionMismatch,
-    InvariantViolation,
-    NonIdealModel,
-    NonNormalizable,
-    StepSizeUnderflow,
-    UnsupportedSector,
-)
+from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow
 from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, hermitian_eigen, kron, max_abs, svd
-from .model import ModelOperators, basis_excitations
+from .model import ModelOperators
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
@@ -154,37 +148,29 @@ class Trajectory:
         return not np.all(within_tolerance(*(self.records[key] for key in _RESERVED_RECORDS)))
 
 
-@dataclass(frozen=True, eq=False)
-class EffectiveHamiltonian:
-    """Non-Hermitian generator H - i sum_k rate_k L_k†L_k and its spectrum."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
-
-
 def lindblad_rhs(model: ModelOperators, rho) -> np.ndarray:
     """Right-hand side of the master equation at ``rho``."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (model.dim, model.dim):
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
-    return _compiled_rhs(*_generator(model))(rho)
+    return _compiled_rhs(*_generator(model.hamiltonian, model.jumps))(rho)
 
 
-def _generator(model: ModelOperators) -> tuple[np.ndarray, list[np.ndarray]]:
-    """H_nh = H - i sum rate L†L and the scaled jumps sqrt(2 rate) L.
+def _generator(hamiltonian: np.ndarray, jumps: Sequence[tuple[float, np.ndarray]]) -> tuple[np.ndarray, list]:
+    """H_nh = H - i sum rate L†L and the scaled jumps sqrt(2 rate) L, from ``(rate, L)`` pairs.
 
     With these, ``rhs = -i (H_nh rho - rho H_nh†) + sum (sqrt(2 rate) L) rho (...)†``,
     algebraically identical to the master equation of the module docstring.
+    Jumps of rate 0 are dropped.
     """
-    k_op = np.zeros((model.dim, model.dim), dtype=np.complex128)
+    k_op = np.zeros(hamiltonian.shape, dtype=np.complex128)
     jump_ops: list[np.ndarray] = []
-    for rate, op in model.jumps:
+    for rate, op in jumps:
         if rate == 0.0:
             continue
         k_op += rate * (dagger(op) @ op)
         jump_ops.append(np.sqrt(2.0 * rate) * op)
-    return model.hamiltonian - 1j * k_op, jump_ops
+    return hamiltonian - 1j * k_op, jump_ops
 
 
 def _compiled_rhs(h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -242,19 +228,24 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _reachable(rho: np.ndarray, operators: Sequence[np.ndarray]) -> np.ndarray:
+def _reachable(rho: np.ndarray, hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
     """Sorted basis indices reachable from the support of ``rho``.
 
-    Index i is reached from j when some operator has a nonzero (i, j) entry;
-    the result is the smallest superset of the support closed under that.
+    Index i is reached from k when H[i, k] != 0, when some jump L has
+    L[i, k] != 0, or when (L†L)[i, k] != 0 by pattern: L maps k to some m
+    with L[m, i] != 0.  The result is the smallest superset of the support
+    closed under that; no product of operators is formed.
     """
-    pattern = np.zeros(rho.shape, dtype=bool)
-    for op in operators:
-        pattern |= op != 0
-    nonzero = rho != 0
+    # astype(bool) is the nonzero pattern (NaN counts as nonzero) at a third of the cost of != 0 on complex
+    h_pattern = hamiltonian.astype(bool)
+    patterns = [op.astype(bool) for op in jumps]
+    nonzero = rho.astype(bool)
     reached = nonzero.any(axis=0) | nonzero.any(axis=1)
     while True:
-        grown = reached | pattern[:, reached].any(axis=1)
+        grown = reached | h_pattern[:, reached].any(axis=1)
+        for pattern in patterns:
+            image = pattern[:, reached].any(axis=1)
+            grown |= image | pattern[image].any(axis=0)
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown
@@ -316,8 +307,12 @@ def within_tolerance(trace_error, herm_error, min_eigenvalue):
 
 
 def _block(model: ModelOperators, rho0):
-    """``np.ix_(S, S)`` of the block reachable from ``rho0``, ``rho0`` on it and `_generator` sliced to it.
+    """``np.ix_(S, S)`` of the block S reachable from ``rho0``, ``rho0`` on it and `_generator` formed on it.
 
+    S is found from the patterns of H and of the jumps of nonzero rate
+    (`_reachable`); H and the jumps are sliced to S before `_generator`
+    forms H_nh, so no full-space sum of L†L is built.  S is closed under
+    every jump, so L_S†L_S is (L†L) restricted to S.
     Refuses a ``rho0`` of the wrong shape or outside `within_tolerance`.
     The checks run on the block: outside it ``rho0`` is exactly zero (a NaN
     or infinite entry counts as nonzero, so it lies in the block), which
@@ -327,15 +322,15 @@ def _block(model: ModelOperators, rho0):
     rho = np.asarray(rho0, dtype=np.complex128)
     if rho.shape != (model.dim, model.dim):
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
-    h_nh, jump_ops = _generator(model)
-    keep = _reachable(rho, [h_nh, *jump_ops])
+    keep = _reachable(rho, model.hamiltonian, [op for rate, op in model.jumps if rate != 0.0])
     block = np.ix_(keep, keep)
     rho = rho[block]
     trace_error, herm_error, lowest = density_checks(rho, "the initial state")
     checks = trace_error, herm_error, min(lowest, 0.0) if keep.size < model.dim else lowest
     if not within_tolerance(*checks):
         raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks)
-    return block, rho, h_nh[block], [op[block] for op in jump_ops]
+    h_nh, jump_ops = _generator(model.hamiltonian[block], [(rate, op[block]) for rate, op in model.jumps])
+    return block, rho, h_nh, jump_ops
 
 
 def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
@@ -495,24 +490,6 @@ def evolve(
     return Trajectory(times=times.copy(), records=columns, final_state=embed(rho).copy(), meta=meta)
 
 
-def effective_hamiltonian(model: ModelOperators) -> EffectiveHamiltonian:
-    """Non-Hermitian effective generator and its complex spectrum.
-
-    Eigenvalues are sorted by (real, imag); the imaginary parts are decay
-    rates of the no-jump amplitudes and can never be positive.
-    """
-    matrix, _ = _generator(model)
-    vals, vecs = np.linalg.eig(matrix)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    if np.any(vals.imag > 1e-10):
-        raise ConvergenceFailure(
-            f"effective Hamiltonian produced a growing mode: max imag {vals.imag.max():.2e}"
-        )
-    return EffectiveHamiltonian(matrix=matrix, eigenvalues=vals, right_eigenvectors=vecs)
-
-
 def vec(rho: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization (Fortran order)."""
     return np.asarray(rho, dtype=np.complex128).reshape(-1, order="F")
@@ -529,7 +506,7 @@ def liouvillian_matrix(model: ModelOperators) -> np.ndarray:
     Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).
     Raises `DimensionCapExceeded` above `SUPEROPERATOR_MAX_DIM` states.
     """
-    return _superoperator(*_generator(model))
+    return _superoperator(*_generator(model.hamiltonian, model.jumps))
 
 
 def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
@@ -574,36 +551,3 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     full[block] = (state + dagger(state)) / 2.0
     return full
 
-
-def predict_final_state(model: ModelOperators, pure_initial) -> np.ndarray:
-    """Asymptotic state for ideal collective-only decay, by `asymptotic_state`.
-
-    Valid only when the frame Hamiltonian vanishes (all emitters resonant
-    with the rotating frame), there are no local channels or drives, and
-    the initial vector lives entirely in the single-excitation sector.
-    The surviving part is the dark projection of the initial vector; all
-    removed weight lands on the vacuum.
-    """
-    psi = np.asarray(pure_initial, dtype=np.complex128).reshape(-1)
-    if psi.size != model.dim:
-        raise DimensionMismatch(f"state dim {psi.size} vs model dim {model.dim}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
-        raise NonNormalizable(f"initial vector norm {norm} != 1")
-
-    if model.system.local_channels and any(ch.rate > 0 for ch in model.system.local_channels):
-        raise NonIdealModel("local channels present; no closed-form final state")
-    if model.system.drives:
-        raise NonIdealModel("drives present; no closed-form final state")
-    if not model.collective_ops:
-        raise NonIdealModel("no active collective channel")
-    if max_abs(model.hamiltonian) > 1e-12:
-        raise NonIdealModel("emitters are not resonant with the frame (H != 0)")
-
-    exc = basis_excitations(model.layout)
-    outside = np.abs(psi[exc != 1])
-    if outside.size and float(outside.max()) > 1e-12:
-        raise UnsupportedSector(
-            "initial state has support outside the single-excitation sector"
-        )
-    return asymptotic_state(model, np.outer(psi, psi.conj()))

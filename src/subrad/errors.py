@@ -41,14 +41,6 @@ class InvariantBreach(SubradError):
     """Raised in strict mode when a run violates trace/Hermiticity/positivity."""
 
 
-class UnsupportedSector(SubradError):
-    """The analytic final-state predictor only covers single-excitation input."""
-
-
-class NonIdealModel(SubradError):
-    """An operation requires a purely collective, resonant, drive-free model."""
-
-
 class ConvergenceFailure(SubradError):
     """An iterative eigensolve failed to converge."""
 

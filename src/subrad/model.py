@@ -21,7 +21,6 @@ Conventions (fixed once, used by the whole package):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -35,7 +34,7 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
-from .linalg import DimsLayout, as_complex_matrix, dagger, kron
+from .linalg import DimsLayout
 
 DEFAULT_DIMENSION_CAP = 256
 
@@ -214,10 +213,12 @@ class SystemSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModelOperators:
-    """Compiled operators on the full tensor-product space.
+    """Compiled operators on the full tensor-product space, dense ``(dim, dim)`` complex arrays.
 
     ``jumps`` lists ``(rate, operator)`` pairs, collective channels first
-    (the first ``n_collective`` entries), then local channels.
+    (the first ``n_collective`` entries), then local channels; each
+    operator is a sum of single-emitter lowerings |l><u|, so its entries
+    are the channel's weights (1 for a local channel) and zeros.
     ``hamiltonian`` is the evolution generator in the chosen frame;
     ``free_hamiltonian`` is always the drive-free lab-frame energy operator
     used for energy readout.  ``_dark_cache`` holds the per-model constants
@@ -293,60 +294,51 @@ def basis_vector(layout: DimsLayout, levels: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def lowering_op(levels: int, transition: tuple[int, int]) -> np.ndarray:
-    """Local lowering operator |l><u| on a ``levels``-dimensional ladder."""
-    u, l = _as_transition(transition)
-    if not (0 <= l < u < levels):
-        raise InvalidTransition(f"transition {u}->{l} invalid for {levels} levels")
-    op = np.zeros((levels, levels), dtype=np.complex128)
-    op[l, u] = 1.0
-    return op
+def _transition_entries(layout: DimsLayout, level_at: np.ndarray, j: int, transition) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the unit entries of |l><u| on emitter ``j``, lifted to the full space.
 
-
-def lift_site_operator(local_op, site_index: int, layout: DimsLayout) -> np.ndarray:
-    """Embed a local operator at ``site_index``: I ⊗ ... ⊗ op ⊗ ... ⊗ I."""
-    op = as_complex_matrix(local_op, square=True, name="local operator")
-    n = layout.n_subsystems
-    if not 0 <= site_index < n:
-        raise DimensionMismatch(f"site index {site_index} out of range for {n} sites")
-    if op.shape[0] != layout.subsystem_dims[site_index]:
-        raise DimensionMismatch(
-            f"local operator dim {op.shape[0]} != subsystem dim "
-            f"{layout.subsystem_dims[site_index]}"
-        )
-    d_left = math.prod(layout.subsystem_dims[:site_index])
-    d_right = math.prod(layout.subsystem_dims[site_index + 1 :])
-    full = op
-    if d_left > 1:
-        full = kron(np.eye(d_left), full)
-    if d_right > 1:
-        full = kron(full, np.eye(d_right))
-    return full
+    ``level_at`` is `basis_levels` of ``layout``.  Column i with emitter
+    ``j`` in level u has its entry in row i - (u - l) stride_j, the index
+    with that emitter lowered to l; stride_j is the product of the local
+    dimensions right of ``j``.
+    """
+    u, l = transition
+    if not 0 <= l < u < layout.subsystem_dims[j]:
+        raise InvalidTransition(f"transition {u}->{l} invalid for emitter {j} with {layout.subsystem_dims[j]} levels")
+    cols = np.flatnonzero(level_at[j] == u)
+    return cols - (u - l) * int(np.prod(layout.subsystem_dims[j + 1 :])), cols
 
 
 def collective_lowering(spec: CollectiveChannelSpec, layout: DimsLayout) -> np.ndarray:
-    """Weighted sum of lifted lowering operators, one per nonzero weight.
+    """Jump operator sum_j w_j |l_j><u_j|_j, one lowering per nonzero weight.
 
-    Degenerate single-weight input is accepted here (it reduces to a plain
-    local lowering); the `SystemSpec` constructor is where the >= 2
-    participant rule for declared collective channels lives.
+    Each weight is added at the entries `_transition_entries` gives for its
+    emitter; different emitters never share an entry.  Degenerate
+    single-weight input is accepted here (it reduces to a plain local
+    lowering); the `SystemSpec` constructor is where the >= 2 participant
+    rule for declared collective channels lives.
     """
     if len(spec.weights) != layout.n_subsystems:
         raise DimensionMismatch(
             f"channel has {len(spec.weights)} weights, layout has "
             f"{layout.n_subsystems} subsystems"
         )
+    level_at = basis_levels(layout)
     op = np.zeros((layout.total_dim, layout.total_dim), dtype=np.complex128)
     for j, (w, transition) in enumerate(zip(spec.weights, spec.transitions)):
-        if w == 0:
-            continue
-        local = lowering_op(layout.subsystem_dims[j], transition)
-        op += w * lift_site_operator(local, j, layout)
+        if w != 0:
+            op[_transition_entries(layout, level_at, j, transition)] += w
     return op
 
 
 def build_model(spec: SystemSpec) -> ModelOperators:
-    """Compile a `SystemSpec`, checked when it was built, into Hamiltonian and jump operators."""
+    """Compile a `SystemSpec`, checked when it was built, into Hamiltonian and jump operators.
+
+    Every operator is written entry by entry from `basis_levels`: the free
+    and frame energies on the diagonal, and each drive, collective lowering
+    and local lowering at the entries of its single-emitter transitions
+    (`_transition_entries`).  No tensor product is formed.
+    """
     layout = spec.layout()
     dim = layout.total_dim
 
@@ -362,9 +354,9 @@ def build_model(spec: SystemSpec) -> ModelOperators:
 
     frame_h = np.zeros((dim, dim), dtype=np.complex128)
     for dr in spec.drives:
-        levels = spec.emitters[dr.emitter_index].levels
-        low = lift_site_operator(lowering_op(levels, dr.transition), dr.emitter_index, layout)
-        frame_h += dr.amplitude * (low + dagger(low))
+        rows, cols = _transition_entries(layout, level_at, dr.emitter_index, dr.transition)
+        frame_h[rows, cols] += dr.amplitude
+        frame_h[cols, rows] += dr.amplitude
         if dr.drive_detuning != 0.0:
             frame += dr.drive_detuning * (level_at[dr.emitter_index] == dr.transition[0])
     frame_h[np.diag_indices(dim)] += frame
@@ -374,8 +366,8 @@ def build_model(spec: SystemSpec) -> ModelOperators:
         jumps.append((ch.rate, collective_lowering(ch, layout)))
     n_collective = len(jumps)
     for ch in spec.local_channels:
-        levels = spec.emitters[ch.emitter_index].levels
-        op = lift_site_operator(lowering_op(levels, ch.transition), ch.emitter_index, layout)
+        op = np.zeros((dim, dim), dtype=np.complex128)
+        op[_transition_entries(layout, level_at, ch.emitter_index, ch.transition)] = 1.0
         jumps.append((ch.rate, op))
 
     return ModelOperators(

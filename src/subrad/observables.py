@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import density_checks
 from .errors import DimensionMismatch, NonNormalizable
 from .linalg import (
     DimsLayout,
@@ -198,23 +197,6 @@ def nes_report(rho, model: ModelOperators) -> NesReport:
         dark_weight=float(weight),
         is_nonequilibrium=bool(spread > NES_EQUAL_TOL),
     )
-
-
-def purity_and_checks(rho) -> dict[str, float]:
-    """Per-state sanity record: purity, trace error, min eigenvalue, Hermiticity.
-
-    The last three are `dynamics.density_checks`, which raises
-    `InvariantViolation` on a non-finite entry and `DimensionMismatch` on a
-    non-square one.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    trace_error, herm_error, min_eigenvalue = density_checks(rho, "the state")
-    return {
-        "purity": float(np.real(np.trace(rho @ rho))),
-        "trace_error": trace_error,
-        "min_eigenvalue": min_eigenvalue,
-        "hermiticity_error": herm_error,
-    }
 
 
 def trace_distance(a, b) -> float:

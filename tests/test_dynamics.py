@@ -1,4 +1,4 @@
-"""Evolution, spectra, superoperator, the asymptotic state and its predictor.
+"""Evolution, spectra, superoperator, the reachable block and the asymptotic state.
 
 Oracles: closed-form exponentials from the non-Hermitian generator, the
 2x2 single-excitation eigenvalue formula, the matrix exponential of
@@ -13,13 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, null_space
 
 import subrad as sr
-from subrad.errors import (
-    DimensionCapExceeded,
-    InvariantBreach,
-    InvariantViolation,
-    NonIdealModel,
-    UnsupportedSector,
-)
+from subrad.errors import DimensionCapExceeded, InvariantBreach, InvariantViolation
 
 from random_systems import LEVELS, random_density, random_model, random_sector_state
 
@@ -59,6 +53,13 @@ def five_qubit_model(deltas=(0.0,) * 5, dimension_cap=256):
 
 def pure(vec):
     return np.outer(vec, vec.conj())
+
+
+def effective_spectrum(model):
+    """Eigenvalues of H_nh from `_generator`; none may grow (positive imaginary part)."""
+    eigenvalues = np.linalg.eigvals(sr.dynamics._generator(model.hamiltonian, model.jumps)[0])
+    assert np.all(eigenvalues.imag <= 1e-10), eigenvalues
+    return eigenvalues
 
 
 class TestLindbladRhs:
@@ -255,7 +256,7 @@ class TestReachableBlock:
         rho0 = sr.build_initial_state(dict(scenario.initials)["110000"], model.layout)
         grid = scenario.time.grid()
         reduced = sr.evolve(model, rho0, grid, scenario.integrator)
-        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, ops: np.arange(rho.shape[0]))
+        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, hamiltonian, jumps: np.arange(rho.shape[0]))
         full = sr.evolve(model, rho0, grid, scenario.integrator)
         assert (reduced.meta["evolved_dim"], full.meta["evolved_dim"]) == (22, model.dim)
         assert reduced.meta["solver"] == full.meta["solver"] == "dp45"
@@ -269,6 +270,8 @@ class TestReachableBlock:
             ("fig2", "11", 4, "propagator"),
             ("nqubit:5", "11000", 16, "propagator"),
             ("nqubit:5", "11100", 26, "dp45"),
+            ("fig3e-clockwork", "00", 6, "propagator"),
+            ("nqubit:8", "11000000", 37, "dp45"),
         ],
     )
     def test_solver_follows_block_size(self, preset, label, evolved_dim, solver):
@@ -278,6 +281,34 @@ class TestReachableBlock:
         assert (traj.meta["evolved_dim"], traj.meta["solver"]) == (evolved_dim, solver)
         if solver == "propagator":
             assert (traj.meta["steps"], traj.meta["rejected"]) == (2, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=LEVELS,
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_block_matches_sliced_full_generator(self, levels, n_collective, n_local, driven, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, levels, n_collective, n_local, driven)
+        rho0, _ = random_sector_state(rng, model)
+        # the dense reference: the full-space generator, then the closure over its nonzero pattern
+        h_nh, jump_ops = sr.dynamics._generator(model.hamiltonian, model.jumps)
+        pattern = np.logical_or.reduce([op != 0 for op in (h_nh, *jump_ops)])
+        reached = (rho0 != 0).any(axis=0) | (rho0 != 0).any(axis=1)
+        while not np.array_equal(grown := reached | pattern[:, reached].any(axis=1), reached):
+            reached = grown
+        keep = np.flatnonzero(reached)
+        block, rho, h_block, jumps_block = sr.dynamics._block(model, rho0)
+        assert np.array_equal(block[0].ravel(), keep) and np.array_equal(block[1].ravel(), keep)
+        assert np.array_equal(rho, rho0[block])
+        # only the sum order of L†L over the block's rows may differ
+        assert np.allclose(h_block, h_nh[block], rtol=0.0, atol=4e-16 * np.max(np.abs(h_nh)))
+        assert len(jumps_block) == len(jump_ops)
+        for op, full in zip(jumps_block, jump_ops):
+            assert op.tobytes() == full[block].tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -345,24 +376,24 @@ class TestPropagator:
 
 class TestEffectiveHamiltonian:
     def test_resonant_two_qubit_spectrum(self):
-        eff = sr.effective_hamiltonian(two_qubit_model(frame="lab"))
+        eigenvalues = effective_spectrum(two_qubit_model(frame="lab"))
         expected = np.array(
             [0.0, 1.0 - 2j * KAPPA, 1.0, 2.0 - 2j * KAPPA], dtype=complex
         )
-        got = sorted(eff.eigenvalues, key=lambda z: (round(z.real, 9), z.imag))
+        got = sorted(eigenvalues, key=lambda z: (round(z.real, 9), z.imag))
         want = sorted(expected, key=lambda z: (round(z.real, 9), z.imag))
         assert np.allclose(got, want, atol=1e-12)
 
     def test_detuned_single_excitation_pair(self):
         delta = 0.1
-        eff = sr.effective_hamiltonian(two_qubit_model(frame="lab", delta=delta))
+        eigenvalues = effective_spectrum(two_qubit_model(frame="lab", delta=delta))
         root = np.sqrt(complex(delta**2 / 4 - KAPPA**2))
         expected = {
             1.0 + delta / 2 - 1j * KAPPA + root,
             1.0 + delta / 2 - 1j * KAPPA - root,
         }
         # pick the two eigenvalues in the single-excitation band
-        got = [z for z in eff.eigenvalues if 0.5 < z.real < 1.5]
+        got = [z for z in eigenvalues if 0.5 < z.real < 1.5]
         assert len(got) == 2
         for z in got:
             assert min(abs(z - w) for w in expected) < 1e-12
@@ -377,9 +408,9 @@ class TestEffectiveHamiltonian:
                 frame="lab",
             )
         )
-        eff = sr.effective_hamiltonian(model)
-        assert np.max(np.abs(eff.eigenvalues.imag)) < 1e-14
-        assert np.allclose(sorted(eff.eigenvalues.real), [0.0, 1.0, 1.3, 2.3])
+        eigenvalues = effective_spectrum(model)
+        assert np.max(np.abs(eigenvalues.imag)) < 1e-14
+        assert np.allclose(sorted(eigenvalues.real), [0.0, 1.0, 1.3, 2.3])
 
 
 class TestLiouvillian:
@@ -432,7 +463,7 @@ class TestLiouvillian:
     )
     def test_property_bit_identical_to_numpy_kron_formula(self, levels, n_collective, n_local, driven, seed):
         model = random_model(np.random.default_rng(seed), levels, n_collective, n_local, driven)
-        h_nh, jump_ops = sr.dynamics._generator(model)
+        h_nh, jump_ops = sr.dynamics._generator(model.hamiltonian, model.jumps)
         eye = np.eye(model.dim, dtype=complex)
         expected = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
         for op in jump_ops:
@@ -448,9 +479,11 @@ class TestLiouvillian:
 
 
 class TestPredictFinalState:
+    """Final states predicted in closed form for ideal single-excitation decay, from `asymptotic_state`."""
+
     def test_single_excitation_basis_state(self):
         model = two_qubit_model()
-        rho = sr.predict_final_state(model, sr.named_state_vector("10", model.layout))
+        rho = sr.asymptotic_state(model, pure(sr.named_state_vector("10", model.layout)))
         singlet = sr.named_state_vector("psi_minus", model.layout)
         expected = 0.5 * pure(singlet)
         expected[0, 0] += 0.5
@@ -459,7 +492,7 @@ class TestPredictFinalState:
     def test_dark_state_is_fixed_point(self):
         model = two_qubit_model()
         singlet = sr.named_state_vector("psi_minus", model.layout)
-        rho = sr.predict_final_state(model, singlet)
+        rho = sr.asymptotic_state(model, pure(singlet))
         assert np.max(np.abs(rho - pure(singlet))) < 1e-12
 
     def test_three_qubit_w_like_state(self):
@@ -471,28 +504,11 @@ class TestPredictFinalState:
                 ),
             )
         )
-        rho = sr.predict_final_state(model, sr.named_state_vector("100", model.layout))
+        rho = sr.asymptotic_state(model, pure(sr.named_state_vector("100", model.layout)))
         psi2 = sr.named_state_vector("psi2", model.layout)
         expected = (2.0 / 3.0) * pure(psi2)
         expected[0, 0] += 1.0 / 3.0
         assert np.max(np.abs(rho - expected)) < 1e-12
-
-    def test_rejects_multi_excitation(self):
-        model = two_qubit_model()
-        with pytest.raises(UnsupportedSector):
-            sr.predict_final_state(model, sr.named_state_vector("11", model.layout))
-
-    def test_rejects_non_ideal_models(self):
-        with pytest.raises(NonIdealModel):
-            sr.predict_final_state(
-                two_qubit_model(alpha=1e-4),
-                sr.named_state_vector("10", two_qubit_model().layout),
-            )
-        with pytest.raises(NonIdealModel):
-            sr.predict_final_state(
-                two_qubit_model(delta=0.1),
-                sr.named_state_vector("10", two_qubit_model().layout),
-            )
 
 
 class TestSteadyState:
@@ -604,8 +620,6 @@ class TestAsymptoticState:
         scenario = sr.scenario_from_dict(data)
         model = sr.build_model(scenario.system)
         vector = sr.named_state_vector("1100", model.layout)
-        with pytest.raises(UnsupportedSector):
-            sr.predict_final_state(model, vector)
         steady = sr.asymptotic_state(model, pure(vector))
         assert np.real(np.trace(sr.dark_projector(model) @ steady)) == pytest.approx(5 / 6, abs=1e-12)
         evolved = sr.evolve(model, pure(vector), np.array([0.0, 4e4])).final_state

@@ -15,11 +15,35 @@ from subrad.errors import (
     ValidationError,
 )
 from subrad.linalg import DimsLayout, kernel_basis, max_abs
-from subrad.model import basis_excitations, basis_levels, basis_vector, lowering_op, sector_indices
+from subrad.model import _transition_entries, basis_excitations, basis_levels, basis_vector, sector_indices
 
 from random_systems import LEVELS, random_system
 
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
+
+def kron_transition(layout, j, upper, lower):
+    """|lower><upper| on emitter ``j`` lifted by np.kron: the reference for the entries `build_model` writes."""
+    dims = layout.subsystem_dims
+    local = np.zeros((dims[j], dims[j]), dtype=complex)
+    local[lower, upper] = 1.0
+    return np.kron(np.kron(np.eye(int(np.prod(dims[:j]))), local), np.eye(int(np.prod(dims[j + 1 :]))))
+
+
+def kron_operators(spec):
+    """Drive part of the Hamiltonian and the jump list of ``spec``, summed from `kron_transition` terms."""
+    layout = spec.layout()
+    drives = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    for dr in spec.drives:
+        low = kron_transition(layout, dr.emitter_index, *dr.transition)
+        drives += dr.amplitude * (low + low.conj().T)
+    jumps = []
+    for ch in spec.collective_channels:
+        op = np.zeros_like(drives)
+        for j, (w, transition) in enumerate(zip(ch.weights, ch.transitions)):
+            if w != 0:
+                op += w * kron_transition(layout, j, *transition)
+        jumps.append((ch.rate, op))
+    jumps += [(ch.rate, kron_transition(layout, ch.emitter_index, *ch.transition)) for ch in spec.local_channels]
+    return drives, jumps
 
 
 def two_qubit_spec(rate=0.001, frame="rotating", delta=0.0, alpha=0.0):
@@ -35,20 +59,22 @@ def two_qubit_spec(rate=0.001, frame="rotating", delta=0.0, alpha=0.0):
 
 
 class TestLiftSiteOperator:
+    """A single-emitter lowering written into the full space at the entries `_transition_entries` gives."""
+
     layout = DimsLayout((2, 2))
 
+    def lowering(self, j):
+        op = np.zeros((4, 4), dtype=complex)
+        op[_transition_entries(self.layout, basis_levels(self.layout), j, (1, 0))] = 1.0
+        return op
+
     def test_lowering_on_first_site(self):
-        op = sr.lift_site_operator(SIGMA_MINUS, 0, self.layout)
         state = basis_vector(self.layout, (1, 0))
-        assert np.allclose(op @ state, basis_vector(self.layout, (0, 0)))
+        assert np.array_equal(self.lowering(0) @ state, basis_vector(self.layout, (0, 0)))
 
     def test_lowering_on_second_site_annihilates_ground(self):
-        op = sr.lift_site_operator(SIGMA_MINUS, 1, self.layout)
         state = basis_vector(self.layout, (1, 0))
-        assert np.allclose(op @ state, 0.0)
-
-    def test_identity_lifts_to_identity(self):
-        assert np.array_equal(sr.lift_site_operator(np.eye(2), 0, self.layout), np.eye(4))
+        assert np.array_equal(self.lowering(1) @ state, np.zeros(4))
 
 
 class TestCollectiveLowering:
@@ -74,7 +100,14 @@ class TestCollectiveLowering:
     def test_single_weight_degenerates_to_local_lowering(self):
         spec = sr.CollectiveChannelSpec(1.0, (1, 0), ((1, 0), (1, 0)))
         op = sr.collective_lowering(spec, self.layout)
-        assert np.array_equal(op, sr.lift_site_operator(SIGMA_MINUS, 0, self.layout))
+        assert np.array_equal(op, kron_transition(self.layout, 0, 1, 0))
+
+    @pytest.mark.parametrize("transition", [(2, 0), (1, 1), (1, -1)])
+    def test_invalid_transition_is_refused(self, transition):
+        # a lowered row index outside the emitter's ladder would wrap around, not fail
+        spec = sr.CollectiveChannelSpec(1.0, (1, 1), (transition, (1, 0)))
+        with pytest.raises(InvalidTransition):
+            sr.collective_lowering(spec, self.layout)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_excitation_kernel_dimension(self, n):
@@ -92,9 +125,7 @@ class TestBuildModel:
         assert model.n_collective == 1
         rate, op = model.jumps[0]
         assert rate == 0.001
-        expected = sr.lift_site_operator(SIGMA_MINUS, 0, model.layout) + sr.lift_site_operator(
-            SIGMA_MINUS, 1, model.layout
-        )
+        expected = kron_transition(model.layout, 0, 1, 0) + kron_transition(model.layout, 1, 1, 0)
         assert np.array_equal(op, expected)
 
     def test_rotating_frame_resonant_hamiltonian_vanishes(self):
@@ -108,12 +139,8 @@ class TestBuildModel:
         model = sr.build_model(two_qubit_spec(alpha=5e-5))
         assert len(model.jumps) == 3
         assert model.jumps[1][0] == pytest.approx(5e-5)
-        assert np.array_equal(
-            model.jumps[1][1], sr.lift_site_operator(SIGMA_MINUS, 0, model.layout)
-        )
-        assert np.array_equal(
-            model.jumps[2][1], sr.lift_site_operator(SIGMA_MINUS, 1, model.layout)
-        )
+        assert np.array_equal(model.jumps[1][1], kron_transition(model.layout, 0, 1, 0))
+        assert np.array_equal(model.jumps[2][1], kron_transition(model.layout, 1, 1, 0))
 
     def test_rotating_frame_detuning(self):
         model = sr.build_model(two_qubit_spec(delta=0.1))
@@ -187,15 +214,13 @@ class TestBuildModel:
     @given(levels=LEVELS, frame=st.sampled_from(["lab", "rotating"]), driven=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_diagonal_energies_equal_lifted_projector_sums(self, levels, frame, driven, seed):
-        # The reference is the dense formula: one lifted level projector per emitter level and drive detuning.
+        # The reference is the dense formula: one kron-lifted level projector per emitter level and drive detuning.
         spec = random_system(np.random.default_rng(seed), levels, 1, 0, driven and frame == "rotating")
         spec = replace(spec, frame=frame, frame_frequency=0.97)
         model = sr.build_model(spec)
 
         def projector(j, level):
-            local = np.zeros((levels[j], levels[j]), dtype=complex)
-            local[level, level] = 1.0
-            return sr.lift_site_operator(local, j, model.layout)
+            return kron_transition(model.layout, j, level, level)
 
         free = np.zeros((model.dim, model.dim), dtype=complex)
         frame_h = np.zeros_like(free)
@@ -205,13 +230,26 @@ class TestBuildModel:
                 free += freq * projector(j, level)
                 frame_h += (freq - level * spec.frame_frequency if frame == "rotating" else freq) * projector(j, level)
         for dr in spec.drives:
-            j = dr.emitter_index
-            low = sr.lift_site_operator(lowering_op(levels[j], dr.transition), j, model.layout)
+            low = kron_transition(model.layout, dr.emitter_index, *dr.transition)
             frame_h += dr.amplitude * (low + low.conj().T)
             if dr.drive_detuning != 0.0:
-                frame_h += dr.drive_detuning * projector(j, dr.transition[0])
+                frame_h += dr.drive_detuning * projector(dr.emitter_index, dr.transition[0])
         assert model.free_hamiltonian.tobytes() == free.tobytes()
         assert model.hamiltonian.tobytes() == frame_h.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels=LEVELS, n_collective=st.integers(0, 2), n_local=st.integers(0, 2), driven=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_operators_equal_kron_formula(self, levels, n_collective, n_local, driven, seed):
+        # qubits and qutrits, complex weights on mixed transitions, local channels and a drive
+        spec = random_system(np.random.default_rng(seed), levels, n_collective, n_local, driven)
+        model = sr.build_model(spec)
+        drives, jumps = kron_operators(spec)
+        off_diagonal = ~np.eye(model.dim, dtype=bool)
+        assert model.hamiltonian[off_diagonal].tobytes() == drives[off_diagonal].tobytes()
+        assert [rate for rate, _ in model.jumps] == [rate for rate, _ in jumps]
+        for (_, op), (_, expected) in zip(model.jumps, jumps):
+            assert op.tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(levels=LEVELS, n_local=st.integers(0, 2), driven=st.booleans(), seed=st.integers(0, 2**32 - 1))

@@ -251,20 +251,36 @@ class TestNesReport:
         assert np.array_equal(sr.dark_projector(other), proj)
 
 
+def purity_and_checks_row(initial):
+    """The t = 0 row of a two-qubit run with the ``purity`` and ``checks`` observables, by column name."""
+    scenario = sr.scenario_from_dict({
+        "system": {"emitters": ["qubit", "qubit"], "collective": [{"rate": 0.001}]},
+        "initial": [{"name": "rho0", **initial} if isinstance(initial, dict) else initial],
+        "time": {"horizon": 1.0, "points": 2},
+        "observables": ["purity", "checks"],
+    })
+    result = sr.run_scenario(scenario)
+    return dict(zip(result.header, result.rows[0]))
+
+
+def even_mixture(*labels):
+    return {"mixture": [{"weight": 1.0, "state": label} for label in labels]}
+
+
 class TestPurityAndChecks:
-    def test_pure_state(self, two_qubit):
-        rho = pure(sr.named_state_vector("psi_plus", two_qubit.layout))
-        checks = sr.purity_and_checks(rho)
+    def test_pure_state(self):
+        checks = purity_and_checks_row("psi_plus")
         assert checks["purity"] == pytest.approx(1.0)
         assert checks["trace_error"] < 1e-12
-        assert checks["hermiticity_error"] < 1e-15
+        assert checks["herm_error"] < 1e-15
         assert checks["min_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_rank_two_mixture(self, two_qubit):
-        assert sr.purity_and_checks(asymptotic_two_qubit(two_qubit))["purity"] == pytest.approx(0.5)
+    def test_rank_two_mixture(self):
+        # the asymptotic state from 10: half singlet, half ground
+        assert purity_and_checks_row(even_mixture("psi_minus", "00"))["purity"] == pytest.approx(0.5)
 
     def test_maximally_mixed(self):
-        assert sr.purity_and_checks(np.eye(4) / 4)["purity"] == pytest.approx(0.25)
+        assert purity_and_checks_row(even_mixture("00", "01", "10", "11"))["purity"] == pytest.approx(0.25)
 
 
 class TestTraceDistance:

@@ -955,19 +955,27 @@ class TestCli:
         statuses = [line.rsplit(",", 1)[1] for line in outs[0].decode().splitlines()[1:]]
         assert statuses[0] == "ok" and statuses[1].startswith("error:")
 
-    def test_fixed_step_clockwork_passes_strict_checks(self, tmp_path):
-        # Dormand-Prince clipped to the 0.1 grid used to dip below the
-        # min-eigenvalue tolerance here; the propagator path is exact.
+    def test_clockwork_passes_strict_checks(self, tmp_path):
+        # the 6-state block takes the exact propagator, which stays within the min-eigenvalue tolerance
         out = tmp_path / "clockwork.csv"
-        argv = ["run", "fig3e-clockwork", "--fixed-step", "0.1", "--check-strict", "--out", str(out)]
-        assert main(argv) == 0
+        assert main(["run", "fig3e-clockwork", "--check-strict", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         column = lines[0].split(",").index("min_eigenvalue")
         assert min(float(line.split(",")[column]) for line in lines[1:]) >= sr.dynamics.MIN_EIGENVALUE_TOL
 
     def test_fixed_step_determinism_via_cli(self, tmp_path):
-        scenario_path = tmp_path / "tiny.json"
-        scenario_path.write_text(json.dumps(TINY_SCENARIO))
+        # the block reachable from 11100 has 26 states, above PROPAGATOR_MAX_DIM, so Dormand-Prince takes the fixed step
+        data = {
+            **TINY_SCENARIO,
+            "system": {"emitters": ["qubit"] * 5, "collective": [{"rate": 0.05}]},
+            "initial": ["11100"],
+            "time": {"horizon": 100.0, "points": 3},
+            "observables": ["energy", "nes", "checks"],
+        }
+        meta = sr.run_scenario(sr.scenario_from_dict(data), fixed_step=0.5).trajectories["11100"].meta
+        assert (meta["solver"], meta["steps"], meta["rejected"]) == ("dp45", 200, 0)
+        scenario_path = tmp_path / "five.json"
+        scenario_path.write_text(json.dumps(data))
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
