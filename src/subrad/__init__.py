@@ -36,14 +36,11 @@ from .model import (
     ModelOperators,
     StateSpec,
     SystemSpec,
-    basis_excitations,
     basis_levels,
     basis_vector,
     build_initial_state,
     build_model,
-    collective_lowering,
     named_state_vector,
-    sector_indices,
     state_vector,
 )
 from .observables import (

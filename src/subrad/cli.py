@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .dynamics import PROPAGATOR_MAX_DIM
+from .dynamics import PROPAGATOR_MAX_DIM, IntegratorConfig
 from .errors import ParseError, SubradError, UnknownLabel, ValidationError
 from .scenario import (
     Scenario,
@@ -78,6 +78,14 @@ _FIXED_STEP_HELP = (
 )
 
 
+def _fixed_step(text: str) -> float:
+    """The ``--fixed-step`` value, checked by the rule of a file's ``integrator.fixed_step``."""
+    try:
+        return IntegratorConfig(fixed_step=float(text)).fixed_step
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="subrad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a scenario file or preset")
     p_run.add_argument("target", help="scenario file path or preset name")
     p_run.add_argument("--out", default=None, help="CSV output path (default: scenario output or stdout)")
-    p_run.add_argument("--fixed-step", type=float, default=None, metavar="DT", help=_FIXED_STEP_HELP)
+    p_run.add_argument("--fixed-step", type=_fixed_step, default=None, metavar="DT", help=_FIXED_STEP_HELP)
     p_run.add_argument("--check-strict", action="store_true",
                        help="abort on any invariant breach instead of flagging it")
     p_run.add_argument("--initial", default=None, metavar="LABEL",
@@ -96,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep file")
     p_sweep.add_argument("target", help="sweep file path")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--fixed-step", type=float, default=None, metavar="DT", help=_FIXED_STEP_HELP)
+    p_sweep.add_argument("--fixed-step", type=_fixed_step, default=None, metavar="DT", help=_FIXED_STEP_HELP)
     p_sweep.add_argument("--check-strict", action="store_true")
 
     sub.add_parser("presets", help="list built-in presets")

@@ -120,12 +120,10 @@ class IntegratorConfig:
     fixed_step: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if self.fixed_step is not None and self.fixed_step <= 0:
-            raise ValueError("fixed_step must be positive")
+        for name in ("rel_tol", "abs_tol", "initial_step", "fixed_step"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,19 +86,19 @@ class CollectiveChannelSpec:
 
     ``weights[j]`` multiplies the lowering operator of emitter ``j`` on
     ``transitions[j]``; complex weights carry the relative dissipation
-    phases.  Emitters with weight 0 do not participate.
+    phases.  Emitters with weight 0 do not participate.  The transitions
+    default to one ``(1, 0)`` per weight.
     """
 
     rate: float
     weights: tuple[complex, ...]
-    transitions: tuple[tuple[int, int], ...]
+    transitions: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-        object.__setattr__(
-            self, "transitions", tuple(_as_transition(t) for t in self.transitions)
-        )
+        transitions = ((1, 0),) * len(self.weights) if self.transitions is None else self.transitions
+        object.__setattr__(self, "transitions", tuple(_as_transition(t) for t in transitions))
         if self.rate < 0:
             raise ValidationError(f"collective rate must be >= 0, got {self.rate}")
         if len(self.weights) != len(self.transitions):
@@ -165,6 +165,12 @@ class SystemSpec:
             raise ValidationError("at least one emitter is required")
         if self.frame not in ("lab", "rotating"):
             raise ValidationError(f"frame must be 'lab' or 'rotating', got {self.frame!r}")
+        for ch in self.collective_channels:
+            if len(ch.weights) != len(self.emitters):
+                raise ValidationError(
+                    "collective channel needs one weight per emitter "
+                    f"({len(self.emitters)}), got {len(ch.weights)}"
+                )
         dim = 1
         for e in self.emitters:
             dim *= e.levels
@@ -173,11 +179,6 @@ class SystemSpec:
                 f"Hilbert dimension {dim} exceeds cap {self.dimension_cap}"
             )
         for ch in self.collective_channels:
-            if len(ch.weights) != len(self.emitters):
-                raise ValidationError(
-                    "collective channel needs one weight per emitter "
-                    f"({len(self.emitters)}), got {len(ch.weights)}"
-                )
             active = 0
             for j, (w, (u, l)) in enumerate(zip(ch.weights, ch.transitions)):
                 if w == 0:
@@ -219,18 +220,21 @@ class ModelOperators:
     (the first ``n_collective`` entries), then local channels; each
     operator is a sum of single-emitter lowerings |l><u|, so its entries
     are the channel's weights (1 for a local channel) and zeros.
-    ``hamiltonian`` is the evolution generator in the chosen frame;
-    ``free_hamiltonian`` is always the drive-free lab-frame energy operator
-    used for energy readout.  ``_dark_cache`` holds the per-model constants
-    of the readout, each built on first use and read-only: the dark
-    subspaces of `observables.dark_subspace` (keyed by sector number), the
-    projector of `observables.dark_projector` (keyed ``"projector"``) and the
-    ground-level indicator of `observables.nes_report` (keyed ``"ground"``).
+    ``hamiltonian`` is the evolution generator in the chosen frame.
+    ``levels`` (`basis_levels` of ``layout``) and ``free_energies`` (the
+    diagonal of the drive-free lab-frame energy operator) are read-only
+    tables over the basis indices that the readout uses.  ``_dark_cache``
+    holds the per-model constants of the readout, each built on first use
+    and read-only: the dark subspaces of `observables.dark_subspace` (keyed
+    by sector number), the projector of `observables.dark_projector` (keyed
+    ``"projector"``) and the ground-level indicator of
+    `observables.nes_report` (keyed ``"ground"``).
     """
 
     dim: int
     hamiltonian: np.ndarray
-    free_hamiltonian: np.ndarray
+    free_energies: np.ndarray
+    levels: np.ndarray
     jumps: tuple[tuple[float, np.ndarray], ...]
     n_collective: int
     layout: DimsLayout
@@ -257,16 +261,6 @@ def basis_levels(layout: DimsLayout) -> np.ndarray:
         stride //= d
         levels[j] = (np.arange(total) // stride) % d
     return levels
-
-
-def basis_excitations(layout: DimsLayout) -> np.ndarray:
-    """Total excitation (sum of level indices) of each flat basis index."""
-    return basis_levels(layout).sum(axis=0)
-
-
-def sector_indices(layout: DimsLayout, sector: int) -> np.ndarray:
-    """Flat indices of the basis states with total excitation ``sector``."""
-    return np.nonzero(basis_excitations(layout) == sector)[0]
 
 
 def basis_index(layout: DimsLayout, levels: Sequence[int]) -> int:
@@ -300,43 +294,21 @@ def _transition_entries(layout: DimsLayout, level_at: np.ndarray, j: int, transi
     ``level_at`` is `basis_levels` of ``layout``.  Column i with emitter
     ``j`` in level u has its entry in row i - (u - l) stride_j, the index
     with that emitter lowered to l; stride_j is the product of the local
-    dimensions right of ``j``.
+    dimensions right of ``j``.  The transition is one that `SystemSpec`
+    has checked, 0 <= l < u < levels of ``j``, so no row wraps round.
     """
     u, l = transition
-    if not 0 <= l < u < layout.subsystem_dims[j]:
-        raise InvalidTransition(f"transition {u}->{l} invalid for emitter {j} with {layout.subsystem_dims[j]} levels")
     cols = np.flatnonzero(level_at[j] == u)
     return cols - (u - l) * int(np.prod(layout.subsystem_dims[j + 1 :])), cols
-
-
-def collective_lowering(spec: CollectiveChannelSpec, layout: DimsLayout) -> np.ndarray:
-    """Jump operator sum_j w_j |l_j><u_j|_j, one lowering per nonzero weight.
-
-    Each weight is added at the entries `_transition_entries` gives for its
-    emitter; different emitters never share an entry.  Degenerate
-    single-weight input is accepted here (it reduces to a plain local
-    lowering); the `SystemSpec` constructor is where the >= 2 participant
-    rule for declared collective channels lives.
-    """
-    if len(spec.weights) != layout.n_subsystems:
-        raise DimensionMismatch(
-            f"channel has {len(spec.weights)} weights, layout has "
-            f"{layout.n_subsystems} subsystems"
-        )
-    level_at = basis_levels(layout)
-    op = np.zeros((layout.total_dim, layout.total_dim), dtype=np.complex128)
-    for j, (w, transition) in enumerate(zip(spec.weights, spec.transitions)):
-        if w != 0:
-            op[_transition_entries(layout, level_at, j, transition)] += w
-    return op
 
 
 def build_model(spec: SystemSpec) -> ModelOperators:
     """Compile a `SystemSpec`, checked when it was built, into Hamiltonian and jump operators.
 
-    Every operator is written entry by entry from `basis_levels`: the free
-    and frame energies on the diagonal, and each drive, collective lowering
-    and local lowering at the entries of its single-emitter transitions
+    `basis_levels` is computed once and kept as ``levels``; every operator
+    is written entry by entry from it: the free and frame energies on the
+    diagonal (the free ones kept as the vector ``free_energies``), and each
+    drive and lowering at the entries of its single-emitter transitions
     (`_transition_entries`).  No tensor product is formed.
     """
     layout = spec.layout()
@@ -361,21 +333,27 @@ def build_model(spec: SystemSpec) -> ModelOperators:
             frame += dr.drive_detuning * (level_at[dr.emitter_index] == dr.transition[0])
     frame_h[np.diag_indices(dim)] += frame
 
-    jumps: list[tuple[float, np.ndarray]] = []
-    for ch in spec.collective_channels:
-        jumps.append((ch.rate, collective_lowering(ch, layout)))
-    n_collective = len(jumps)
-    for ch in spec.local_channels:
+    # Each jump sums (emitter, weight, transition) terms: one per nonzero collective weight, one of weight 1 per local channel.
+    emitters = range(len(spec.emitters))
+    channels = [(ch.rate, zip(emitters, ch.weights, ch.transitions)) for ch in spec.collective_channels]
+    channels += [(ch.rate, [(ch.emitter_index, 1.0, ch.transition)]) for ch in spec.local_channels]
+    jumps = []
+    for rate, terms in channels:
         op = np.zeros((dim, dim), dtype=np.complex128)
-        op[_transition_entries(layout, level_at, ch.emitter_index, ch.transition)] = 1.0
-        jumps.append((ch.rate, op))
+        for j, w, transition in terms:
+            if w != 0:
+                op[_transition_entries(layout, level_at, j, transition)] += w
+        jumps.append((rate, op))
 
+    level_at.flags.writeable = False
+    free.flags.writeable = False
     return ModelOperators(
         dim=dim,
         hamiltonian=frame_h,
-        free_hamiltonian=np.diag(free.astype(np.complex128)),
+        free_energies=free,
+        levels=level_at,
         jumps=tuple(jumps),
-        n_collective=n_collective,
+        n_collective=len(spec.collective_channels),
         layout=layout,
         system=spec,
     )

@@ -23,7 +23,7 @@ from .linalg import (
     reduced_layout,
     trace_norm_hermitian,
 )
-from .model import ModelOperators, basis_excitations, basis_levels, sector_indices
+from .model import ModelOperators
 
 # `nes_report` counts a state as non-equilibrium above this excitation spread.
 NES_EQUAL_TOL = 1e-9
@@ -59,12 +59,12 @@ class NesReport:
 def energy(rho, model: ModelOperators) -> float:
     """Mean energy tr(rho H_free) against the lab-frame free Hamiltonian.
 
-    Level populations are frame-invariant, so this is valid for states
-    evolved in either frame.
+    H_free is diagonal, so this is ``free_energies`` dotted with the
+    populations.  Level populations are frame-invariant, so this is valid
+    for states evolved in either frame.
     """
     rho = model.layout.check_matrix(rho)
-    value = complex(np.einsum("ij,ji->", model.free_hamiltonian, rho))
-    return float(value.real)
+    return float(model.free_energies @ np.diagonal(rho).real)
 
 
 def dark_overlap(rho, target: np.ndarray) -> float:
@@ -120,23 +120,18 @@ def log_negativity(
 def dark_subspace(model: ModelOperators, sector: int) -> DarkSubspace:
     """Joint kernel of all collective jump operators within one sector.
 
-    Computed once per sector and kept on ``model``; repeat calls return the
-    same object, whose basis is read-only.
+    The sector holds the basis indices whose ``model.levels`` sum to
+    ``sector``.  Computed once per sector and kept on ``model``; repeat
+    calls return the same object, whose basis is read-only.
     """
     cached = model._dark_cache.get(sector)
     if cached is not None:
         return cached
-    exc = basis_excitations(model.layout)
-    if sector < 0 or sector > int(exc.max()):
-        basis = np.zeros((model.dim, 0), np.complex128)
-    else:
-        idx = sector_indices(model.layout, sector)
-        ops = model.collective_ops
-        if not ops:
-            restricted = np.zeros((1, idx.size), dtype=np.complex128)
-        else:
-            restricted = np.vstack([op[:, idx] for op in ops])
-        local = kernel_basis(restricted)
+    idx = np.flatnonzero(model.levels.sum(axis=0) == sector)
+    basis = np.zeros((model.dim, 0), np.complex128)
+    if idx.size:
+        restricted = [op[:, idx] for op in model.collective_ops] or [np.zeros((1, idx.size), np.complex128)]
+        local = kernel_basis(np.vstack(restricted))
         basis = np.zeros((model.dim, local.shape[1]), dtype=np.complex128)
         basis[idx, :] = local
     basis.flags.writeable = False
@@ -171,7 +166,7 @@ def _ground_indicator(model: ModelOperators) -> np.ndarray:
     """
     ground = model._dark_cache.get("ground")
     if ground is None:
-        ground = (basis_levels(model.layout) == 0).astype(float)
+        ground = (model.levels == 0).astype(float)
         ground.flags.writeable = False
         model._dark_cache["ground"] = ground
     return ground

@@ -9,7 +9,7 @@ Schema (all keys lowercase; defaults in brackets):
     "emitters": [ "qubit" | {"levels": int [2], "frequencies": [float,...]} ],
     "collective": [ {"rate": float [0],
                      "weights": [weight,...],          # [1 per emitter]
-                     "transitions": [[u,l],...] }],    # [[1,0] per emitter]
+                     "transitions": [[u,l],...] }],    # [[1,0] per weight]
     "local":      [ {"rate": float [0], "emitter": int [0], "transition": [u,l] [[1,0]]} ],
     "drives":     [ {"amplitude": float [0], "emitter": int [0],
                      "transition": [u,l], "detuning": float [0]} ],
@@ -431,12 +431,11 @@ def _read_system(value, where: str) -> SystemSpec:
     kwargs = _read(value, _SYSTEM, where, dict)
     if "frame" in kwargs:
         kwargs["frame"], kwargs["frame_frequency"] = kwargs["frame"]
-    # The collective weights and transitions default to one entry per emitter.
-    n = len(kwargs["emitters"])
-    per_emitter = {"weights": (1.0,) * n, "transitions": ((1, 0),) * n}
+    # The collective weights default to one per emitter, and `CollectiveChannelSpec` gives each a transition.
+    weights = {"weights": (1.0,) * len(kwargs["emitters"])}
     if "collective_channels" in kwargs:
         kwargs["collective_channels"] = tuple(
-            _build(CollectiveChannelSpec, {**per_emitter, **channel}, f"{where}.collective[{i}]")
+            _build(CollectiveChannelSpec, {**weights, **channel}, f"{where}.collective[{i}]")
             for i, channel in enumerate(kwargs["collective_channels"])
         )
     return _build(SystemSpec, kwargs, where)

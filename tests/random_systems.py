@@ -56,7 +56,7 @@ def random_model(rng, levels, n_collective, n_local, driven):
 
 def random_sector_state(rng, model):
     """Random density matrix on a random nonempty union of excitation sectors, and its support."""
-    exc = sr.basis_excitations(model.layout)
+    exc = model.levels.sum(axis=0)
     sectors = np.unique(exc)
     chosen = sectors[rng.random(sectors.size) < 0.5]
     if chosen.size == 0:

@@ -275,7 +275,7 @@ def test_criterion_07_dark_dimension_combinatorics():
             got = sr.dark_subspace(model, k).dimension
             expected = max(comb(n, k) - (comb(n, k - 1) if k else 0), 0)
             # independent oracle: SVD null space of the sector restriction
-            idx = sr.sector_indices(model.layout, k)
+            idx = np.flatnonzero(model.levels.sum(axis=0) == k)
             svals = np.linalg.svd(op[:, idx], compute_uv=False)
             brute = int(np.sum(svals <= 1e-9 * max(svals.max(), 1e-300)))
             if not (got == expected == brute):

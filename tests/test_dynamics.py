@@ -185,6 +185,13 @@ class TestEvolve:
         b = sr.evolve(model, rho0, grid, cfg)
         assert np.array_equal(a.final_state, b.final_state)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "initial_step", "fixed_step"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_integrator_settings_must_be_finite_and_positive(self, name, value):
+        # a NaN tolerance would make every error norm NaN, so Dormand-Prince would never accept a step
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            sr.IntegratorConfig(**{name: value})
+
     def test_rejects_invalid_initial_state(self):
         model = two_qubit_model()
         with pytest.raises(InvariantViolation):

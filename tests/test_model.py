@@ -15,7 +15,7 @@ from subrad.errors import (
     ValidationError,
 )
 from subrad.linalg import DimsLayout, kernel_basis, max_abs
-from subrad.model import _transition_entries, basis_excitations, basis_levels, basis_vector, sector_indices
+from subrad.model import _transition_entries, basis_levels, basis_vector
 
 from random_systems import LEVELS, random_system
 
@@ -26,6 +26,14 @@ def kron_transition(layout, j, upper, lower):
     local = np.zeros((dims[j], dims[j]), dtype=complex)
     local[lower, upper] = 1.0
     return np.kron(np.kron(np.eye(int(np.prod(dims[:j]))), local), np.eye(int(np.prod(dims[j + 1 :]))))
+
+
+def kron_levels(layout):
+    """Level of each emitter at each basis index: the diagonals of the kron-lifted number operators."""
+    return np.array([
+        np.diagonal(sum(level * kron_transition(layout, j, level, level) for level in range(d))).real.astype(int)
+        for j, d in enumerate(layout.subsystem_dims)
+    ])
 
 
 def kron_operators(spec):
@@ -77,7 +85,18 @@ class TestLiftSiteOperator:
         assert np.array_equal(self.lowering(1) @ state, np.zeros(4))
 
 
+def collective_model(weights, transitions=None, local_channels=()):
+    """A model of qubits, one per weight, with one collective channel of rate 1 and the given local channels."""
+    return sr.build_model(sr.SystemSpec(
+        emitters=(sr.EmitterSpec.qubit(),) * len(weights),
+        collective_channels=(sr.CollectiveChannelSpec(1.0, weights, transitions),),
+        local_channels=local_channels,
+    ))
+
+
 class TestCollectiveLowering:
+    """The collective jump `build_model` writes: one weighted lowering per nonzero weight."""
+
     layout = DimsLayout((2, 2))
 
     def bell(self, sign):
@@ -85,37 +104,37 @@ class TestCollectiveLowering:
         return vec / np.sqrt(2)
 
     def test_equal_weights_bright_and_dark(self):
-        spec = sr.CollectiveChannelSpec(1.0, (1, 1), ((1, 0), (1, 0)))
-        op = sr.collective_lowering(spec, self.layout)
+        op = collective_model((1, 1)).jumps[0][1]
         bright = op @ self.bell(+1)
         assert np.allclose(bright, np.sqrt(2) * basis_vector(self.layout, (0, 0)))
         assert np.allclose(op @ self.bell(-1), 0.0)
 
     def test_opposite_phase_swaps_roles(self):
-        spec = sr.CollectiveChannelSpec(1.0, (1, -1), ((1, 0), (1, 0)))
-        op = sr.collective_lowering(spec, self.layout)
+        op = collective_model((1, -1)).jumps[0][1]
         assert np.allclose(op @ self.bell(-1), np.sqrt(2) * basis_vector(self.layout, (0, 0)))
         assert np.allclose(op @ self.bell(+1), 0.0)
 
-    def test_single_weight_degenerates_to_local_lowering(self):
-        spec = sr.CollectiveChannelSpec(1.0, (1, 0), ((1, 0), (1, 0)))
-        op = sr.collective_lowering(spec, self.layout)
-        assert np.array_equal(op, kron_transition(self.layout, 0, 1, 0))
+    def test_zero_weight_leaves_the_local_lowerings_of_the_others(self):
+        local = (sr.LocalChannelSpec(1.0, 0), sr.LocalChannelSpec(1.0, 2))
+        model = collective_model((1, 0, 1), local_channels=local)
+        (_, collective), (_, first), (_, last) = model.jumps
+        assert np.array_equal(collective, first + last)
+        assert np.array_equal(first, kron_transition(model.layout, 0, 1, 0))
 
     @pytest.mark.parametrize("transition", [(2, 0), (1, 1), (1, -1)])
     def test_invalid_transition_is_refused(self, transition):
-        # a lowered row index outside the emitter's ladder would wrap around, not fail
-        spec = sr.CollectiveChannelSpec(1.0, (1, 1), (transition, (1, 0)))
+        # the spec refuses it: the lowered row index would fall outside the emitter's ladder and wrap round
         with pytest.raises(InvalidTransition):
-            sr.collective_lowering(spec, self.layout)
+            collective_model((1, 1), (transition, (1, 0)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_excitation_kernel_dimension(self, n):
-        layout = DimsLayout((2,) * n)
-        spec = sr.CollectiveChannelSpec(1.0, (1,) * n, ((1, 0),) * n)
-        op = sr.collective_lowering(spec, layout)
-        idx = sector_indices(layout, 1)
-        assert kernel_basis(op[:, idx]).shape[1] == n - 1
+        model = collective_model((1,) * n)
+        idx = np.flatnonzero(model.levels.sum(axis=0) == 1)
+        assert kernel_basis(model.jumps[0][1][:, idx]).shape[1] == n - 1
+
+    def test_transitions_default_to_one_lowering_per_weight(self):
+        assert sr.CollectiveChannelSpec(1.0, (1, 1j, 0)).transitions == ((1, 0),) * 3
 
 
 class TestBuildModel:
@@ -234,7 +253,8 @@ class TestBuildModel:
             frame_h += dr.amplitude * (low + low.conj().T)
             if dr.drive_detuning != 0.0:
                 frame_h += dr.drive_detuning * projector(dr.emitter_index, dr.transition[0])
-        assert model.free_hamiltonian.tobytes() == free.tobytes()
+        assert not free[~np.eye(model.dim, dtype=bool)].any()
+        assert model.free_energies.tobytes() == np.diagonal(free).real.tobytes()
         assert model.hamiltonian.tobytes() == frame_h.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -247,6 +267,14 @@ class TestBuildModel:
         drives, jumps = kron_operators(spec)
         off_diagonal = ~np.eye(model.dim, dtype=bool)
         assert model.hamiltonian[off_diagonal].tobytes() == drives[off_diagonal].tobytes()
+        assert model.levels.tobytes() == kron_levels(model.layout).tobytes()
+        free = sum(
+            freq * np.diagonal(kron_transition(model.layout, j, level, level)).real
+            for j, emitter in enumerate(spec.emitters)
+            for level, freq in enumerate(emitter.level_frequencies)
+        )
+        assert model.free_energies.tobytes() == free.tobytes()
+        assert not model.levels.flags.writeable and not model.free_energies.flags.writeable
         assert [rate for rate, _ in model.jumps] == [rate for rate, _ in jumps]
         for (_, op), (_, expected) in zip(model.jumps, jumps):
             assert op.tobytes() == expected.tobytes()
@@ -318,6 +346,16 @@ class TestInitialStates:
     "make, message",
     [
         pytest.param(lambda: sr.SystemSpec(emitters=()), "at least one emitter", id="no-emitters"),
+        pytest.param(
+            lambda: sr.SystemSpec((sr.EmitterSpec.qubit(),) * 2, (sr.CollectiveChannelSpec(1.0, (1, 1, 1)),)),
+            "one weight per emitter", id="collective-weight-count",
+        ),
+        pytest.param(
+            lambda: sr.SystemSpec(
+                (sr.EmitterSpec.qubit(),) * 9, (sr.CollectiveChannelSpec(1.0, (1,)),), dimension_cap=4,
+            ),
+            "one weight per emitter", id="weight-count-before-dimension-cap",
+        ),
         pytest.param(lambda: sr.StateSpec(amplitudes=()), "at least one entry", id="empty-amplitudes"),
         pytest.param(lambda: sr.StateSpec(mixture=()), "at least one entry", id="empty-mixture"),
         pytest.param(lambda: sr.StateSpec.from_amplitudes({}), "at least one entry", id="from-no-amplitudes"),
@@ -331,10 +369,9 @@ def test_specs_are_checked_when_built(make, message):
 
 class TestExcitationBookkeeping:
     def test_basis_excitations_qubitqudit(self):
-        layout = DimsLayout((2, 4))
-        exc = basis_excitations(layout)
+        model = sr.build_model(sr.SystemSpec(emitters=(sr.EmitterSpec.qubit(), sr.EmitterSpec(4, (0.0, 1.0, 2.0, 3.0)))))
         # index = q*4 + l
-        assert list(exc) == [0, 1, 2, 3, 1, 2, 3, 4]
+        assert model.levels.sum(axis=0).tolist() == [0, 1, 2, 3, 1, 2, 3, 4]
 
     def test_basis_levels_qubitqudit(self):
         layout = DimsLayout((2, 4))
@@ -344,9 +381,10 @@ class TestExcitationBookkeeping:
             assert sr.model.basis_index(layout, levels[:, i]) == i
 
     def test_sector_indices(self):
-        layout = DimsLayout((2, 2, 2))
-        assert list(sector_indices(layout, 1)) == [1, 2, 4]
-        assert list(sector_indices(layout, 2)) == [3, 5, 6]
+        model = sr.build_model(sr.SystemSpec(emitters=(sr.EmitterSpec.qubit(),) * 3))
+        excitations = model.levels.sum(axis=0)
+        assert np.flatnonzero(excitations == 1).tolist() == [1, 2, 4]
+        assert np.flatnonzero(excitations == 2).tolist() == [3, 5, 6]
 
 
 def test_product_state_dark_component_present_when_unbalanced():

@@ -10,7 +10,6 @@ import subrad as sr
 import subrad.observables as observables
 from subrad.errors import DimensionMismatch
 from subrad.linalg import DimsLayout
-from subrad.model import sector_indices
 
 from random_systems import LEVELS, random_density, random_model
 
@@ -212,7 +211,7 @@ class TestNesReport:
             for j in range(model.layout.n_subsystems)
         ]
         weight = 0.0
-        for k in range(1, int(sr.basis_excitations(model.layout).max()) + 1):
+        for k in range(1, int(model.levels.sum(axis=0).max()) + 1):
             basis = sr.dark_subspace(model, k).basis
             weight += sum(sr.dark_overlap(rho, basis[:, col]) for col in range(basis.shape[1]))
         report = sr.nes_report(rho, model)
@@ -222,19 +221,19 @@ class TestNesReport:
 
     def test_constants_built_once_per_model_and_read_only(self, monkeypatch):
         calls = {"dark_subspace": 0, "basis_levels": 0}
-        for name in calls:
-            original = getattr(observables, name)
+        for module, name in ((observables, "dark_subspace"), (sr.model, "basis_levels")):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(observables, name, counting)
+            monkeypatch.setattr(module, name, counting)
         model = qubit_chain_model(4)
         rng = np.random.default_rng(7)
         for _ in range(3):
             sr.nes_report(random_density(rng, model.dim), model)
-        # one dark subspace per excited sector k = 1..4 and one indicator
+        # one dark subspace per excited sector k = 1..4; the readout reads the one basis table `build_model` keeps
         assert calls == {"dark_subspace": 4, "basis_levels": 1}
 
         proj = sr.dark_projector(model)
@@ -245,7 +244,7 @@ class TestNesReport:
             assert not constant.flags.writeable
             with pytest.raises(ValueError):
                 constant[0, 0] = 1.0
-        assert np.allclose(ground.sum(axis=0), 4 - sr.basis_excitations(model.layout))
+        assert np.allclose(ground.sum(axis=0), 4 - model.levels.sum(axis=0))
         other = qubit_chain_model(4)
         assert sr.dark_projector(other) is not proj
         assert np.array_equal(sr.dark_projector(other), proj)

@@ -48,6 +48,19 @@ class TestParsing:
         with pytest.raises(ValidationError):
             sr.scenario_from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "emitters, weights, message",
+        [
+            pytest.param([], [1.0, 1.0], "at least one emitter is required", id="no-emitters"),
+            pytest.param(["qubit", "qubit"], [1.0], "needs one weight per emitter", id="one-weight"),
+        ],
+    )
+    def test_collective_shape_is_checked_by_the_system(self, emitters, weights, message):
+        bad = json.loads(json.dumps(TINY_SCENARIO))
+        bad["system"].update(emitters=emitters, collective=[{"rate": 0.05, "weights": weights}])
+        with pytest.raises(ValidationError, match=message):
+            sr.scenario_from_dict(bad)
+
     def test_empty_text_is_parse_error(self):
         with pytest.raises(ParseError):
             sr.parse_scenario("")
@@ -923,6 +936,18 @@ class TestCli:
             assert main(["run", str(path), "--fixed-step", "5e4", "--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
         assert "subrad: InvariantViolation: " in err and "non-finite" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_fixed_step_flag_is_checked_like_the_file(self, tmp_path, capsys, value):
+        # a file's integrator.fixed_step must be finite and positive; so must the flag, before anything runs
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY_SCENARIO))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": TINY_SCENARIO, "axes": {"system.collective[0].rate": [0.05]}}))
+        for verb, target in (("run", "fig2"), ("run", path), ("sweep", sweep)):
+            out = tmp_path / "out.csv"
+            assert main([verb, str(target), "--fixed-step", value, "--out", str(out)]) == 2
+            assert "fixed_step" in capsys.readouterr().err and not out.exists()
 
     def test_sweep_cli(self, tmp_path):
         sweep = {
