@@ -417,10 +417,13 @@ def evolve(
     ``time_grid`` must be strictly increasing; ``rho0`` is the state at
     ``time_grid[0]``.  The observer (if given) is called at every grid
     point with the full ``(dim, dim)`` state, Hermitised, and its returned
-    mapping merged into the records; the keys ``trace_error``, ``herm_error``
-    and ``min_eigenvalue`` are reserved.  A grid-point state that aborts the
-    run (see the module docstring) raises `InvariantViolation` before the
-    observer sees it.
+    mapping merged into the records.  The keys it returns at the first grid
+    point fix the record columns, so every column is aligned with
+    ``time_grid``: the keys ``trace_error``, ``herm_error`` and
+    ``min_eigenvalue`` are reserved, and a later point returning another
+    key set raises `ValueError` naming its ``t``.  A grid-point state that
+    aborts the run (see the module docstring) raises `InvariantViolation`
+    before the observer sees it.
 
     Only the block on the indices reachable from the support of ``rho0``
     (see the module docstring) is stepped; ``meta["evolved_dim"]`` is its
@@ -463,7 +466,8 @@ def evolve(
         full[block] = state
         return full
 
-    records: dict[str, list[float]] = {}
+    records: dict[str, list[float]] = {key: [] for key in _RESERVED_RECORDS}
+    observed = None  # the observer's key set, fixed at the first grid point
     grid = times.tolist()
     for i, t in enumerate(grid):
         if i:
@@ -473,15 +477,21 @@ def evolve(
         if lowest < MIN_EIGENVALUE_FLOOR:
             raise InvariantViolation(f"min eigenvalue {lowest:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
         rho = (rho + dagger(rho)) / 2.0
-        rec = {"trace_error": trace_error, "herm_error": herm_error, "min_eigenvalue": lowest}
+        for key, value in zip(_RESERVED_RECORDS, (trace_error, herm_error, lowest)):
+            records[key].append(value)
         if observer is not None:
             extra = observer(t, embed(rho))
-            for key in extra:
-                if key in _RESERVED_RECORDS:
-                    raise ValueError(f"observer key {key!r} is reserved")
-            rec.update({str(k): float(v) for k, v in extra.items()})
-        for key, value in rec.items():
-            records.setdefault(key, []).append(value)
+            if observed is None:
+                observed = set(extra)
+                reserved = sorted(observed.intersection(_RESERVED_RECORDS))
+                if reserved:
+                    raise ValueError(f"observer key {reserved[0]!r} is reserved")
+                records.update({str(key): [] for key in extra})
+            elif extra.keys() != observed:
+                raise ValueError(f"observer keys at t={t:g} {sorted(map(str, extra))} differ from "
+                                 f"those at the first grid point {sorted(map(str, observed))}")
+            for key, value in extra.items():
+                records[str(key)].append(float(value))
 
     columns = {key: np.array(values) for key, values in records.items()}
     meta["max_herm_drift"] = float(columns["herm_error"].max())

@@ -4,6 +4,15 @@ The quantity reported as "fidelity" throughout the package is the plain
 overlap ``<target|rho|target>``; the square-root variant is available
 separately as `dark_overlap_sqrt` / the ``fidelity_sqrt`` column.  Both are
 emitted so either convention can be read off.
+
+Validation lives at the public functions: each checks its input before it
+reads anything off (`energy` a finite state of the model's dimension, the
+overlaps a unit target of the state's dimension).  `mean_energy`,
+`overlap` and `overlap_sqrt` are the formulas behind `energy`,
+`dark_overlap` and `dark_overlap_sqrt` without those checks, for callers
+whose state and constants were checked already: `run_scenario`'s columns
+read the grid-point state that `evolve` checked, ``model.free_energies``
+and the fidelity targets the `Scenario` resolved when it was built.
 """
 
 from __future__ import annotations
@@ -56,6 +65,21 @@ class NesReport:
     is_nonequilibrium: bool
 
 
+def mean_energy(rho: np.ndarray, free_energies: np.ndarray) -> float:
+    """`energy` of a checked ``(dim, dim)`` state: ``free_energies`` dotted with its populations."""
+    return float(free_energies @ rho.diagonal().real)
+
+
+def overlap(rho: np.ndarray, target: np.ndarray) -> float:
+    """`dark_overlap` of a checked state and a unit complex target vector of its dimension."""
+    return float(np.vdot(target, rho @ target).real)
+
+
+def overlap_sqrt(rho: np.ndarray, target: np.ndarray) -> float:
+    """`dark_overlap_sqrt` of a checked state and a unit complex target vector of its dimension."""
+    return float(np.sqrt(max(overlap(rho, target), 0.0)))
+
+
 def energy(rho, model: ModelOperators) -> float:
     """Mean energy tr(rho H_free) against the lab-frame free Hamiltonian.
 
@@ -63,12 +87,11 @@ def energy(rho, model: ModelOperators) -> float:
     populations.  Level populations are frame-invariant, so this is valid
     for states evolved in either frame.
     """
-    rho = model.layout.check_matrix(rho)
-    return float(model.free_energies @ np.diagonal(rho).real)
+    return mean_energy(model.layout.check_matrix(rho), model.free_energies)
 
 
-def dark_overlap(rho, target: np.ndarray) -> float:
-    """Population overlap <target|rho|target> of a normalized pure target."""
+def _checked_overlap_input(rho, target) -> tuple[np.ndarray, np.ndarray]:
+    """``rho`` and ``target`` as complex arrays, refusing a non-unit target or mismatched dimensions."""
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(target))
     if abs(norm - 1.0) > 1e-9:
@@ -76,12 +99,17 @@ def dark_overlap(rho, target: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (target.size, target.size):
         raise DimensionMismatch(f"state dim {rho.shape} vs target dim {target.size}")
-    return float(np.real(np.vdot(target, rho @ target)))
+    return rho, target
+
+
+def dark_overlap(rho, target: np.ndarray) -> float:
+    """Population overlap <target|rho|target> of a normalized pure target."""
+    return overlap(*_checked_overlap_input(rho, target))
 
 
 def dark_overlap_sqrt(rho, target: np.ndarray) -> float:
     """Square root of `dark_overlap` (the literal-formula fidelity variant)."""
-    return float(np.sqrt(max(dark_overlap(rho, target), 0.0)))
+    return overlap_sqrt(*_checked_overlap_input(rho, target))
 
 
 def log_negativity(

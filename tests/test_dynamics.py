@@ -185,6 +185,29 @@ class TestEvolve:
         b = sr.evolve(model, rho0, grid, cfg)
         assert np.array_equal(a.final_state, b.final_state)
 
+    def test_observer_key_set_is_fixed_at_the_first_grid_point(self):
+        # unchecked, alternating key sets would leave records["a"] 3 entries and records["b"] 2 on a 5-point grid
+        model = sr.build_model(sr.scenario_from_dict(sr.load_preset("fig2")).system)
+        rho0 = pure(sr.named_state_vector("10", model.layout))
+        seen = []
+
+        def alternating(t, rho):
+            seen.append(t)
+            return {"a": 1.0} if len(seen) % 2 else {"b": 2.0}
+
+        with pytest.raises(ValueError, match=r"observer keys at t=25 \['b'\] differ .* \['a'\]"):
+            sr.evolve(model, rho0, np.linspace(0.0, 100.0, 5), observer=alternating)
+        assert seen == [0.0, 25.0]
+        traj = sr.evolve(model, rho0, np.linspace(0.0, 100.0, 5), observer=lambda t, r: {"a": t, "b": 2.0 * t})
+        assert [len(values) for values in traj.records.values()] == [5] * 5
+
+    @pytest.mark.parametrize("key", ["trace_error", "herm_error", "min_eigenvalue"])
+    def test_reserved_observer_keys_are_refused(self, key):
+        model = two_qubit_model()
+        rho0 = pure(sr.named_state_vector("10", model.layout))
+        with pytest.raises(ValueError, match=f"observer key '{key}' is reserved"):
+            sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, r: {"a": 1.0, key: 0.0})
+
     @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "initial_step", "fixed_step"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_integrator_settings_must_be_finite_and_positive(self, name, value):

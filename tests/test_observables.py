@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import subrad as sr
 import subrad.observables as observables
-from subrad.errors import DimensionMismatch
+from subrad.errors import DimensionMismatch, NonNormalizable
 from subrad.linalg import DimsLayout
+from subrad.scenario import ObservableSpec, _observable_columns
 
-from random_systems import LEVELS, random_density, random_model
+from random_systems import LEVELS, random_density, random_model, random_sector_state
 
 
 def pure(vec):
@@ -62,6 +63,15 @@ class TestEnergy:
         rho[0, 0] += 1.0 / 3.0
         assert sr.energy(rho, three_qubit) == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize(
+        "state",
+        [np.full((4, 4), np.nan), np.eye(3) / 3, np.full((4, 3), 0.25), np.full(16, 1 / 16)],
+        ids=["nan", "wrong-dim", "not-square", "flat"],
+    )
+    def test_refuses_a_state_it_cannot_read(self, two_qubit, state):
+        with pytest.raises(DimensionMismatch):
+            sr.energy(state, two_qubit)
+
 
 class TestDarkOverlap:
     def test_dark_state_unit_overlap(self, two_qubit):
@@ -79,6 +89,54 @@ class TestDarkOverlap:
         p = sr.dark_overlap(rho, singlet)
         assert p == pytest.approx(0.5)
         assert sr.dark_overlap_sqrt(rho, singlet) == pytest.approx(np.sqrt(0.5))
+
+    @pytest.mark.parametrize("overlap", [sr.dark_overlap, sr.dark_overlap_sqrt])
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 0.0])
+    def test_refuses_a_target_that_is_not_unit(self, two_qubit, overlap, scale):
+        singlet = sr.named_state_vector("psi_minus", two_qubit.layout)
+        with pytest.raises(NonNormalizable):
+            overlap(pure(singlet), scale * singlet)
+
+    @pytest.mark.parametrize("overlap", [sr.dark_overlap, sr.dark_overlap_sqrt])
+    def test_refuses_a_state_of_another_dimension(self, two_qubit, overlap):
+        singlet = sr.named_state_vector("psi_minus", two_qubit.layout)
+        with pytest.raises(DimensionMismatch):
+            overlap(np.eye(8) / 8, singlet)
+        with pytest.raises(DimensionMismatch):
+            overlap(np.full((4, 2), 0.25), singlet)
+
+
+class TestRunColumns:
+    """`run_scenario`'s energy and fidelity columns skip the public checks but keep their formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=LEVELS,
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_columns_equal_public_functions(self, levels, n_collective, n_local, driven, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, levels, n_collective, n_local, driven)
+        rho, _ = random_sector_state(rng, model)
+        rho = (rho + rho.conj().T) / 2.0  # as `evolve` hands it over
+        # a random target resolved the way `Scenario` resolves one: through `state_vector`
+        labels = ["".join(map(str, column)) for column in model.levels.T]
+        amplitudes = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+        spec = sr.StateSpec.from_amplitudes(dict(zip(labels, amplitudes)))
+        target = sr.state_vector(spec, model.layout)
+        values = {}
+        for ob in (ObservableSpec("energy"), ObservableSpec("fidelity", spec), ObservableSpec("fidelity", spec, True)):
+            [(names, column)] = _observable_columns(ob, target, model)
+            [values[names[0]]] = column(0.0, rho)
+        assert values == {
+            "energy": sr.energy(rho, model),
+            "fidelity": sr.dark_overlap(rho, target),
+            "fidelity_sqrt": sr.dark_overlap_sqrt(rho, target),
+        }
+        assert values["fidelity_sqrt"] == np.sqrt(max(values["fidelity"], 0.0))
 
 
 class TestLogNegativity:
