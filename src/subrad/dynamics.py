@@ -8,18 +8,19 @@ built from those.
 
 State validity is one policy.  `density_checks` measures the trace error
 |tr rho - 1|, the Hermiticity error max|rho - rho†| and the lowest
-eigenvalue of (rho + rho†)/2, and refuses a non-finite state
-(`InvariantViolation`); `within_tolerance` holds them to ``TRACE_TOL``,
-``HERMITICITY_TOL`` (both 1e-9) and ``MIN_EIGENVALUE_TOL`` (-1e-8), passing
-a value at its threshold and failing NaN.  An initial state outside them is
-refused.  The solvers only advance; `evolve` records the three values at
-every grid point, the first included, on the state as stepped, so
-``herm_error`` is the step's drift, and flags a record outside them
-(`Trajectory.breached`).  A run aborts only on a non-finite state or a lowest
-eigenvalue below ``MIN_EIGENVALUE_FLOOR`` (-1e-6).  Hermiticity is then
-restored at the grid point (``rho <- (rho + rho†)/2``) before the observer
-and the next step see the state; trace (the generator preserves it, so its
-drift is roundoff) and positivity are never corrected.
+eigenvalue of the Hermitian part (rho + rho†)/2, which it also returns, and
+refuses a non-finite state (`InvariantViolation`); `within_tolerance` holds
+them to ``TRACE_TOL``, ``HERMITICITY_TOL`` (both 1e-9) and
+``MIN_EIGENVALUE_TOL`` (-1e-8), passing a value at its threshold and
+failing NaN.  An initial state outside them is refused; its checks are the
+first grid point's record.  The solvers only advance; `evolve` checks each
+later grid point once, on the state as stepped, so ``herm_error`` is the
+step's drift, and flags a record outside them (`Trajectory.breached`).  A
+run aborts only on a non-finite state or a lowest eigenvalue below
+``MIN_EIGENVALUE_FLOOR`` (-1e-6).  Hermiticity is restored at every grid
+point: the Hermitian part whose eigenvalues the check solved is the state
+the observer and the next step see.  Trace (the generator preserves it, so
+its drift is roundoff) and positivity are never corrected.
 
 `evolve` steps only the block of the density matrix that the initial state
 can reach.  A basis index is reachable when a chain of nonzero entries
@@ -283,20 +284,20 @@ def _dp_step(rhs, y, h):
     return y5, err
 
 
-def density_checks(rho: np.ndarray, name: str) -> tuple[float, float, float]:
-    """Trace error, max|rho - rho†| and the lowest eigenvalue of (rho + rho†)/2.
+def density_checks(rho: np.ndarray, name: str, dim: int) -> tuple[float, float, float, np.ndarray]:
+    """Trace error, max|rho - rho†|, the lowest eigenvalue of H = (rho + rho†)/2, and H.
 
-    ``rho`` is a square complex array; ``name`` describes it in the
-    `InvariantViolation` raised when an entry is not finite.
+    ``rho`` is a square block of a ``dim``-state space, zero outside it: below
+    ``dim`` states the lowest eigenvalue is min(lambda_H, 0).  ``name`` names
+    ``rho`` when a non-finite entry raises `InvariantViolation`.
     """
     if not np.isfinite(rho).all():
         raise InvariantViolation(f"non-finite entries in {name}")
-    herm_error = max_abs(rho - dagger(rho))
-    # `hermitian_eigen` refuses a state above its tolerance, so such a state
-    # goes in symmetrised; either way the solve sees the same (rho + rho†)/2.
-    hermitian = rho if herm_error <= HERMITICITY_TOL else (rho + dagger(rho)) / 2.0
-    w, _ = hermitian_eigen(hermitian, vectors=False)
-    return abs(complex(np.trace(rho)) - 1.0), herm_error, float(w[0])
+    rho_dagger = dagger(rho)
+    hermitian = (rho + rho_dagger) / 2.0
+    lowest = float(hermitian_eigen(hermitian)[0])
+    lowest = min(lowest, 0.0) if rho.shape[0] < dim else lowest
+    return abs(complex(np.trace(rho)) - 1.0), max_abs(rho - rho_dagger), lowest, hermitian
 
 
 def within_tolerance(trace_error, herm_error, min_eigenvalue):
@@ -305,30 +306,28 @@ def within_tolerance(trace_error, herm_error, min_eigenvalue):
 
 
 def _block(model: ModelOperators, rho0):
-    """``np.ix_(S, S)`` of the block S reachable from ``rho0``, ``rho0`` on it and `_generator` formed on it.
+    """``np.ix_(S, S)`` of the block S reachable from ``rho0``, the block's checks and `_generator` formed on it.
 
     S is found from the patterns of H and of the jumps of nonzero rate
     (`_reachable`); H and the jumps are sliced to S before `_generator`
     forms H_nh, so no full-space sum of L†L is built.  S is closed under
     every jump, so L_S†L_S is (L†L) restricted to S.
-    Refuses a ``rho0`` of the wrong shape or outside `within_tolerance`.
-    The checks run on the block: outside it ``rho0`` is exactly zero (a NaN
-    or infinite entry counts as nonzero, so it lies in the block), which
-    leaves the trace and Hermiticity errors as they are and makes the
-    lowest eigenvalue of the full state min(lambda_block, 0).
+    The checks, Hermitian part last, are `density_checks` of ``rho0`` on the
+    block: outside it ``rho0`` is exactly zero (a NaN or infinite entry
+    counts as nonzero, so it lies in the block).  Refuses a ``rho0`` of the
+    wrong shape or outside `within_tolerance`.
     """
     rho = np.asarray(rho0, dtype=np.complex128)
     if rho.shape != (model.dim, model.dim):
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
     keep = _reachable(rho, model.hamiltonian, [op for rate, op in model.jumps if rate != 0.0])
     block = np.ix_(keep, keep)
-    rho = rho[block]
-    trace_error, herm_error, lowest = density_checks(rho, "the initial state")
-    checks = trace_error, herm_error, min(lowest, 0.0) if keep.size < model.dim else lowest
-    if not within_tolerance(*checks):
-        raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks)
+    checks = density_checks(rho[block], "the initial state", model.dim)
+    if not within_tolerance(*checks[:3]):
+        raise InvariantViolation(
+            "initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks[:3])
     h_nh, jump_ops = _generator(model.hamiltonian[block], [(rate, op[block]) for rate, op in model.jumps])
-    return block, rho, h_nh, jump_ops
+    return block, checks, h_nh, jump_ops
 
 
 def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
@@ -416,14 +415,14 @@ def evolve(
 
     ``time_grid`` must be strictly increasing; ``rho0`` is the state at
     ``time_grid[0]``.  The observer (if given) is called at every grid
-    point with the full ``(dim, dim)`` state, Hermitised, and its returned
-    mapping merged into the records.  The keys it returns at the first grid
-    point fix the record columns, so every column is aligned with
-    ``time_grid``: the keys ``trace_error``, ``herm_error`` and
-    ``min_eigenvalue`` are reserved, and a later point returning another
-    key set raises `ValueError` naming its ``t``.  A grid-point state that
-    aborts the run (see the module docstring) raises `InvariantViolation`
-    before the observer sees it.
+    point with the full ``(dim, dim)`` state, the Hermitian part that
+    point's check returned, and the mapping it returns is merged into the
+    records.  The keys it returns at the first grid point fix the record
+    columns, so every column is aligned with ``time_grid``: the keys
+    ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are reserved,
+    and a later point returning another key set raises `ValueError` naming
+    its ``t``.  A grid-point state that aborts the run (see the module
+    docstring) raises `InvariantViolation` before the observer sees it.
 
     Only the block on the indices reachable from the support of ``rho0``
     (see the module docstring) is stepped; ``meta["evolved_dim"]`` is its
@@ -450,7 +449,8 @@ def evolve(
         raise DimensionMismatch("time grid must be strictly increasing")
 
     dim = model.dim
-    block, rho, h_nh, jump_ops = _block(model, rho0)
+    block, checks, h_nh, jump_ops = _block(model, rho0)
+    rho = checks[3]
     size = rho.shape[0]
     solver = "propagator" if size <= PROPAGATOR_MAX_DIM else "dp45"
     meta = {"solver": solver, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0, "evolved_dim": float(size)}
@@ -471,12 +471,10 @@ def evolve(
     grid = times.tolist()
     for i, t in enumerate(grid):
         if i:
-            rho = advance(rho, grid[i - 1], t)
-        trace_error, herm_error, lowest = density_checks(rho, f"the state at t={t:g}")
-        lowest = min(lowest, 0.0) if size < dim else lowest
+            checks = density_checks(advance(rho, grid[i - 1], t), f"the state at t={t:g}", dim)
+        trace_error, herm_error, lowest, rho = checks
         if lowest < MIN_EIGENVALUE_FLOOR:
             raise InvariantViolation(f"min eigenvalue {lowest:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
-        rho = (rho + dagger(rho)) / 2.0
         for key, value in zip(_RESERVED_RECORDS, (trace_error, herm_error, lowest)):
             records[key].append(value)
         if observer is not None:
@@ -524,7 +522,8 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     of the block superoperator L gives its right and left kernels R and J
     (singular values at most ``KERNEL_TOL`` sigma_max), and the
     zero-eigenvalue spectral projector P = R (J†R)^-1 J† gives
-    rho_inf = P vec(rho0) (Albert & Jiang, PRA 89, 022118 (2014)).  No time
+    rho_inf = P vec(rho0) (Albert & Jiang, PRA 89, 022118 (2014)), rho0 as the
+    Hermitian part its initial check returns, as in `evolve`.  No time
     horizon enters: the conserved quantities J fix it.  The first column of
     J is the trace functional vec(1)/sqrt(|S|) itself, so tr rho_inf =
     tr rho0 up to roundoff, whatever the conditioning.  A slow mode of
@@ -539,7 +538,7 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     raised.  Raises `DimensionCapExceeded` when |S| exceeds
     `SUPEROPERATOR_MAX_DIM`, like `liouvillian_matrix`.
     """
-    block, rho, h_nh, jump_ops = _block(model, rho0)
+    block, (*_, rho), h_nh, jump_ops = _block(model, rho0)
     size = rho.shape[0]
     liou = _superoperator(h_nh, jump_ops)
     u, sigma, vh = svd(liou)

@@ -94,13 +94,11 @@ def kron(a, b) -> np.ndarray:
     return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def hermitian_eigen(m, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (`numpy.linalg.eigh`).
+def hermitian_eigen(m) -> np.ndarray:
+    """Real eigenvalues, ascending, of a Hermitian matrix by LAPACK (`numpy.linalg.eigvalsh`).
 
-    Returns ``(w, v)`` with real eigenvalues ``w`` sorted ascending and
-    orthonormal eigenvector columns ``v`` such that ``m = v @ diag(w) @ v†``.
-    The input is symmetrised before the solve.  With ``vectors=False`` only
-    the eigenvalues are computed (`numpy.linalg.eigvalsh`) and ``v`` is None.
+    The input is symmetrised before the solve; a non-finite or non-square
+    one raises `DimensionMismatch`.
 
     Raises
     ------
@@ -113,12 +111,8 @@ def hermitian_eigen(m, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray 
     herm_err = max_abs(a - dagger(a))
     if herm_err > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermitian by {herm_err:.3e} > {HERMITICITY_TOL:.3e}")
-    a = (a + dagger(a)) / 2.0
     try:
-        if not vectors:
-            return np.linalg.eigvalsh(a), None
-        w, v = np.linalg.eigh(a)
-        return w, v
+        return np.linalg.eigvalsh((a + dagger(a)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Hermitian eigensolve did not converge: {exc}") from exc
 
@@ -191,9 +185,8 @@ def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) ->
 
 
 def trace_norm_hermitian(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix (see `hermitian_eigen`)."""
-    w, _ = hermitian_eigen(m, vectors=False)
-    return float(np.sum(np.abs(w)))
+    """Sum of absolute eigenvalues of a Hermitian matrix, checked and solved by `hermitian_eigen`."""
+    return float(np.sum(np.abs(hermitian_eigen(m))))
 
 
 def reduced_layout(layout: DimsLayout, keep_indices: Sequence[int]) -> DimsLayout:

@@ -21,6 +21,7 @@ Conventions (fixed once, used by the whole package):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -37,6 +38,16 @@ from .errors import (
 from .linalg import DimsLayout
 
 DEFAULT_DIMENSION_CAP = 256
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; like a file, a spec's integer field refuses a boolean or non-integral value."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +69,7 @@ class EmitterSpec:
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.level_frequencies)
         object.__setattr__(self, "level_frequencies", freqs)
-        object.__setattr__(self, "levels", int(self.levels))
+        object.__setattr__(self, "levels", as_integer(self.levels, "levels"))
         if self.levels < 2:
             raise ValidationError(f"emitter needs >= 2 levels, got {self.levels}")
         if len(freqs) != self.levels:
@@ -76,8 +87,7 @@ class EmitterSpec:
 
 
 def _as_transition(value) -> tuple[int, int]:
-    u, l = int(value[0]), int(value[1])
-    return (u, l)
+    return as_integer(value[0], "transition"), as_integer(value[1], "transition")
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,7 @@ class LocalChannelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "emitter_index", int(self.emitter_index))
+        object.__setattr__(self, "emitter_index", as_integer(self.emitter_index, "emitter_index"))
         object.__setattr__(self, "transition", _as_transition(self.transition))
         if self.rate < 0:
             raise ValidationError(f"local rate must be >= 0, got {self.rate}")
@@ -137,7 +147,7 @@ class DriveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "emitter_index", int(self.emitter_index))
+        object.__setattr__(self, "emitter_index", as_integer(self.emitter_index, "emitter_index"))
         object.__setattr__(self, "transition", _as_transition(self.transition))
         object.__setattr__(self, "drive_detuning", float(self.drive_detuning))
 
@@ -160,7 +170,7 @@ class SystemSpec:
         object.__setattr__(self, "local_channels", tuple(self.local_channels))
         object.__setattr__(self, "drives", tuple(self.drives))
         object.__setattr__(self, "frame_frequency", float(self.frame_frequency))
-        object.__setattr__(self, "dimension_cap", int(self.dimension_cap))
+        object.__setattr__(self, "dimension_cap", as_integer(self.dimension_cap, "dimension_cap"))
         if not self.emitters:
             raise ValidationError("at least one emitter is required")
         if self.frame not in ("lab", "rotating"):

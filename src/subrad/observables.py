@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonNormalizable
 from .linalg import (
     DimsLayout,
+    as_complex_matrix,
     dagger,
     kernel_basis,
     partial_trace,
@@ -91,13 +92,17 @@ def energy(rho, model: ModelOperators) -> float:
 
 
 def _checked_overlap_input(rho, target) -> tuple[np.ndarray, np.ndarray]:
-    """``rho`` and ``target`` as complex arrays, refusing a non-unit target or mismatched dimensions."""
+    """``rho`` and ``target`` as complex arrays.
+
+    Refuses a non-unit target, then a state that is not a finite square
+    matrix (`as_complex_matrix`) of the target's dimension.
+    """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(target))
     if abs(norm - 1.0) > 1e-9:
         raise NonNormalizable(f"target vector norm {norm} != 1")
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (target.size, target.size):
+    rho = as_complex_matrix(rho, square=True, name="rho")
+    if rho.shape[0] != target.size:
         raise DimensionMismatch(f"state dim {rho.shape} vs target dim {target.size}")
     return rho, target
 

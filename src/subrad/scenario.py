@@ -56,7 +56,7 @@ Sweep files: ``{"base": preset-name | scenario, "axes": {path: [value,...]},
 the reductions default to ``[{"column": "trace_error"}]`` (named
 "final_trace_error").  An axis path such as ``system.local[0].rate``
 addresses the base's `dump_scenario` form; ``"a|b"`` sets both paths.
-`run_sweep` parses the base once; each point writes the base's top-level
+`parse_sweep` parses the base once; each point writes the base's top-level
 fields that its paths start in, sets the axis values in that JSON and reads
 the fields back, so a point runs, or fails, as the base's dump form with
 those values in it would.  The summary CSV has one row per point: the axis
@@ -94,6 +94,7 @@ from .model import (
     ModelOperators,
     StateSpec,
     SystemSpec,
+    as_integer,
     build_initial_state,
     build_model,
     state_vector,
@@ -142,6 +143,7 @@ class TimeSpec:
     points: int
 
     def __post_init__(self):
+        object.__setattr__(self, "points", as_integer(self.points, "points"))
         if self.unit not in ("omega", "kappa") or not self.horizon > 0 or self.points < 2:
             raise ValidationError(f"need unit 'omega' or 'kappa', horizon > 0 and points >= 2, got {self}")
 
@@ -163,6 +165,9 @@ class ObservableSpec:
         _expect(self.kind != "fidelity" or self.target is not None, "target", "a fidelity needs a target state")
         _expect(self.bipartition is None or (len(self.bipartition) == 2 and all(self.bipartition)), "bipartition",
                 f"expected two non-empty emitter index groups, got {self.bipartition}")
+        if self.bipartition is not None:
+            groups = tuple(tuple(as_integer(j, "bipartition") for j in group) for group in self.bipartition)
+            object.__setattr__(self, "bipartition", groups)
 
 
 @dataclass(frozen=True)
@@ -233,14 +238,14 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """A parsed sweep; ``base`` is the normalized scenario dict the axis paths address.
+    """A parsed sweep; ``base`` is the scenario parsed once, whose dump form the axis paths address.
 
-    `run_sweep` parses ``base`` once and sets each point's axis values on
-    the parsed form by a dump round trip of each top-level field the paths
-    start in; ``axes`` keeps each value as given, a list or object as JSON.
+    `run_sweep` sets each point's axis values on ``base`` by a dump round
+    trip of each top-level field the paths start in; ``axes`` keeps each
+    value as given, a list or object as JSON.
     """
 
-    base: dict
+    base: Scenario
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     reductions: tuple[dict, ...]
 
@@ -809,13 +814,11 @@ def _axis_setter(axes: Sequence[tuple[str, Sequence]]) -> Callable[[Scenario, Se
     return set_paths
 
 
-def _read_base(value, where: str) -> dict:
+def _read_base(value, where: str) -> Scenario:
     if isinstance(value, str):
         value = load_preset(value)
     _expect(isinstance(value, Mapping), where, "expected a preset name or an inline scenario")
-    # Validate the base eagerly and keep its normalized form, where every
-    # axis path resolves (e.g. the shorthand "qubit" becomes an explicit emitter).
-    return scenario_to_dict(scenario_from_dict(value))
+    return scenario_from_dict(value)
 
 
 def _read_axes(value, where: str) -> tuple[tuple[str, tuple[Any, ...]], ...]:
@@ -893,12 +896,12 @@ def _reduce(result: ScenarioResult, red: dict) -> float:
 def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResult:
     """Run the cartesian product of all axes; one summary row per point.
 
-    The base is parsed once.  Each point writes the parsed base's top-level
-    fields that its paths start in, sets its axis values there, reads the
-    fields back (`_axis_setter`), whose `replace` runs the `Scenario`'s
-    checks that span fields, so a point fails exactly where parsing the
-    base's dump form with those values in it would.  Rows are
-    ordered lexicographically by grid index.  A failing point is recorded
+    Each point writes the top-level fields of the parsed base that its
+    paths start in, sets its axis values there, reads the fields back
+    (`_axis_setter`), whose `replace` runs the `Scenario`'s checks that
+    span fields, so a point fails exactly where parsing the base's dump
+    form with those values in it would.  Rows are ordered
+    lexicographically by grid index.  A failing point is recorded
     with NaN reductions and its error in the status column; a point whose
     run breaches an invariant fails as ``error:InvariantBreach``.  The
     sweep always completes.
@@ -906,7 +909,6 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
     paths = [p for p, _ in sweep.axes]
     grids = [v for _, v in sweep.axes]
     header = tuple(paths + [red["name"] for red in sweep.reductions] + ["status"])
-    base = scenario_from_dict(sweep.base)
     set_axes = _axis_setter(sweep.axes)
 
     rows = []
@@ -915,7 +917,7 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
         values = [grids[k][i] for k, i in enumerate(index)]
         row: list[Any] = list(values)
         try:
-            result = run_scenario(set_axes(base, values), fixed_step=fixed_step, check_strict=True)
+            result = run_scenario(set_axes(sweep.base, values), fixed_step=fixed_step, check_strict=True)
             for red in sweep.reductions:
                 row.append(_reduce(result, red))
             row.append("ok")

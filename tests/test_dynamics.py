@@ -331,9 +331,9 @@ class TestReachableBlock:
         while not np.array_equal(grown := reached | pattern[:, reached].any(axis=1), reached):
             reached = grown
         keep = np.flatnonzero(reached)
-        block, rho, h_block, jumps_block = sr.dynamics._block(model, rho0)
+        block, (*_, rho), h_block, jumps_block = sr.dynamics._block(model, rho0)
         assert np.array_equal(block[0].ravel(), keep) and np.array_equal(block[1].ravel(), keep)
-        assert np.array_equal(rho, rho0[block])
+        assert np.array_equal(rho, (rho0[block] + rho0[block].conj().T) / 2)  # the Hermitian part of rho0's block
         # only the sum order of L†L over the block's rows may differ
         assert np.allclose(h_block, h_nh[block], rtol=0.0, atol=4e-16 * np.max(np.abs(h_nh)))
         assert len(jumps_block) == len(jump_ops)
@@ -713,10 +713,11 @@ class TestValidityPolicy:
             w[0] = lowest
             rho = (v * w) @ v.conj().T
         rho = rho + skew * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        trace_error, herm_error, min_eigenvalue = sr.dynamics.density_checks(rho, "rho")
+        trace_error, herm_error, min_eigenvalue, hermitian = sr.dynamics.density_checks(rho, "rho", n)
         assert trace_error == pytest.approx(abs(np.trace(rho) - 1.0), rel=1e-15, abs=0.0)
         assert herm_error == np.max(np.abs(rho - rho.conj().T))
         assert min_eigenvalue == pytest.approx(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0], abs=1e-15)
+        assert np.array_equal(hermitian, (rho + rho.conj().T) / 2)
 
     @pytest.mark.parametrize("column, at, outward", THRESHOLDS)
     def test_value_at_threshold_passes_and_next_float_fails(self, column, at, outward):
@@ -733,7 +734,7 @@ class TestValidityPolicy:
         rho0 = pure(sr.named_state_vector("10", model.layout))
         for value, ok in ((at, True), (np.nextafter(at, outward), False)):
             checks = tuple((dict.fromkeys(CHECKED, 0.0) | {column: value}).values())
-            monkeypatch.setattr(sr.dynamics, "density_checks", lambda rho, name: checks)
+            monkeypatch.setattr(sr.dynamics, "density_checks", lambda rho, name, dim: (*checks, rho))
             for run in (lambda: sr.evolve(model, rho0, np.array([0.0])), lambda: sr.asymptotic_state(model, rho0)):
                 if ok:
                     run()
@@ -747,9 +748,9 @@ class TestValidityPolicy:
         lowest = np.nextafter(floor, -np.inf) if beyond else floor
         real = sr.dynamics.density_checks
 
-        def checks(rho, name):  # the initial state passes; grid points read `lowest`
-            trace_error, herm_error, _ = real(rho, name)
-            return trace_error, herm_error, 0.0 if name == "the initial state" else lowest
+        def checks(rho, name, dim):  # the initial state passes; later grid points read `lowest`
+            trace_error, herm_error, _, hermitian = real(rho, name, dim)
+            return trace_error, herm_error, 0.0 if name == "the initial state" else lowest, hermitian
 
         monkeypatch.setattr(sr.dynamics, "density_checks", checks)
         model = two_qubit_model()
@@ -759,16 +760,16 @@ class TestValidityPolicy:
                 sr.evolve(model, rho0, np.array([0.0, 1.0]))
         else:
             traj = sr.evolve(model, rho0, np.array([0.0, 1.0]))
-            assert traj.breached and traj.records["min_eigenvalue"].tolist() == [floor, floor]
+            assert traj.breached and traj.records["min_eigenvalue"].tolist() == [0.0, floor]
 
     def test_initial_state_is_checked_on_its_block(self, monkeypatch):
         real = sr.dynamics.density_checks
         shapes = []
 
-        def spy(rho, name):
+        def spy(rho, name, dim):
             if name == "the initial state":
                 shapes.append(rho.shape)
-            return real(rho, name)
+            return real(rho, name, dim)
 
         monkeypatch.setattr(sr.dynamics, "density_checks", spy)
         model = sr.build_model(sr.scenario_from_dict(sr.load_preset("nqubit:8")).system)
@@ -813,3 +814,29 @@ class TestValidityPolicy:
         assert traj.meta["solver"] == solver
         assert traj.meta["max_herm_drift"] == traj.records["herm_error"].max()
         assert traj.records["herm_error"].max() <= 1e-15
+
+    @pytest.mark.parametrize("preset, label, solver", [("fig2", "10", "propagator"), ("nqubit:5", "11100", "dp45")])
+    def test_each_grid_point_is_checked_once_and_observed_hermitian(self, monkeypatch, preset, label, solver):
+        real = sr.dynamics.density_checks
+        calls = []
+        monkeypatch.setattr(sr.dynamics, "density_checks", lambda *args: calls.append(args[1]) or real(*args))
+        model = sr.build_model(sr.scenario_from_dict(sr.load_preset(preset)).system)
+        rho0 = pure(sr.named_state_vector(label, model.layout))
+        grid = np.linspace(0.0, 200.0, 11)
+        hermitian = []
+
+        def observer(t, rho):
+            hermitian.append(np.array_equal(rho, rho.conj().T))
+            return {}
+
+        traj = sr.evolve(model, rho0, grid, observer=observer)
+        assert traj.meta["solver"] == solver
+        assert hermitian == [True] * grid.size
+        # the initial state's check is the first grid point's
+        assert calls == ["the initial state"] + [f"the state at t={t:g}" for t in grid[1:]]
+
+    def test_fig3c_herm_error_is_one_step_of_roundoff(self):
+        # each step starts from the Hermitian part the previous point's check returned
+        result = sr.run_scenario(sr.scenario_from_dict(sr.load_preset("fig3c")))
+        for traj in result.trajectories.values():
+            assert traj.records["herm_error"].max() <= 5e-16

@@ -72,18 +72,17 @@ class TestKron:
 
 class TestHermitianEigen:
     def test_pauli_x_spectrum(self):
-        w, _ = sr.hermitian_eigen(np.array([[0, 1], [1, 0]], dtype=complex))
+        w = sr.hermitian_eigen(np.array([[0, 1], [1, 0]], dtype=complex))
         assert np.allclose(w, [-1.0, 1.0])
 
     def test_identity(self):
-        w, v = sr.hermitian_eigen(np.eye(3))
+        w = sr.hermitian_eigen(np.eye(3))
         assert np.allclose(w, [1.0, 1.0, 1.0])
-        assert np.allclose(v.conj().T @ v, np.eye(3))
 
     def test_two_by_two_quadratic(self):
         # char. polynomial of [[1/2,-1/4],[-1/4,0]]: roots (1 +- sqrt(2))/4
         m = np.array([[0.5, -0.25], [-0.25, 0.0]], dtype=complex)
-        w, _ = sr.hermitian_eigen(m)
+        w = sr.hermitian_eigen(m)
         assert np.allclose(w, [(1 - np.sqrt(2)) / 4, (1 + np.sqrt(2)) / 4], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
@@ -95,9 +94,7 @@ class TestHermitianEigen:
         rng = np.random.default_rng(100 + n)
         for _ in range(5):
             m = random_hermitian(rng, n)
-            w, v = sr.hermitian_eigen(m)
-            assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) < 1e-10
-            assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
+            w = sr.hermitian_eigen(m)
             assert np.all(np.diff(w) >= 0)
             # independent route: LAPACK eigenvalues
             assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-11)
@@ -106,11 +103,9 @@ class TestHermitianEigen:
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        for vectors in (True, False):
-            with pytest.raises(ConvergenceFailure):
-                sr.hermitian_eigen(np.eye(2), vectors=vectors)
+        with pytest.raises(ConvergenceFailure):
+            sr.hermitian_eigen(np.eye(2))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -131,14 +126,9 @@ class TestHermitianEigen:
         m = q @ np.diag(spectrum) @ q.conj().T
         m = (m + m.conj().T) / 2
         scale = max(1.0, float(np.max(np.abs(spectrum))))
-        w, v = sr.hermitian_eigen(m)
-        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) < 1e-12 * n * scale
-        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12 * n
+        w = sr.hermitian_eigen(m)
         assert np.all(np.diff(w) >= 0)
         assert np.allclose(w, np.sort(spectrum), rtol=0, atol=1e-12 * n * scale)
-        w_only, none = sr.hermitian_eigen(m, vectors=False)
-        assert none is None
-        assert np.allclose(w_only, w, rtol=0, atol=1e-12 * n * scale)
 
 
 class TestKernelBasis:

@@ -105,6 +105,14 @@ class TestDarkOverlap:
         with pytest.raises(DimensionMismatch):
             overlap(np.full((4, 2), 0.25), singlet)
 
+    @pytest.mark.parametrize("overlap", [sr.dark_overlap, sr.dark_overlap_sqrt])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imag-nan"])
+    def test_refuses_a_non_finite_state_like_energy(self, two_qubit, overlap, bad):
+        singlet = sr.named_state_vector("psi_minus", two_qubit.layout)
+        for state in (np.full((4, 4), bad), pure(singlet).astype(complex) + np.diag([bad, 0, 0, 0])):
+            with pytest.raises(DimensionMismatch):
+                overlap(state, singlet)
+
 
 class TestRunColumns:
     """`run_scenario`'s energy and fidelity columns skip the public checks but keep their formulas."""

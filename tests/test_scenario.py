@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import subrad as sr
 from subrad.cli import main
 from subrad.errors import InvariantBreach, ParseError, SubradError, UnknownLabel, ValidationError
-from subrad.scenario import ObservableSpec, OutputSpec, TimeSpec, format_csv, format_sweep_csv, parse_sweep, run_sweep
+from subrad.scenario import (
+    ObservableSpec, OutputSpec, TimeSpec, format_csv, format_sweep_csv, parse_sweep, run_sweep, scenario_to_dict,
+)
 
 TINY_SCENARIO = {
     "name": "tiny",
@@ -276,6 +278,30 @@ class TestRunScenario:
         fig2 = sr.scenario_from_dict(sr.load_preset("fig2"))
         with pytest.raises(ValidationError):
             make(fig2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: sr.EmitterSpec(2.7, (0.0, 1.0)), id="levels"),
+            pytest.param(lambda: sr.LocalChannelSpec(0.1, True), id="emitter-bool"),
+            pytest.param(lambda: sr.LocalChannelSpec(0.1, 0.9), id="local-emitter"),
+            pytest.param(lambda: sr.DriveSpec(1.0, 0.7, (1, 0)), id="drive-emitter"),
+            pytest.param(lambda: sr.CollectiveChannelSpec(0.1, (1, 1), ((1.9, 0), (1, 0.2))), id="transitions"),
+            pytest.param(lambda: sr.SystemSpec((sr.EmitterSpec.qubit(),) * 2, dimension_cap=4.9), id="dimension-cap"),
+            pytest.param(lambda: TimeSpec("omega", 1.0, 2.5), id="points"),
+            pytest.param(lambda: ObservableSpec("log_negativity", bipartition=((0.5,), (1,))), id="bipartition"),
+        ],
+    )
+    def test_integer_fields_refuse_non_integral_values(self, make):
+        """A file refuses 2.7 where an integer goes; a hand-built spec does not truncate it."""
+        with pytest.raises(ValidationError, match="must be an integer"):
+            make()
+
+    def test_integer_fields_keep_integral_values_as_int(self):
+        emitter = sr.EmitterSpec(np.int64(3), (0.0, 1.0, 2.0))
+        channel = sr.LocalChannelSpec(0.1, np.int64(1), (np.int64(2), 0))
+        assert (type(emitter.levels), type(channel.emitter_index)) == (int, int)
+        assert channel.transition == (2, 0) and type(channel.transition[0]) is int
 
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
@@ -579,7 +605,7 @@ def apply_path(data, path, value):
 
 
 def reference_sweep_rows(sweep):
-    """The rows of `run_sweep` from the dict form: each point deep-copies the base dict, sets its values there and parses it.
+    """The rows of `run_sweep` from the dict form: each point deep-copies the base's dump, sets its values there and parses it.
 
     The values are copied too: one axis's list or object value must not
     change when a later path sets something inside it.
@@ -587,7 +613,7 @@ def reference_sweep_rows(sweep):
     rows = []
     for index in np.ndindex(*[len(values) for _, values in sweep.axes]):
         values = [sweep.axes[k][1][i] for k, i in enumerate(index)]
-        point = copy.deepcopy(sweep.base)
+        point = copy.deepcopy(scenario_to_dict(sweep.base))
         row = list(values)
         try:
             for (path, _), value in zip(sweep.axes, values):
@@ -718,7 +744,7 @@ class TestSweepOracle:
         axes = {"system.collective[0].rate": [0.05, 0.1], "time.points": [3, 4]}
         result = run_sweep(parse_sweep(json.dumps({"base": ORACLE_BASES[0], "axes": axes})))
         assert result.failed == 0 and len(result.rows) == 4
-        assert len(calls) == 2  # the base in `parse_sweep` and in `run_sweep`
+        assert len(calls) == 1  # the base, in `parse_sweep`
 
     def test_each_point_resolves_its_states_once(self, monkeypatch):
         calls = []
@@ -727,7 +753,7 @@ class TestSweepOracle:
         axes = {"system.collective[0].rate": [0.05, 0.1], "time.points": [3, 4]}
         result = run_sweep(parse_sweep(json.dumps({"base": ORACLE_BASES[0], "axes": axes})))
         assert result.failed == 0 and len(result.rows) == 4
-        assert len(calls) == 4 + 2  # one per point, and the base in `parse_sweep` and in `run_sweep`
+        assert len(calls) == 4 + 1  # one per point, and the base in `parse_sweep`
 
 
 class TestSweepCsvCells:

@@ -277,7 +277,7 @@ def test_sweep_defaults():
         )
     joint = parse_sweep(sweep_text(axes={"system.collective[0].rate|time.horizon": [0.05, 0.1]}))
     assert joint.axes == (("system.collective[0].rate|time.horizon", (0.05, 0.1)),)
-    assert joint.base == scenario_to_dict(sr.scenario_from_dict(TINY_SCENARIO))
+    assert scenario_to_dict(joint.base) == scenario_to_dict(sr.scenario_from_dict(TINY_SCENARIO))
 
 
 NAN, INF = float("nan"), float("inf")
