@@ -79,9 +79,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow
+from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow, ValidationError
 from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, hermitian_eigen, kron, max_abs, svd
-from .model import ModelOperators
+from .model import ModelOperators, as_real
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
@@ -123,8 +123,13 @@ class IntegratorConfig:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "initial_step", "fixed_step"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
+            try:
+                value = None if value is None else as_real(value, name)
+            except ValidationError:
+                value = np.nan  # refused below with the `ValueError` that `cli._fixed_step` reports
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be finite and positive")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,10 +17,15 @@ Conventions (fixed once, used by the whole package):
 * Rotating frame: level energies are replaced by their detuning from
   ``level_index * frame_frequency``; drives are only representable in the
   rotating frame, where they are time-independent by construction.
+* Input values: one checker per kind (`as_integer`, `as_real`, `as_complex`,
+  `as_text`, `as_flag`, `as_transition`), shared by the spec constructors
+  (naming the field) and the scenario-file reader (naming the JSON path).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -50,6 +55,44 @@ def as_integer(value, name: str) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def as_real(value, name: str) -> float:
+    """``value`` as a float: a real number that fits a finite float, not a boolean or a string."""
+    # The exact type test goes first: the ABC test costs about seven times as much.
+    if type(value) in (float, int) or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):  # converts to float, which overflows for an integer beyond its range
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name}: expected a finite number")
+
+
+def as_complex(value, name: str) -> complex:
+    """``value`` as a complex number whose real and imaginary parts each pass `as_real`."""
+    if type(value) is complex or isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+        return complex(as_real(value.real, name), as_real(value.imag, name))
+    return complex(as_real(value, name))
+
+
+def as_text(value, name: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValidationError(f"{name}: expected a string")
+
+
+def as_flag(value, name: str) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValidationError(f"{name}: expected true or false")
+
+
+def as_transition(value, name: str) -> tuple[int, int]:
+    """``value`` as an ``(upper, lower)`` pair: a two-entry list or tuple of integers."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return as_integer(value[0], name), as_integer(value[1], name)
+    raise ValidationError(f"{name}: expected [upper, lower]")
+
+
 # ---------------------------------------------------------------------------
 # System description
 # ---------------------------------------------------------------------------
@@ -67,7 +110,7 @@ class EmitterSpec:
     level_frequencies: tuple[float, ...]
 
     def __post_init__(self):
-        freqs = tuple(float(f) for f in self.level_frequencies)
+        freqs = tuple(as_real(f, "level_frequencies") for f in self.level_frequencies)
         object.__setattr__(self, "level_frequencies", freqs)
         object.__setattr__(self, "levels", as_integer(self.levels, "levels"))
         if self.levels < 2:
@@ -83,11 +126,7 @@ class EmitterSpec:
 
     @staticmethod
     def qubit(frequency: float = 1.0) -> "EmitterSpec":
-        return EmitterSpec(2, (0.0, float(frequency)))
-
-
-def _as_transition(value) -> tuple[int, int]:
-    return as_integer(value[0], "transition"), as_integer(value[1], "transition")
+        return EmitterSpec(2, (0.0, frequency))
 
 
 @dataclass(frozen=True)
@@ -105,10 +144,10 @@ class CollectiveChannelSpec:
     transitions: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
+        object.__setattr__(self, "rate", as_real(self.rate, "rate"))
+        object.__setattr__(self, "weights", tuple(as_complex(w, "weights") for w in self.weights))
         transitions = ((1, 0),) * len(self.weights) if self.transitions is None else self.transitions
-        object.__setattr__(self, "transitions", tuple(_as_transition(t) for t in transitions))
+        object.__setattr__(self, "transitions", tuple(as_transition(t, "transitions") for t in transitions))
         if self.rate < 0:
             raise ValidationError(f"collective rate must be >= 0, got {self.rate}")
         if len(self.weights) != len(self.transitions):
@@ -124,9 +163,9 @@ class LocalChannelSpec:
     transition: tuple[int, int] = (1, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", as_real(self.rate, "rate"))
         object.__setattr__(self, "emitter_index", as_integer(self.emitter_index, "emitter_index"))
-        object.__setattr__(self, "transition", _as_transition(self.transition))
+        object.__setattr__(self, "transition", as_transition(self.transition, "transition"))
         if self.rate < 0:
             raise ValidationError(f"local rate must be >= 0, got {self.rate}")
 
@@ -146,10 +185,10 @@ class DriveSpec:
     drive_detuning: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "amplitude", as_real(self.amplitude, "amplitude"))
         object.__setattr__(self, "emitter_index", as_integer(self.emitter_index, "emitter_index"))
-        object.__setattr__(self, "transition", _as_transition(self.transition))
-        object.__setattr__(self, "drive_detuning", float(self.drive_detuning))
+        object.__setattr__(self, "transition", as_transition(self.transition, "transition"))
+        object.__setattr__(self, "drive_detuning", as_real(self.drive_detuning, "drive_detuning"))
 
 
 @dataclass(frozen=True)
@@ -169,7 +208,7 @@ class SystemSpec:
         object.__setattr__(self, "collective_channels", tuple(self.collective_channels))
         object.__setattr__(self, "local_channels", tuple(self.local_channels))
         object.__setattr__(self, "drives", tuple(self.drives))
-        object.__setattr__(self, "frame_frequency", float(self.frame_frequency))
+        object.__setattr__(self, "frame_frequency", as_real(self.frame_frequency, "frame_frequency"))
         object.__setattr__(self, "dimension_cap", as_integer(self.dimension_cap, "dimension_cap"))
         if not self.emitters:
             raise ValidationError("at least one emitter is required")
@@ -392,18 +431,24 @@ class StateSpec:
             raise ValidationError("StateSpec needs exactly one of label/amplitudes/mixture")
         if any(entries is not None and not entries for entries in (self.amplitudes, self.mixture)):
             raise ValidationError("an amplitude table or mixture needs at least one entry")
+        object.__setattr__(self, "label", None if self.label is None else as_text(self.label, "label"))
+        if self.amplitudes is not None:
+            amps = tuple((as_text(k, "amplitudes"), as_complex(v, "amplitudes")) for k, v in self.amplitudes)
+            object.__setattr__(self, "amplitudes", amps)
+        if self.mixture is not None:
+            object.__setattr__(self, "mixture", tuple((as_real(w, "mixture"), s) for w, s in self.mixture))
 
     @staticmethod
     def named(label: str) -> "StateSpec":
-        return StateSpec(label=str(label))
+        return StateSpec(label=label)
 
     @staticmethod
     def from_amplitudes(amps: Mapping[str, complex]) -> "StateSpec":
-        return StateSpec(amplitudes=tuple((str(k), complex(v)) for k, v in amps.items()))
+        return StateSpec(amplitudes=tuple(amps.items()))
 
     @staticmethod
     def mix(parts: Sequence[tuple[float, "StateSpec"]]) -> "StateSpec":
-        return StateSpec(mixture=tuple((float(w), s) for w, s in parts))
+        return StateSpec(mixture=tuple(parts))
 
 
 def parse_basis_label(label: str, layout: DimsLayout) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from .linalg import (
     reduced_layout,
     trace_norm_hermitian,
 )
-from .model import ModelOperators
+from .model import ModelOperators, as_integer
 
 # `nes_report` counts a state as non-equilibrium above this excitation spread.
 NES_EQUAL_TOL = 1e-9
@@ -99,7 +99,7 @@ def _checked_overlap_input(rho, target) -> tuple[np.ndarray, np.ndarray]:
     """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(target))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise NonNormalizable(f"target vector norm {norm} != 1")
     rho = as_complex_matrix(rho, square=True, name="rho")
     if rho.shape[0] != target.size:
@@ -124,21 +124,21 @@ def log_negativity(
 ) -> float:
     """log2 of the trace norm of the partial transpose across a bipartition.
 
-    ``bipartition`` names two disjoint non-empty emitter groups.  If they do
-    not cover all emitters, the remaining ones are traced out first, so for
-    larger networks a named pair yields the pairwise entanglement of the
-    reduced two-emitter state.
+    ``bipartition`` names two disjoint non-empty groups of distinct integer
+    emitter indices.  If they do not cover all emitters, the remaining ones
+    are traced out first, so for larger networks a named pair yields the
+    pairwise entanglement of the reduced two-emitter state.
     """
-    group_a = tuple(sorted({int(i) for i in bipartition[0]}))
-    group_b = tuple(sorted({int(i) for i in bipartition[1]}))
-    if not group_a or not group_b or set(group_a) & set(group_b):
-        raise DimensionMismatch(f"bipartition {bipartition} must be two disjoint non-empty groups")
+    group_a, group_b = (tuple(sorted(as_integer(i, "bipartition") for i in bipartition[k])) for k in (0, 1))
+    flat = group_a + group_b
+    if not group_a or not group_b or len(set(flat)) < len(flat):
+        raise DimensionMismatch(f"bipartition {bipartition} must be two disjoint non-empty groups of distinct emitters")
     n = layout.n_subsystems
-    if any(i < 0 or i >= n for i in group_a + group_b):
+    if any(i < 0 or i >= n for i in flat):
         raise DimensionMismatch(f"bipartition {bipartition} out of range for {n} emitters")
 
     rho = layout.check_matrix(rho)
-    kept = tuple(sorted(group_a + group_b))
+    kept = tuple(sorted(flat))
     if len(kept) < n:
         rho = partial_trace(rho, layout, kept)
         layout = reduced_layout(layout, kept)

@@ -35,7 +35,9 @@ object may add a ``"name"``, its CSV column suffix (the label by default,
 required for the other forms): `dump_scenario` writes a renamed label as
 ``{"name": str, "label": str}``.  The bipartition defaults to ``[[0], [1]]``
 for two emitters.  Every object rejects unknown keys, and no field converts
-between JSON types (a number is not a string, 0 is not false).
+between JSON types (a number is not a string, 0 is not false).  The reader
+has no value rule of its own: it reads a leaf with the `model` checker
+(`as_real`, `as_integer`, ...) that the spec's constructor calls.
 
 Time unit "kappa" means the grid (and the CSV ``t`` column) is in units of
 the inverse rate of the first collective channel.  The integrator's step
@@ -68,7 +70,6 @@ from __future__ import annotations
 import copy
 import json
 import re
-import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -94,7 +95,12 @@ from .model import (
     ModelOperators,
     StateSpec,
     SystemSpec,
+    as_complex,
+    as_flag,
     as_integer,
+    as_real,
+    as_text,
+    as_transition,
     build_initial_state,
     build_model,
     state_vector,
@@ -143,6 +149,7 @@ class TimeSpec:
     points: int
 
     def __post_init__(self):
+        object.__setattr__(self, "horizon", as_real(self.horizon, "horizon"))
         object.__setattr__(self, "points", as_integer(self.points, "points"))
         if self.unit not in ("omega", "kappa") or not self.horizon > 0 or self.points < 2:
             raise ValidationError(f"need unit 'omega' or 'kappa', horizon > 0 and points >= 2, got {self}")
@@ -165,6 +172,7 @@ class ObservableSpec:
         _expect(self.kind != "fidelity" or self.target is not None, "target", "a fidelity needs a target state")
         _expect(self.bipartition is None or (len(self.bipartition) == 2 and all(self.bipartition)), "bipartition",
                 f"expected two non-empty emitter index groups, got {self.bipartition}")
+        object.__setattr__(self, "sqrt", as_flag(self.sqrt, "sqrt"))
         if self.bipartition is not None:
             groups = tuple(tuple(as_integer(j, "bipartition") for j in group) for group in self.bipartition)
             object.__setattr__(self, "bipartition", groups)
@@ -176,6 +184,7 @@ class OutputSpec:
     format: str = "csv"
 
     def __post_init__(self):
+        object.__setattr__(self, "path", None if self.path is None else as_text(self.path, "path"))
         if self.format != "csv":
             raise ValidationError(f"only the 'csv' format is supported, got {self.format!r}")
 
@@ -206,7 +215,9 @@ class Scenario:
     targets: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "name", as_text(self.name, "name"))
         _expect(bool(self.initials), "initial", "at least one initial state is required")
+        object.__setattr__(self, "initials", tuple((as_text(name, "initial"), spec) for name, spec in self.initials))
         names = [name for name, _ in self.initials]
         _expect(len(set(names)) == len(names), "initial", f"duplicate initial labels in {names}")
         _expect(bool(self.observables), "observables", "at least one observable is required")
@@ -349,23 +360,6 @@ def _same(value):
     return value
 
 
-def _scalar(types: tuple, message: str, convert: Callable | None = None):
-    """The kind of a JSON scalar that is an instance of ``types``.
-
-    A boolean counts only as a boolean.  Where floats are allowed, a number
-    must fit a finite float: `json.loads` reads ``NaN``, ``Infinity`` and
-    ``1e999`` as floats and 10**400 as an integer.
-    """
-
-    def read(value, where: str):
-        if isinstance(value, types) and (type(value) is not bool or bool in types):
-            if float not in types or abs(value) <= sys.float_info.max:  # False for NaN
-                return value if convert is None else convert(value)
-        raise ValidationError(f"{where}: {message}")
-
-    return _Kind(read, _same)
-
-
 def _list(kind) -> _Kind:
     read, write = kind
 
@@ -384,16 +378,11 @@ def _optional(kind) -> _Kind:
     )
 
 
-_FLOAT = _scalar((int, float), "expected a finite number", float)
-_INT = _scalar((int,), "expected an integer")
-_BOOL = _scalar((bool,), "expected true or false")
-_STR = _scalar((str,), "expected a string")
-_REAL_WEIGHT = _scalar((int, float), "expected a finite number, [re, im] or magnitude/phase object")
-
-
-def _as_transition(value, where: str) -> tuple[int, int]:
-    _expect(isinstance(value, (list, tuple)) and len(value) == 2, where, "expected [upper, lower]")
-    return _INT.read(value[0], where), _INT.read(value[1], where)
+_FLOAT = _Kind(as_real, _same)
+_INT = _Kind(as_integer, _same)
+_BOOL = _Kind(as_flag, _same)
+_STR = _Kind(as_text, _same)
+_TRANSITION = _Kind(as_transition, list)
 
 
 # --- Unions: the JSON values with more than one form ------------------------
@@ -413,8 +402,8 @@ def _read_weight(value, where: str) -> complex:
     if isinstance(value, dict):
         return _read(value, _POLAR, where, _polar)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_FLOAT.read(value[0], where), _FLOAT.read(value[1], where))
-    return complex(_REAL_WEIGHT.read(value, where))
+        return complex(as_real(value[0], where), as_real(value[1], where))
+    return as_complex(value, where)
 
 
 def _read_amplitudes(value, where: str) -> tuple[tuple[str, complex], ...]:
@@ -435,7 +424,7 @@ def _read_frame(value, where: str) -> tuple[str, float]:
         return value, 1.0
     _expect(isinstance(value, dict) and value.keys() == {"rotating"}, where,
             "expected 'lab', 'rotating' or {'rotating': freq}")
-    return "rotating", _FLOAT.read(value["rotating"], f"{where}.rotating")
+    return "rotating", as_real(value["rotating"], f"{where}.rotating")
 
 
 def _write_frame(frame: tuple[str, float]) -> Any:
@@ -512,7 +501,6 @@ def _read_output(value, where: str) -> OutputSpec:
 
 _Part = namedtuple("_Part", "weight state")  # one entry of a mixture
 _STATE_KIND = (_read_state, _write_state)
-_TRANSITION = (_as_transition, list)
 _AMPLITUDES = (_read_amplitudes, lambda amps: {label: _complex_to_json(amp) for label, amp in amps})
 
 _POLAR = _table(("magnitude", _FLOAT, 1.0), ("phase", _FLOAT, 0.0))

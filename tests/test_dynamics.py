@@ -209,7 +209,7 @@ class TestEvolve:
             sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, r: {"a": 1.0, key: 0.0})
 
     @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "initial_step", "fixed_step"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), True, "0.1"])
     def test_integrator_settings_must_be_finite_and_positive(self, name, value):
         # a NaN tolerance would make every error norm NaN, so Dormand-Prince would never accept a step
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import subrad as sr
 import subrad.observables as observables
-from subrad.errors import DimensionMismatch, NonNormalizable
+from subrad.errors import DimensionMismatch, NonNormalizable, ValidationError
 from subrad.linalg import DimsLayout
 from subrad.scenario import ObservableSpec, _observable_columns
 
@@ -91,11 +91,13 @@ class TestDarkOverlap:
         assert sr.dark_overlap_sqrt(rho, singlet) == pytest.approx(np.sqrt(0.5))
 
     @pytest.mark.parametrize("overlap", [sr.dark_overlap, sr.dark_overlap_sqrt])
-    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 0.0])
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 0.0, np.nan, np.inf])
     def test_refuses_a_target_that_is_not_unit(self, two_qubit, overlap, scale):
         singlet = sr.named_state_vector("psi_minus", two_qubit.layout)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN: the target's norm is NaN
+            target = scale * singlet
         with pytest.raises(NonNormalizable):
-            overlap(pure(singlet), scale * singlet)
+            overlap(pure(singlet), target)
 
     @pytest.mark.parametrize("overlap", [sr.dark_overlap, sr.dark_overlap_sqrt])
     def test_refuses_a_state_of_another_dimension(self, two_qubit, overlap):
@@ -187,9 +189,17 @@ class TestLogNegativity:
         value = sr.log_negativity(pure(w), three_qubit.layout, ((0,), (1,)))
         assert value == pytest.approx(np.log2((2 + np.sqrt(5)) / 3), abs=1e-12)
 
-    def test_bad_bipartition(self):
-        with pytest.raises(DimensionMismatch):
-            sr.log_negativity(np.eye(4) / 4, self.layout, ((0,), (0,)))
+    @pytest.mark.parametrize(
+        "bipartition, error",
+        [
+            pytest.param(((0,), (0,)), DimensionMismatch, id="shared"),
+            pytest.param(((0, 0), (1,)), DimensionMismatch, id="repeated-in-a-group"),
+            pytest.param(((0.5,), (1,)), ValidationError, id="non-integral"),
+        ],
+    )
+    def test_bad_bipartition(self, bipartition, error):
+        with pytest.raises(error):
+            sr.log_negativity(np.eye(4) / 4, self.layout, bipartition)
 
 
 class TestDarkSubspace:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,41 @@ class TestParsing:
         assert scenario.system.collective_channels[0].weights[1] == pytest.approx(-1.0)
 
 
+def with_system(scenario, **fields):
+    return replace(scenario, system=replace(scenario.system, **fields))
+
+
+# Each spec field that a file reads through a value checker: ``(field, make, good, bad)``,
+# where ``make(scenario, value)`` puts ``value`` in that field of a scenario built from TINY_SCENARIO.
+NUMBERS = (float("nan"), float("inf"), True, "0.1")
+CHECKED_FIELDS = [
+    ("level_frequencies", lambda s, v: with_system(s, emitters=(sr.EmitterSpec(2, (0, v)), sr.EmitterSpec.qubit())),
+     np.float64(1.02), NUMBERS),
+    ("level_frequencies", lambda s, v: with_system(s, emitters=(sr.EmitterSpec.qubit(v),) * 2), 1, NUMBERS),
+    ("rate", lambda s, v: with_system(s, collective_channels=(sr.CollectiveChannelSpec(v, (1, 1)),)),
+     np.float32(0.05), NUMBERS),
+    ("weights", lambda s, v: with_system(s, collective_channels=(sr.CollectiveChannelSpec(0.05, (1, v)),)),
+     np.complex128(1j), NUMBERS + (complex(1.0, float("nan")),)),
+    ("rate", lambda s, v: with_system(s, local_channels=(sr.LocalChannelSpec(v, 0),)), np.int64(1), NUMBERS),
+    ("transition", lambda s, v: with_system(s, local_channels=(sr.LocalChannelSpec(0.1, 0, v),)), [1, 0], ((1, 0, 7),)),
+    ("amplitude", lambda s, v: with_system(s, drives=(sr.DriveSpec(v, 0, (1, 0)),)), 0.1, NUMBERS),
+    ("drive_detuning", lambda s, v: with_system(s, drives=(sr.DriveSpec(0.1, 0, (1, 0), v),)), np.int64(1), NUMBERS),
+    ("frame_frequency", lambda s, v: with_system(s, frame_frequency=v), np.float64(1.01), NUMBERS),
+    ("horizon", lambda s, v: replace(s, time=TimeSpec("omega", v, 3)), 2, NUMBERS + (Fraction(10**400),)),
+    ("sqrt", lambda s, v: replace(s, observables=(ObservableSpec("fidelity", sr.StateSpec.named("psi_minus"), v),)),
+     np.True_, ("no",)),
+    ("name", lambda s, v: replace(s, name=v), "renamed", (5,)),
+    ("path", lambda s, v: replace(s, output=OutputSpec(path=v)), "out.csv", (5,)),
+    ("initial", lambda s, v: replace(s, initials=((v, sr.StateSpec.named("10")),)), "ten", (5,)),
+    ("label", lambda s, v: replace(s, initials=(("x", sr.StateSpec(label=v)),)), "01", (10,)),
+    ("amplitudes", lambda s, v: replace(s, initials=(("x", sr.StateSpec.from_amplitudes({v: 1.0})),)), "01", (10,)),
+    ("amplitudes", lambda s, v: replace(s, initials=(("x", sr.StateSpec.from_amplitudes({"10": 1.0, "01": v})),)),
+     np.complex128(0.5j), NUMBERS),
+    ("mixture", lambda s, v: replace(s, initials=(("x", sr.StateSpec.mix([(v, sr.StateSpec.named("10"))])),)),
+     np.float64(0.5), NUMBERS),
+]
+
+
 class TestRunScenario:
     def test_header_and_shape(self):
         scenario = sr.scenario_from_dict(TINY_SCENARIO)
@@ -302,6 +338,29 @@ class TestRunScenario:
         channel = sr.LocalChannelSpec(0.1, np.int64(1), (np.int64(2), 0))
         assert (type(emitter.levels), type(channel.emitter_index)) == (int, int)
         assert channel.transition == (2, 0) and type(channel.transition[0]) is int
+        collective = sr.CollectiveChannelSpec(np.float64(0.1), (np.complex128(1j), np.float64(1.0)))
+        assert [type(x) for x in (collective.rate, *collective.weights)] == [float, complex, complex]
+        state = sr.StateSpec.from_amplitudes({"10": np.complex128(1j)})
+        mixture = sr.StateSpec.mix([(np.float64(1), state)])
+        assert (type(state.amplitudes[0][1]), type(mixture.mixture[0][0])) == (complex, float)
+
+    @pytest.mark.parametrize(
+        "name, make, value",
+        [
+            pytest.param(name, make, value, id=f"{name}-{value!r:.12}")
+            for name, make, _, bad in CHECKED_FIELDS
+            for value in bad
+        ],
+    )
+    def test_fields_refuse_what_a_file_refuses(self, name, make, value):
+        """A hand-built spec is held to a file's value rules, and the error names the field."""
+        with pytest.raises(ValidationError, match=f"^{name}: expected "):
+            make(sr.scenario_from_dict(TINY_SCENARIO), value)
+
+    @pytest.mark.parametrize("make, value", [pytest.param(make, good, id=name) for name, make, good, _ in CHECKED_FIELDS])
+    def test_hand_built_specs_dump_to_text_that_parses_back(self, make, value):
+        text = sr.dump_scenario(make(sr.scenario_from_dict(TINY_SCENARIO), value))
+        assert sr.dump_scenario(sr.parse_scenario(text)) == text
 
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
