@@ -80,8 +80,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow, ValidationError
-from .linalg import HERMITICITY_TOL, KERNEL_TOL, dagger, hermitian_eigen, kron, max_abs, svd
-from .model import ModelOperators, as_real
+from .linalg import HERMITICITY_TOL, dagger, hermitian_eigen, kron, max_abs, svd
+from .model import ModelOperators, Opt, as_real, spec_class, spec_field
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
@@ -102,7 +102,7 @@ PROPAGATOR_MAX_DIM = 16
 SUPEROPERATOR_MAX_DIM = 32
 
 
-@dataclass(frozen=True)
+@spec_class
 class IntegratorConfig:
     """Accuracy and step lengths of the Dormand-Prince solver of `evolve`.
 
@@ -115,16 +115,15 @@ class IntegratorConfig:
     included, is fixed (see the module docstring).
     """
 
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    initial_step: float | None = None
-    fixed_step: float | None = None
+    rel_tol: float = spec_field(as_real, 1e-8)
+    abs_tol: float = spec_field(as_real, 1e-10)
+    initial_step: float | None = spec_field(Opt(as_real), None)
+    fixed_step: float | None = spec_field(Opt(as_real), None)
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "initial_step", "fixed_step"):
-            value = getattr(self, name)
+        for name, check, _ in self._checks:
             try:
-                value = None if value is None else as_real(value, name)
+                value = check(getattr(self, name), name)
             except ValidationError:
                 value = np.nan  # refused below with the `ValueError` that `cli._fixed_step` reports
             if value is not None and not value > 0:
@@ -525,7 +524,8 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
 
     On the block reachable from ``rho0`` (see the module docstring), one SVD
     of the block superoperator L gives its right and left kernels R and J
-    (singular values at most ``KERNEL_TOL`` sigma_max), and the
+    (singular values at most eps |S|^2 sigma_max, the numerical rank's
+    roundoff scale on a side of |S|^2), and the
     zero-eigenvalue spectral projector P = R (J†R)^-1 J† gives
     rho_inf = P vec(rho0) (Albert & Jiang, PRA 89, 022118 (2014)), rho0 as the
     Hermitian part its initial check returns, as in `evolve`.  No time
@@ -547,7 +547,7 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     size = rho.shape[0]
     liou = _superoperator(h_nh, jump_ops)
     u, sigma, vh = svd(liou)
-    null = sigma <= KERNEL_TOL * sigma[0]
+    null = sigma <= np.finfo(float).eps * sigma.size * sigma[0]
     right, left = dagger(vh[null]), u[:, null]
     # The trace is conserved exactly: vec(1)/sqrt(|S|) becomes the first
     # column of J, and the others are rotated orthogonal to it.

@@ -17,9 +17,11 @@ Conventions (fixed once, used by the whole package):
 * Rotating frame: level energies are replaced by their detuning from
   ``level_index * frame_frequency``; drives are only representable in the
   rotating frame, where they are time-independent by construction.
-* Input values: one checker per kind (`as_integer`, `as_real`, `as_complex`,
-  `as_text`, `as_flag`, `as_transition`), shared by the spec constructors
-  (naming the field) and the scenario-file reader (naming the JSON path).
+* Input values: each spec field is declared once, as a `spec_field` of its
+  dataclass: its kind (a checker such as `as_real`, a spec class, a `Seq` or
+  an `Opt`), JSON key and JSON default.  The constructor checks each field by
+  its kind (`check_fields`) and the scenario-file reader derives its tables
+  from the same declarations; only rules that span fields are code.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,12 +97,78 @@ def as_transition(value, name: str) -> tuple[int, int]:
     raise ValidationError(f"{name}: expected [upper, lower]")
 
 
+Seq = namedtuple("Seq", "item")  # kind of a tuple of ``item`` values, given as a list, a tuple or an array
+Opt = namedtuple("Opt", "kind")  # kind of None or a ``kind`` value
+OMIT = object()  # ``missing`` of a JSON key whose absence passes no argument
+
+
+def spec_field(kind, default=MISSING, **json):
+    """A `spec_class` field of ``kind``: a checker, a spec class (its name if it nests itself), a `Seq`, an `Opt`,
+    or a tuple of kinds for an entry of one value each.  ``json`` may set ``key`` (the JSON key, None for none;
+    the attribute's name by default), ``missing`` (what an absent key reads as; by default `OMIT` for a field
+    with a default, else `MISSING`, a required key) and ``label`` (the name errors give; the attribute's)."""
+    return field(default=default, metadata={"kind": kind, **json})
+
+
+def _checker(kind, cls) -> Callable[[Any, str], Any]:
+    """``check(value, name)`` -> the value to store, by ``kind`` of a field of ``cls``."""
+    if isinstance(kind, Opt):
+        inner = _checker(kind.kind, cls)
+        return lambda value, name: None if value is None else inner(value, name)
+    if isinstance(kind, Seq):
+        item = _checker(kind.item, cls)
+
+        def check(value, name):
+            if isinstance(value, (tuple, list, np.ndarray)):
+                return tuple([item(v, name) for v in value])
+            raise ValidationError(f"{name}: expected a list or tuple")
+
+        return check
+    if isinstance(kind, tuple):  # an entry of one value per kind
+        items = [_checker(k, cls) for k in kind]
+
+        def check(value, name):
+            if isinstance(value, (tuple, list)) and len(value) == len(items):
+                return tuple([c(v, name) for c, v in zip(items, value)])
+            raise ValidationError(f"{name}: expected an entry of {len(items)} values")
+
+        return check
+    if kind == cls.__name__ or isinstance(kind, type):
+        spec = cls if kind == cls.__name__ else kind
+
+        def check(value, name):
+            if isinstance(value, spec):
+                return value
+            raise ValidationError(f"{name}: expected {spec.__name__}, got {type(value).__name__}")
+
+        return check
+    return kind
+
+
+def spec_class(cls=None, /, **options):
+    """`dataclass(frozen=True, **options)` whose `spec_field` checks are compiled once, here, for `check_fields`."""
+    if cls is None:
+        return partial(spec_class, **options)
+    cls = dataclass(frozen=True, **options)(cls)
+    cls._checks = tuple((f.name, _checker(f.metadata["kind"], cls), f.metadata.get("label", f.name))
+                        for f in fields(cls) if "kind" in f.metadata)
+    return cls
+
+
+def check_fields(obj) -> None:
+    """Check each `spec_field` of ``obj`` by its kind and store the checked value (a list becomes a tuple)."""
+    values = obj.__dict__  # a frozen spec's fields, written past its `__setattr__`
+    for name, check, label in obj._checks:
+        values[name] = check(values[name], label)
+
+
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # System description
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@spec_class
 class EmitterSpec:
     """One emitter: a ladder of ``levels`` states with fixed lab frequencies.
 
@@ -106,19 +176,16 @@ class EmitterSpec:
     The level index doubles as the excitation count of that level.
     """
 
-    levels: int
-    level_frequencies: tuple[float, ...]
+    levels: int = spec_field(as_integer, missing=2)
+    level_frequencies: tuple[float, ...] = spec_field(Seq(as_real), key="frequencies")
 
     def __post_init__(self):
-        freqs = tuple(as_real(f, "level_frequencies") for f in self.level_frequencies)
-        object.__setattr__(self, "level_frequencies", freqs)
-        object.__setattr__(self, "levels", as_integer(self.levels, "levels"))
+        check_fields(self)
+        freqs = self.level_frequencies
         if self.levels < 2:
             raise ValidationError(f"emitter needs >= 2 levels, got {self.levels}")
         if len(freqs) != self.levels:
-            raise ValidationError(
-                f"expected {self.levels} level frequencies, got {len(freqs)}"
-            )
+            raise ValidationError(f"expected {self.levels} level frequencies, got {len(freqs)}")
         if freqs[0] != 0.0:
             raise ValidationError("level 0 frequency must be 0")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
@@ -129,7 +196,7 @@ class EmitterSpec:
         return EmitterSpec(2, (0.0, frequency))
 
 
-@dataclass(frozen=True)
+@spec_class
 class CollectiveChannelSpec:
     """A shared decay channel: one jump operator summing weighted lowerings.
 
@@ -139,38 +206,35 @@ class CollectiveChannelSpec:
     default to one ``(1, 0)`` per weight.
     """
 
-    rate: float
-    weights: tuple[complex, ...]
-    transitions: tuple[tuple[int, int], ...] | None = None
+    rate: float = spec_field(as_real, missing=0.0)
+    weights: tuple[complex, ...] = spec_field(Seq(as_complex), missing=OMIT)  # a file's default needs the system
+    transitions: tuple[tuple[int, int], ...] | None = spec_field(Opt(Seq(as_transition)), None)
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", as_real(self.rate, "rate"))
-        object.__setattr__(self, "weights", tuple(as_complex(w, "weights") for w in self.weights))
-        transitions = ((1, 0),) * len(self.weights) if self.transitions is None else self.transitions
-        object.__setattr__(self, "transitions", tuple(as_transition(t, "transitions") for t in transitions))
+        check_fields(self)
+        if self.transitions is None:
+            object.__setattr__(self, "transitions", ((1, 0),) * len(self.weights))
         if self.rate < 0:
             raise ValidationError(f"collective rate must be >= 0, got {self.rate}")
         if len(self.weights) != len(self.transitions):
             raise ValidationError("weights and transitions must have equal length")
 
 
-@dataclass(frozen=True)
+@spec_class
 class LocalChannelSpec:
     """An independent decay channel on a single emitter transition."""
 
-    rate: float
-    emitter_index: int
-    transition: tuple[int, int] = (1, 0)
+    rate: float = spec_field(as_real, missing=0.0)
+    emitter_index: int = spec_field(as_integer, key="emitter", missing=0)
+    transition: tuple[int, int] = spec_field(as_transition, (1, 0))
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", as_real(self.rate, "rate"))
-        object.__setattr__(self, "emitter_index", as_integer(self.emitter_index, "emitter_index"))
-        object.__setattr__(self, "transition", as_transition(self.transition, "transition"))
+        check_fields(self)
         if self.rate < 0:
             raise ValidationError(f"local rate must be >= 0, got {self.rate}")
 
 
-@dataclass(frozen=True)
+@spec_class
 class DriveSpec:
     """A coherent pump on one transition, static in the rotating frame.
 
@@ -179,37 +243,28 @@ class DriveSpec:
     level up relative to exact resonance with the pump).
     """
 
-    amplitude: float
-    emitter_index: int
-    transition: tuple[int, int]
-    drive_detuning: float = 0.0
+    amplitude: float = spec_field(as_real, missing=0.0)
+    emitter_index: int = spec_field(as_integer, key="emitter", missing=0)
+    transition: tuple[int, int] = spec_field(as_transition)
+    drive_detuning: float = spec_field(as_real, 0.0, key="detuning")
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitude", as_real(self.amplitude, "amplitude"))
-        object.__setattr__(self, "emitter_index", as_integer(self.emitter_index, "emitter_index"))
-        object.__setattr__(self, "transition", as_transition(self.transition, "transition"))
-        object.__setattr__(self, "drive_detuning", as_real(self.drive_detuning, "drive_detuning"))
+    __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
+@spec_class
 class SystemSpec:
     """Complete declarative description of an emitter network, checked as a whole when it is built."""
 
-    emitters: tuple[EmitterSpec, ...]
-    collective_channels: tuple[CollectiveChannelSpec, ...] = ()
-    local_channels: tuple[LocalChannelSpec, ...] = ()
-    drives: tuple[DriveSpec, ...] = ()
-    frame: str = "rotating"
-    frame_frequency: float = 1.0
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
+    emitters: tuple[EmitterSpec, ...] = spec_field(Seq(EmitterSpec))
+    collective_channels: tuple[CollectiveChannelSpec, ...] = spec_field(Seq(CollectiveChannelSpec), (), key="collective")
+    local_channels: tuple[LocalChannelSpec, ...] = spec_field(Seq(LocalChannelSpec), (), key="local")
+    drives: tuple[DriveSpec, ...] = spec_field(Seq(DriveSpec), ())
+    frame: str = spec_field(as_text, "rotating")
+    frame_frequency: float = spec_field(as_real, 1.0, key=None)  # a file gives it in "frame"
+    dimension_cap: int = spec_field(as_integer, DEFAULT_DIMENSION_CAP)
 
     def __post_init__(self):
-        object.__setattr__(self, "emitters", tuple(self.emitters))
-        object.__setattr__(self, "collective_channels", tuple(self.collective_channels))
-        object.__setattr__(self, "local_channels", tuple(self.local_channels))
-        object.__setattr__(self, "drives", tuple(self.drives))
-        object.__setattr__(self, "frame_frequency", as_real(self.frame_frequency, "frame_frequency"))
-        object.__setattr__(self, "dimension_cap", as_integer(self.dimension_cap, "dimension_cap"))
+        check_fields(self)
         if not self.emitters:
             raise ValidationError("at least one emitter is required")
         if self.frame not in ("lab", "rotating"):
@@ -220,21 +275,14 @@ class SystemSpec:
                     "collective channel needs one weight per emitter "
                     f"({len(self.emitters)}), got {len(ch.weights)}"
                 )
-        dim = 1
-        for e in self.emitters:
-            dim *= e.levels
+        dim = math.prod(e.levels for e in self.emitters)
         if dim > self.dimension_cap:
-            raise DimensionCapExceeded(
-                f"Hilbert dimension {dim} exceeds cap {self.dimension_cap}"
-            )
+            raise DimensionCapExceeded(f"Hilbert dimension {dim} exceeds cap {self.dimension_cap}")
         for ch in self.collective_channels:
-            active = 0
-            for j, (w, (u, l)) in enumerate(zip(ch.weights, ch.transitions)):
-                if w == 0:
-                    continue
-                active += 1
-                self._check_transition(j, (u, l))
-            if active < 2:
+            active = [j for j, w in enumerate(ch.weights) if w != 0]
+            for j in active:
+                self._check_transition(j, ch.transitions[j])
+            if len(active) < 2:
                 raise ValidationError(
                     "collective channel needs >= 2 emitters with nonzero weight "
                     "(use a local channel for a single emitter)"
@@ -247,18 +295,13 @@ class SystemSpec:
     def layout(self) -> DimsLayout:
         return DimsLayout(tuple(e.levels for e in self.emitters))
 
-    def _check_emitter(self, j: int) -> None:
+    def _check_transition(self, j: int, transition: tuple[int, int]) -> None:
         if not 0 <= j < len(self.emitters):
             raise ValidationError(f"emitter index {j} out of range")
-
-    def _check_transition(self, j: int, transition: tuple[int, int]) -> None:
-        self._check_emitter(j)
         u, l = transition
         levels = self.emitters[j].levels
         if not (0 <= l < u < levels):
-            raise InvalidTransition(
-                f"transition {u}->{l} invalid for emitter {j} with {levels} levels"
-            )
+            raise InvalidTransition(f"transition {u}->{l} invalid for emitter {j} with {levels} levels")
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +456,7 @@ def build_model(spec: SystemSpec) -> ModelOperators:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@spec_class
 class StateSpec:
     """A named state, an amplitude table, or a convex mixture of states.
 
@@ -421,22 +464,16 @@ class StateSpec:
     mixture has at least one entry.
     """
 
-    label: str | None = None
-    amplitudes: tuple[tuple[str, complex], ...] | None = None
-    mixture: tuple[tuple[float, "StateSpec"], ...] | None = None
+    label: str | None = spec_field(Opt(as_text), None)
+    amplitudes: tuple[tuple[str, complex], ...] | None = spec_field(Opt(Seq((as_text, as_complex))), None)
+    mixture: tuple[tuple[float, StateSpec], ...] | None = spec_field(Opt(Seq((as_real, "StateSpec"))), None)
 
     def __post_init__(self):
-        set_fields = sum(x is not None for x in (self.label, self.amplitudes, self.mixture))
-        if set_fields != 1:
+        check_fields(self)
+        if sum(x is not None for x in (self.label, self.amplitudes, self.mixture)) != 1:
             raise ValidationError("StateSpec needs exactly one of label/amplitudes/mixture")
         if any(entries is not None and not entries for entries in (self.amplitudes, self.mixture)):
             raise ValidationError("an amplitude table or mixture needs at least one entry")
-        object.__setattr__(self, "label", None if self.label is None else as_text(self.label, "label"))
-        if self.amplitudes is not None:
-            amps = tuple((as_text(k, "amplitudes"), as_complex(v, "amplitudes")) for k, v in self.amplitudes)
-            object.__setattr__(self, "amplitudes", amps)
-        if self.mixture is not None:
-            object.__setattr__(self, "mixture", tuple((as_real(w, "mixture"), s) for w, s in self.mixture))
 
     @staticmethod
     def named(label: str) -> "StateSpec":

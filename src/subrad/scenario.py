@@ -34,10 +34,10 @@ basis strings, "vacuum", "psi_plus", "psi_minus", "W"/"psi1", "psi2",
 object may add a ``"name"``, its CSV column suffix (the label by default,
 required for the other forms): `dump_scenario` writes a renamed label as
 ``{"name": str, "label": str}``.  The bipartition defaults to ``[[0], [1]]``
-for two emitters.  Every object rejects unknown keys, and no field converts
-between JSON types (a number is not a string, 0 is not false).  The reader
-has no value rule of its own: it reads a leaf with the `model` checker
-(`as_real`, `as_integer`, ...) that the spec's constructor calls.
+for two emitters.  Every object rejects unknown keys, no field converts
+between JSON types (a number is not a string, 0 is not false), and ``null``
+stands for None where a spec field may be None.  Each key, its kind and its
+default are declared once, as a `spec_field` of the spec it builds.
 
 Time unit "kappa" means the grid (and the CSV ``t`` column) is in units of
 the inverse rate of the first collective channel.  The integrator's step
@@ -71,11 +71,10 @@ import copy
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from importlib import resources
-from operator import attrgetter
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,11 +87,12 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    OMIT,
     CollectiveChannelSpec,
-    DriveSpec,
     EmitterSpec,
-    LocalChannelSpec,
     ModelOperators,
+    Opt,
+    Seq,
     StateSpec,
     SystemSpec,
     as_complex,
@@ -103,6 +103,9 @@ from .model import (
     as_transition,
     build_initial_state,
     build_model,
+    check_fields,
+    spec_class,
+    spec_field,
     state_vector,
 )
 # `perfbench/tracer.py` wraps `energy`, `dark_overlap`, `dark_overlap_sqrt`,
@@ -142,15 +145,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@spec_class
 class TimeSpec:
-    unit: str
-    horizon: float
-    points: int
+    unit: str = spec_field(as_text, missing="omega")
+    horizon: float = spec_field(as_real)
+    points: int = spec_field(as_integer)
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", as_real(self.horizon, "horizon"))
-        object.__setattr__(self, "points", as_integer(self.points, "points"))
+        check_fields(self)
         if self.unit not in ("omega", "kappa") or not self.horizon > 0 or self.points < 2:
             raise ValidationError(f"need unit 'omega' or 'kappa', horizon > 0 and points >= 2, got {self}")
 
@@ -158,38 +160,35 @@ class TimeSpec:
         return np.linspace(0.0, self.horizon, self.points)
 
 
-@dataclass(frozen=True)
+@spec_class
 class ObservableSpec:
     """One observable of `_OBSERVABLES`; a fidelity needs a target, a bipartition two non-empty groups."""
 
-    kind: str
-    target: StateSpec | None = None
-    sqrt: bool = False
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    kind: str = spec_field(as_text, key=None)  # a file gives it as the observable's name or object key
+    target: StateSpec | None = spec_field(Opt(StateSpec), None, missing=MISSING)
+    sqrt: bool = spec_field(as_flag, False)
+    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = spec_field(Opt(Seq(Seq(as_integer))), None)
 
     def __post_init__(self):
+        check_fields(self)
         _expect(self.kind in _OBSERVABLES, "kind", f"unknown observable {self.kind!r}")
         _expect(self.kind != "fidelity" or self.target is not None, "target", "a fidelity needs a target state")
         _expect(self.bipartition is None or (len(self.bipartition) == 2 and all(self.bipartition)), "bipartition",
                 f"expected two non-empty emitter index groups, got {self.bipartition}")
-        object.__setattr__(self, "sqrt", as_flag(self.sqrt, "sqrt"))
-        if self.bipartition is not None:
-            groups = tuple(tuple(as_integer(j, "bipartition") for j in group) for group in self.bipartition)
-            object.__setattr__(self, "bipartition", groups)
 
 
-@dataclass(frozen=True)
+@spec_class
 class OutputSpec:
-    path: str | None = None
-    format: str = "csv"
+    path: str | None = spec_field(Opt(as_text), None)
+    format: str = spec_field(as_text, "csv")
 
     def __post_init__(self):
-        object.__setattr__(self, "path", None if self.path is None else as_text(self.path, "path"))
+        check_fields(self)
         if self.format != "csv":
             raise ValidationError(f"only the 'csv' format is supported, got {self.format!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@spec_class(eq=False)
 class Scenario:
     """One simulation, checked when it is built: parsed, `replace`d or by hand alike.
 
@@ -204,20 +203,19 @@ class Scenario:
     a read-only unit vector.
     """
 
-    name: str
-    system: SystemSpec
-    initials: tuple[tuple[str, StateSpec], ...]
-    time: TimeSpec
-    observables: tuple[ObservableSpec, ...]
-    integrator: IntegratorConfig
-    output: OutputSpec
+    name: str = spec_field(as_text, missing="scenario")
+    system: SystemSpec = spec_field(SystemSpec)
+    initials: tuple[tuple[str, StateSpec], ...] = spec_field(Seq((as_text, StateSpec)), key="initial", label="initial")
+    time: TimeSpec = spec_field(TimeSpec)
+    observables: tuple[ObservableSpec, ...] = spec_field(Seq(ObservableSpec))
+    integrator: IntegratorConfig = spec_field(IntegratorConfig, missing=IntegratorConfig())
+    output: OutputSpec = spec_field(OutputSpec, missing=OutputSpec())
     states: tuple[np.ndarray, ...] = field(init=False, repr=False)
     targets: tuple[np.ndarray | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "name", as_text(self.name, "name"))
+        check_fields(self)
         _expect(bool(self.initials), "initial", "at least one initial state is required")
-        object.__setattr__(self, "initials", tuple((as_text(name, "initial"), spec) for name, spec in self.initials))
         names = [name for name, _ in self.initials]
         _expect(len(set(names)) == len(names), "initial", f"duplicate initial labels in {names}")
         _expect(bool(self.observables), "observables", "at least one observable is required")
@@ -283,32 +281,13 @@ class SweepResult:
 # Field tables
 # ---------------------------------------------------------------------------
 #
-# Each JSON object is read and written through one table, an ordered dict
-# from JSON key to `_Field`.  A field's kind is a `_Kind`, or a plain
-# ``(read, write)`` pair: ``read(value, path)`` checks one JSON value and
-# returns its parsed form, ``write(parsed)`` returns the JSON value.  `_read`
-# checks the key set, reads the present keys, fills the defaults and builds
-# the result with ``make``; `_write` inverts it, so a dump parses back to the
-# same fields.
+# Each JSON object is read and written through a table from JSON key to
+# ``(attr, read, write, missing)``, derived for a spec from its `spec_field`s
+# (`_spec_table`): ``read(value, path)`` gives the argument ``attr``,
+# ``write`` the JSON value, ``missing`` is `spec_field`'s.  `_read` checks the
+# keys, reads and fills them and calls ``make``; `_write` inverts it.
 
-_REQUIRED = object()  # default of a key that must be present
-_ABSENT = object()  # default of a key whose absence passes no argument to ``make``
 _Kind = namedtuple("_Kind", "read write")  # how one JSON value is read and written
-
-
-class _Field(NamedTuple):
-    attr: str  # the keyword argument of ``make``
-    get: Callable[[Any], Any]  # reads the value back from a parsed object, for `_write`
-    kind: _Kind
-    default: Any
-
-
-def _table(*rows) -> dict[str, _Field]:
-    """Rows are ``(key, kind, default[, attr[, get]])``; ``attr`` is the key and ``get`` reads it unless given."""
-    table = {}
-    for key, kind, default, attr, get in (row + (None,) * (5 - len(row)) for row in rows):
-        table[key] = _Field(attr or key, get or attrgetter(attr or key), _Kind(*kind), default)
-    return table
 
 
 def _expect(cond: bool, where: str, message: str) -> None:
@@ -324,7 +303,7 @@ def _build(make: Callable, kwargs: dict, where: str):
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _read(data, table: dict[str, _Field], where: str, make: Callable, prefix: str | None = None):
+def _read(data, table: dict[str, tuple], where: str, make: Callable, prefix: str | None = None):
     """Read the object ``data`` found at path ``where``.
 
     A key's path is ``prefix + key``: ``where.key`` by default, the bare key for the scenario's top level.
@@ -334,25 +313,25 @@ def _read(data, table: dict[str, _Field], where: str, make: Callable, prefix: st
     prefix = f"{where}." if prefix is None else prefix
     kwargs = {}
     for key, value in data.items():
-        field = table.get(key)
-        if field is None:
+        row = table.get(key)
+        if row is None:
             raise ValidationError(f"{where}: unknown keys {sorted(data.keys() - table.keys())}")
-        kwargs[field.attr] = field.kind.read(value, prefix + key)
+        kwargs[row[0]] = row[1](value, prefix + key)
     if len(data) < len(table):
-        for key, field in table.items():
-            if key in data or field.default is _ABSENT:
+        for key, (attr, _, _, missing) in table.items():
+            if key in data or missing is OMIT:
                 continue
-            if field.default is _REQUIRED:
+            if missing is MISSING:
                 raise ValidationError(f"{where}: missing required key {key!r}")
-            kwargs[field.attr] = field.default
+            kwargs[attr] = missing
     return _build(make, kwargs, where)
 
 
-def _write(obj, table: dict[str, _Field]) -> dict:
-    return {key: field.kind.write(field.get(obj)) for key, field in table.items()}
+def _write(obj, table: dict[str, tuple]) -> dict:
+    return {key: write(getattr(obj, attr)) for key, (attr, _, write, _) in table.items()}
 
 
-def _object(table: dict[str, _Field], make: Callable) -> _Kind:
+def _object(table: dict[str, tuple], make: Callable) -> _Kind:
     return _Kind(lambda value, where: _read(value, table, where, make), partial(_write, table=table))
 
 
@@ -360,29 +339,38 @@ def _same(value):
     return value
 
 
-def _list(kind) -> _Kind:
-    read, write = kind
+def _form(kind) -> _Kind:
+    """How a value of ``kind`` (see `spec_field`, or a `_Kind` itself) is read and written, `_FORMS` first."""
+    if isinstance(kind, Seq):
+        read, write = _form(kind.item)
 
-    def read_list(value, where: str) -> tuple:
-        _expect(isinstance(value, list), where, "expected a list")
-        return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
+        def read_list(value, where: str) -> tuple:
+            _expect(isinstance(value, list), where, "expected a list")
+            return tuple([read(item, f"{where}[{i}]") for i, item in enumerate(value)])
 
-    return _Kind(read_list, lambda items: [write(item) for item in items])
+        return _Kind(read_list, lambda items: [write(item) for item in items])
+    if isinstance(kind, Opt):
+        read, write = _form(kind.kind)
+        return _Kind(lambda value, where: None if value is None else read(value, where),
+                     lambda parsed: None if parsed is None else write(parsed))
+    if isinstance(kind, _Kind):
+        return kind
+    if kind in _FORMS:
+        return _Kind(*_FORMS[kind])
+    if isinstance(kind, type):
+        return _object(_spec_table(kind), kind)
+    return _Kind(kind, _same)
 
 
-def _optional(kind) -> _Kind:
-    read, write = kind
-    return _Kind(
-        lambda value, where: None if value is None else read(value, where),
-        lambda parsed: None if parsed is None else write(parsed),
-    )
-
-
-_FLOAT = _Kind(as_real, _same)
-_INT = _Kind(as_integer, _same)
-_BOOL = _Kind(as_flag, _same)
-_STR = _Kind(as_text, _same)
-_TRANSITION = _Kind(as_transition, list)
+def _spec_table(cls, **forms) -> dict[str, tuple]:
+    """The table of the spec class ``cls`` by its `spec_field` declarations; ``forms[attr]`` replaces a kind's form."""
+    table = {}
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        if "kind" in f.metadata and key is not None:
+            missing = f.metadata.get("missing", MISSING if f.default is MISSING else OMIT)
+            table[key] = (f.name, *(forms.get(f.name) or _form(f.metadata["kind"])), missing)
+    return table
 
 
 # --- Unions: the JSON values with more than one form ------------------------
@@ -427,10 +415,6 @@ def _read_frame(value, where: str) -> tuple[str, float]:
     return "rotating", as_real(value["rotating"], f"{where}.rotating")
 
 
-def _write_frame(frame: tuple[str, float]) -> Any:
-    return "lab" if frame[0] == "lab" else {"rotating": frame[1]}
-
-
 def _read_system(value, where: str) -> SystemSpec:
     """The system, which `SystemSpec` checks as a whole when it is built."""
     kwargs = _read(value, _SYSTEM, where, dict)
@@ -444,6 +428,11 @@ def _read_system(value, where: str) -> SystemSpec:
             for i, channel in enumerate(kwargs["collective_channels"])
         )
     return _build(SystemSpec, kwargs, where)
+
+
+def _write_system(spec: SystemSpec) -> dict:
+    """The system's table, with ``frame_frequency`` in ``"frame"`` as `_read_frame` reads it."""
+    return {**_write(spec, _SYSTEM), "frame": "lab" if spec.frame == "lab" else {"rotating": spec.frame_frequency}}
 
 
 def _read_state(value, where: str) -> StateSpec:
@@ -499,70 +488,40 @@ def _read_output(value, where: str) -> OutputSpec:
 
 # --- Tables -----------------------------------------------------------------
 
-_Part = namedtuple("_Part", "weight state")  # one entry of a mixture
-_STATE_KIND = (_read_state, _write_state)
-_AMPLITUDES = (_read_amplitudes, lambda amps: {label: _complex_to_json(amp) for label, amp in amps})
+# The kinds whose JSON value is not read by their checker or spec table alone.
+_FORMS = {
+    as_complex: (_read_weight, _complex_to_json),
+    as_transition: (as_transition, list),
+    EmitterSpec: (_read_emitter, lambda emitter: _write(emitter, _EMITTER)),
+    SystemSpec: (_read_system, _write_system),
+    StateSpec: (_read_state, _write_state),
+    ObservableSpec: (_read_observable, _write_observable),
+    OutputSpec: (_read_output, lambda output: _write(output, _OUTPUT)),
+}
+_POLAR = {"magnitude": ("magnitude", as_real, _same, 1.0), "phase": ("phase", as_real, _same, 0.0)}
+_Part = namedtuple("_Part", "weight state")  # a mixture's plain (weight, state) pair, named for `_write`
+_PART = {"weight": ("weight", as_real, _same, MISSING), "state": ("state", _read_state, _write_state, MISSING)}
+_PART_KIND = _Kind(_object(_PART, _Part).read, lambda part: _write(_Part(*part), _PART))
+_AMPLITUDES = _Kind(_read_amplitudes, lambda amps: {label: _complex_to_json(amp) for label, amp in amps})
 
-_POLAR = _table(("magnitude", _FLOAT, 1.0), ("phase", _FLOAT, 0.0))
-_EMITTER = _table(("levels", _INT, 2), ("frequencies", _list(_FLOAT), _REQUIRED, "level_frequencies"))
-_COLLECTIVE = _table(
-    ("rate", _FLOAT, 0.0),
-    ("weights", _list((_read_weight, _complex_to_json)), _ABSENT),  # filled per emitter by `_read_system`
-    ("transitions", _list(_TRANSITION), _ABSENT),
-)
-_LOCAL = _table(
-    ("rate", _FLOAT, 0.0),
-    ("emitter", _INT, 0, "emitter_index"),
-    ("transition", _TRANSITION, _ABSENT),
-)
-_DRIVE = _table(
-    ("amplitude", _FLOAT, 0.0),
-    ("emitter", _INT, 0, "emitter_index"),
-    ("transition", _TRANSITION, _REQUIRED),
-    ("detuning", _FLOAT, _ABSENT, "drive_detuning"),
-)
-_SYSTEM = _table(
-    ("emitters", _list((_read_emitter, partial(_write, table=_EMITTER))), _REQUIRED),
-    ("collective", _list(_object(_COLLECTIVE, dict)), _ABSENT, "collective_channels"),
-    ("local", _list(_object(_LOCAL, LocalChannelSpec)), _ABSENT, "local_channels"),
-    ("drives", _list(_object(_DRIVE, DriveSpec)), _ABSENT),
-    ("frame", (_read_frame, _write_frame), _ABSENT, "frame", attrgetter("frame", "frame_frequency")),
-    ("dimension_cap", _INT, _ABSENT),
-)
-_PART = _table(("weight", _FLOAT, _REQUIRED), ("state", _STATE_KIND, _REQUIRED))
-# A mixture holds plain (weight, state) pairs; `_Part` names them for `_write`.
-_PART_KIND = (_object(_PART, _Part).read, lambda part: _write(_Part(*part), _PART))
-_STATE = _table(
-    ("label", _optional(_STR), _ABSENT),
-    ("amplitudes", _optional(_AMPLITUDES), _ABSENT),
-    ("mixture", _optional(_list(_PART_KIND)), _ABSENT),
-)
-_INITIAL = {**_STATE, **_table(("name", _STR, _ABSENT))}
-_INITIALS = _list((_read_initial, _write_initial))
+_EMITTER = _spec_table(EmitterSpec)
+# Read as keyword dicts: `_read_system` adds the weights default, one per emitter, and builds each channel.
+_COLLECTIVE = _form(Seq(_object(_spec_table(CollectiveChannelSpec), dict)))
+_SYSTEM = _spec_table(SystemSpec, collective_channels=_COLLECTIVE, frame=(_read_frame, _same))
+_STATE = _spec_table(StateSpec, amplitudes=_form(Opt(_AMPLITUDES)), mixture=_form(Opt(Seq(_PART_KIND))))
+_INITIAL = {**_STATE, "name": ("name", as_text, _same, OMIT)}
+_INITIALS = _form(Seq(_Kind(_read_initial, _write_initial)))
+_OBSERVABLE = _spec_table(ObservableSpec)
 # Every observable kind, with the table of its parameters (None: written as the bare kind).
 _OBSERVABLES = {
     **dict.fromkeys(("energy", "purity", "nes", "checks")),
-    "fidelity": _table(("target", _STATE_KIND, _REQUIRED), ("sqrt", _BOOL, _ABSENT)),
-    "log_negativity": _table(("bipartition", _list(_list(_INT)), _ABSENT)),
+    "fidelity": {key: _OBSERVABLE[key] for key in ("target", "sqrt")},
+    "log_negativity": {key: _OBSERVABLE[key] for key in ("bipartition",)},
 }
-_TIME = _table(("unit", _STR, "omega"), ("horizon", _FLOAT, _REQUIRED), ("points", _INT, _REQUIRED))
-_INTEGRATOR = _table(
-    ("rel_tol", _FLOAT, _ABSENT),
-    ("abs_tol", _FLOAT, _ABSENT),
-    ("initial_step", _optional(_FLOAT), _ABSENT),
-    ("fixed_step", _optional(_FLOAT), _ABSENT),
-)
-_OUTPUT = _table(("path", _optional(_STR), _ABSENT), ("format", _STR, _ABSENT))
-_SCENARIO = _table(
-    ("name", _STR, "scenario"),
-    ("initial", (_read_initials, _INITIALS.write), _REQUIRED, "initials"),
-    ("time", _object(_TIME, TimeSpec), _REQUIRED),
-    ("observables", _list((_read_observable, _write_observable)), _REQUIRED),
-    ("integrator", _object(_INTEGRATOR, IntegratorConfig), IntegratorConfig()),
-    ("output", (_read_output, partial(_write, table=_OUTPUT)), OutputSpec()),
-    # Last: a sweep point reports a fault in another field before one that the system's checks find.
-    ("system", (_read_system, partial(_write, table=_SYSTEM)), _REQUIRED),
-)
+_OUTPUT = _spec_table(OutputSpec)
+_SCENARIO = _spec_table(Scenario, initials=_INITIALS._replace(read=_read_initials))
+# Last: a sweep point reports a fault in another field before one that the system's checks find.
+_SCENARIO["system"] = _SCENARIO.pop("system")
 
 
 # ---------------------------------------------------------------------------
@@ -791,13 +750,13 @@ def _axis_setter(axes: Sequence[tuple[str, Sequence]]) -> Callable[[Scenario, Se
     """
     paths = [(k, sub, _path_tokens(sub)) for k, (path, _) in enumerate(axes) for sub in path.split("|")]
     keys = {tokens[0] for _, _, tokens in paths}
-    fields = [(key, field) for key, field in _SCENARIO.items() if key in keys]  # any other first key fails to resolve
+    rows = [(key, row) for key, row in _SCENARIO.items() if key in keys]  # any other first key fails to resolve
 
     def set_paths(scenario, values):
-        data = {key: field.kind.write(field.get(scenario)) for key, field in fields}
+        data = {key: write(getattr(scenario, attr)) for key, (attr, _, write, _) in rows}
         for k, sub, tokens in paths:  # a later path may set something inside this value: copy it
             _set_json(data, tokens, copy.deepcopy(values[k]), sub)
-        return replace(scenario, **{field.attr: field.kind.read(data[key], key) for key, field in fields})
+        return replace(scenario, **{attr: read(data[key], key) for key, (attr, read, _, _) in rows})
 
     return set_paths
 
@@ -828,18 +787,19 @@ def _reduction(**red) -> dict:
     return red
 
 
-_REDUCTION = _table(
-    ("name", _STR, _ABSENT),  # "<kind>_<column>", filled by `_reduction`
-    ("kind", (_read_reduction_kind, None), "final"),
-    ("column", _STR, _REQUIRED),
-    ("t_min", _FLOAT, 0.0),
-    ("t_max", _optional(_FLOAT), None),
-)
-_SWEEP = _table(
-    ("base", (_read_base, None), _REQUIRED),
-    ("axes", (_read_axes, None), _REQUIRED),
-    ("reductions", _list(_object(_REDUCTION, _reduction)), ()),
-)
+# A reduction stays a dict and a sweep is never written, so these tables are not derived from a spec.
+_REDUCTION = {
+    "name": ("name", as_text, None, OMIT),  # "<kind>_<column>", filled by `_reduction`
+    "kind": ("kind", _read_reduction_kind, None, "final"),
+    "column": ("column", as_text, None, MISSING),
+    "t_min": ("t_min", as_real, None, 0.0),
+    "t_max": ("t_max", _form(Opt(as_real)).read, None, None),
+}
+_SWEEP = {
+    "base": ("base", _read_base, None, MISSING),
+    "axes": ("axes", _read_axes, None, MISSING),
+    "reductions": ("reductions", _form(Seq(_object(_REDUCTION, _reduction))).read, None, ()),
+}
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -999,19 +959,18 @@ def load_preset(name: str) -> dict:
         filename, _ = _FILE_PRESETS[name]
         text = resources.files("subrad").joinpath("presets", filename).read_text("utf-8")
         return json.loads(text)
-    if name == "nqubit" or name.startswith("nqubit:"):
-        parts = name.split(":")
-        n = 4
-        phases = None
-        if len(parts) >= 2 and parts[1]:
-            try:
-                n = int(parts[1])
-            except ValueError as exc:
-                raise UnknownLabel(f"bad nqubit size in {name!r}") from exc
-        if len(parts) >= 3 and parts[2]:
-            try:
-                phases = [float(x) for x in parts[2].split(",")]
-            except ValueError as exc:
-                raise UnknownLabel(f"bad nqubit phase list in {name!r}") from exc
+    family, *fields = name.split(":")
+    if family == "nqubit":
+        if len(fields) > 2:
+            raise UnknownLabel(f"nqubit preset takes at most a size and a phase list, got {name!r}")
+        size, phases = fields + [""] * (2 - len(fields))
+        try:
+            n = int(size) if size else 4
+        except ValueError as exc:
+            raise UnknownLabel(f"bad nqubit size in {name!r}") from exc
+        try:
+            phases = [float(x) for x in phases.split(",")] if phases else None
+        except ValueError as exc:
+            raise UnknownLabel(f"bad nqubit phase list in {name!r}") from exc
         return _nqubit_scenario(n, phases)
     raise UnknownLabel(f"unknown preset {name!r}")

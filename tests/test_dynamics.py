@@ -563,9 +563,12 @@ def detuned_frame_model():
 
 
 def full_space_projection(liou, rho0):
-    """The kernel projection of vec(rho0) by scipy `null_space` on the full-space Liouvillian."""
-    right = null_space(liou, rcond=1e-9)
-    left = null_space(liou.conj().T, rcond=1e-9)
+    """The kernel projection of vec(rho0) by scipy `null_space` on the full-space Liouvillian.
+
+    `null_space`'s default threshold, eps * side * sigma_max, is the numerical-rank rule of `asymptotic_state`.
+    """
+    right = null_space(liou)
+    left = null_space(liou.conj().T)
     weights = np.linalg.solve(left.conj().T @ right, left.conj().T @ sr.vec(rho0))
     return sr.unvec(right @ weights, rho0.shape[0])
 
@@ -591,6 +594,8 @@ class TestAsymptoticState:
     @example(levels=[2, 3], n_collective=1, n_local=0, driven=False, seed=220)
     # a trace error of 1.2e-11 before vec(1) became the first conserved quantity
     @example(levels=[2, 2, 3], n_collective=1, n_local=0, driven=True, seed=2692155770)
+    # a singular value 1.65e-9 of sigma_max 9.24 that no eigenvalue matches: a residual of 2.8e-10 when it was kept
+    @example(levels=[3, 2], n_collective=1, n_local=0, driven=False, seed=83996)
     def test_property_matches_full_space_projector(self, levels, n_collective, n_local, driven, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, levels, n_collective, n_local, driven)
@@ -598,7 +603,7 @@ class TestAsymptoticState:
 
         liou = sr.liouvillian_matrix(model)
         sigma = np.linalg.svd(liou, compute_uv=False)
-        sigma_gap = sigma[sigma > 1e-9 * sigma[0]][-1]
+        sigma_gap = sigma[sigma > np.finfo(float).eps * sigma.size * sigma[0]][-1]
         bound = max(1e-10, CONDITIONING_FACTOR * np.finfo(float).eps * sigma[0] / sigma_gap)
         steady = sr.asymptotic_state(model, rho0)
         assert np.max(np.abs(steady - full_space_projection(liou, rho0))) < bound

@@ -204,6 +204,23 @@ CHECKED_FIELDS = [
      np.float64(0.5), NUMBERS),
 ]
 
+# Each spec field that holds specs or a tuple: ``(field, make, good, bad)`` as above, with one bad value of another type.
+NESTED_FIELDS = [
+    ("initial", lambda s, v: replace(s, initials=(("x", v),)), sr.StateSpec.named("10"), "10"),
+    ("mixture", lambda s, v: replace(s, initials=(("x", sr.StateSpec.mix([(1.0, v)])),)), sr.StateSpec.named("10"),
+     "10"),
+    ("target", lambda s, v: replace(s, observables=(ObservableSpec("fidelity", v),)), sr.StateSpec.named("01"),
+     "psi_minus"),
+    ("kind", lambda s, v: replace(s, observables=(ObservableSpec(v),)), "energy", ["energy"]),
+    ("level_frequencies", lambda s, v: with_system(s, emitters=(sr.EmitterSpec(2, v),) * 2), [0, 1.5], 5),
+    ("emitters", lambda s, v: with_system(s, emitters=(v, v)), sr.EmitterSpec.qubit(), "qubit"),
+    ("local_channels", lambda s, v: with_system(s, local_channels=(v,)), sr.LocalChannelSpec(0.1, 1), 1.0),
+    ("system", lambda s, v: replace(s, system=v),
+     sr.SystemSpec((sr.EmitterSpec.qubit(),) * 2, (sr.CollectiveChannelSpec(0.5, (1, -1)),)), "x"),
+    ("time", lambda s, v: replace(s, time=v), TimeSpec("omega", 5.0, 3), None),
+    ("integrator", lambda s, v: replace(s, integrator=v), sr.IntegratorConfig(fixed_step=0.5), None),
+]
+
 
 class TestRunScenario:
     def test_header_and_shape(self):
@@ -362,6 +379,19 @@ class TestRunScenario:
         text = sr.dump_scenario(make(sr.scenario_from_dict(TINY_SCENARIO), value))
         assert sr.dump_scenario(sr.parse_scenario(text)) == text
 
+    @pytest.mark.parametrize(
+        "name, make, value", [pytest.param(name, make, bad, id=name) for name, make, _, bad in NESTED_FIELDS]
+    )
+    def test_nested_fields_refuse_what_is_not_a_spec(self, name, make, value):
+        """A spec, tuple or entry field holding a value of another type fails when built, naming the field."""
+        with pytest.raises(ValidationError, match=f"^{name}: expected "):
+            make(sr.scenario_from_dict(TINY_SCENARIO), value)
+
+    @pytest.mark.parametrize("make, value", [pytest.param(make, good, id=name) for name, make, good, _ in NESTED_FIELDS])
+    def test_hand_built_nested_specs_dump_to_text_that_parses_back(self, make, value):
+        text = sr.dump_scenario(make(sr.scenario_from_dict(TINY_SCENARIO), value))
+        assert sr.dump_scenario(sr.parse_scenario(text)) == text
+
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
         data["observables"] = ["energy", "checks"]
@@ -513,6 +543,22 @@ class TestPresets:
         # every emitter sits at frequency 1, so the energy is the summed excitation
         excitation = sum(column[f"nes_excitation_{j}"] for j in range(8))
         assert np.max(np.abs(column["energy"] - excitation)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "preset, initial, dark_weight, tolerance",
+        [
+            pytest.param("nqubit:5", "11100", 9 / 10, 1e-8, id="five-from-11100"),
+            pytest.param("nqubit:8", "11000000", 27 / 28, 1e-12, id="eight-from-11000000"),
+        ],
+    )
+    def test_dormand_prince_keeps_the_closed_form_dark_weight(self, preset, initial, dark_weight, tolerance):
+        # 1 - 1/C(N, 2) of each state stays dark; both blocks (26 and 37 states) are above the propagator's 16
+        data = sr.load_preset(preset)
+        data["initial"] = [initial]
+        result = sr.run_scenario(sr.scenario_from_dict(data), check_strict=True)
+        assert result.trajectories[initial].meta["solver"] == "dp45"
+        final = result.rows[-1, result.header.index("nes_dark_weight")]
+        assert abs(final - dark_weight) < tolerance
 
     def test_unknown_preset(self):
         with pytest.raises(UnknownLabel):
@@ -946,6 +992,7 @@ class TestCli:
         [
             ("nqubit:3:a,b", "bad nqubit phase list in 'nqubit:3:a,b'"),
             ("nqubit:x", "bad nqubit size in 'nqubit:x'"),
+            ("nqubit:3:0,0,0:junk", "at most a size and a phase list, got 'nqubit:3:0,0,0:junk'"),
             ("no-such-preset", "unknown preset 'no-such-preset'"),
         ],
     )

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -309,3 +309,26 @@ def test_non_finite_sweep_axis_value_fails_its_point():
     result = sr.run_sweep(sweep)
     assert [row[-1] for row in result.rows] == ["ok", "error:ValidationError"]
     assert result.failed == 1
+
+
+def spec_classes():
+    """`Scenario` and every spec class that the kinds of its fields name, at any depth."""
+    found, kinds = set(), [sr.Scenario]
+    while kinds:
+        kind = kinds.pop()
+        if isinstance(kind, tuple):  # an entry, `Seq` or `Opt`
+            kinds.extend(kind)
+        elif isinstance(kind, type) and kind not in found:
+            found.add(kind)
+            kinds.extend(f.metadata["kind"] for f in fields(kind) if "kind" in f.metadata)
+    return found
+
+
+def test_schema_names_every_key_the_reader_accepts():
+    """The schema in the module docstring is written by hand; every key of a derived reader table must be in it."""
+    schema = sr.scenario.__doc__.split("Sweep files:")[0]
+    tables = [sr.scenario._spec_table(cls) for cls in spec_classes()]
+    tables += [sr.scenario._INITIAL, sr.scenario._POLAR, sr.scenario._PART]
+    assert len(tables) == 11 + 3  # from `Scenario` down to `LocalChannelSpec` and `IntegratorConfig`
+    missing = {key for table in tables for key in table if f'"{key}"' not in schema}
+    assert not missing
