@@ -56,6 +56,7 @@ from .observables import (
     trace_distance,
 )
 from .scenario import (
+    ReductionSpec,
     Scenario,
     ScenarioResult,
     SweepResult,

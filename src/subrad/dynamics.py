@@ -79,9 +79,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow, ValidationError
+from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow
 from .linalg import HERMITICITY_TOL, dagger, hermitian_eigen, kron, max_abs, svd
-from .model import ModelOperators, Opt, as_real, spec_class, spec_field
+from .model import ModelOperators, Opt, as_positive, check_fields, spec_class, spec_field
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
 
@@ -115,20 +115,12 @@ class IntegratorConfig:
     included, is fixed (see the module docstring).
     """
 
-    rel_tol: float = spec_field(as_real, 1e-8)
-    abs_tol: float = spec_field(as_real, 1e-10)
-    initial_step: float | None = spec_field(Opt(as_real), None)
-    fixed_step: float | None = spec_field(Opt(as_real), None)
+    rel_tol: float = spec_field(as_positive, 1e-8)
+    abs_tol: float = spec_field(as_positive, 1e-10)
+    initial_step: float | None = spec_field(Opt(as_positive), None)
+    fixed_step: float | None = spec_field(Opt(as_positive), None)
 
-    def __post_init__(self):
-        for name, check, _ in self._checks:
-            try:
-                value = check(getattr(self, name), name)
-            except ValidationError:
-                value = np.nan  # refused below with the `ValueError` that `cli._fixed_step` reports
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, value)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,5 +49,5 @@ class ParseError(SubradError):
     """Scenario/sweep text could not be parsed."""
 
 
-class ValidationError(SubradError):
-    """A parsed scenario/sweep field violates its constraints."""
+class ValidationError(SubradError, ValueError):
+    """A scenario/sweep field, or a spec or argument value, violates its constraints; also a `ValueError`."""

@@ -13,15 +13,26 @@ leftmost (slowest-varying) tensor factor, i.e. ``kron(a, b)`` acts with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, ValidationError
 
 HERMITICITY_TOL = 1e-9  # see `hermitian_eigen`
 KERNEL_TOL = 1e-9  # see `kernel_basis`
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int: an integer or NumPy integer, never a boolean or a non-integral number."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def as_complex_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -60,7 +71,7 @@ class DimsLayout:
     subsystem_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.subsystem_dims)
+        dims = tuple(as_integer(d, "subsystem_dims") for d in self.subsystem_dims)
         object.__setattr__(self, "subsystem_dims", dims)
         if len(dims) < 1 or any(d < 2 for d in dims):
             raise DimensionMismatch(f"subsystem dims must all be >= 2, got {dims}")
@@ -149,6 +160,7 @@ def partial_transpose(rho, layout: DimsLayout, subsystem_index: int) -> np.ndarr
     An exact involution: applying it twice returns the input bit-for-bit.
     """
     rho = layout.check_matrix(rho)
+    subsystem_index = as_integer(subsystem_index, "subsystem_index")
     n = layout.n_subsystems
     if not 0 <= subsystem_index < n:
         raise DimensionMismatch(f"subsystem index {subsystem_index} out of range for {n} factors")
@@ -166,10 +178,8 @@ def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) ->
     is preserved exactly up to roundoff.
     """
     rho = layout.check_matrix(rho)
-    if isinstance(keep_indices, (int, np.integer)):
-        keep = (int(keep_indices),)
-    else:
-        keep = tuple(sorted({int(i) for i in keep_indices}))
+    keep_indices = keep_indices if np.iterable(keep_indices) else (keep_indices,)
+    keep = tuple(sorted({as_integer(i, "keep_indices") for i in keep_indices}))
     n = layout.n_subsystems
     if not keep or any(i < 0 or i >= n for i in keep):
         raise DimensionMismatch(f"keep indices {keep} invalid for {n} subsystems")
@@ -191,5 +201,5 @@ def trace_norm_hermitian(m) -> float:
 
 def reduced_layout(layout: DimsLayout, keep_indices: Sequence[int]) -> DimsLayout:
     """Layout of the state left over after `partial_trace` on the same keys."""
-    keep = tuple(sorted({int(i) for i in keep_indices}))
+    keep = tuple(sorted({as_integer(i, "keep_indices") for i in keep_indices}))
     return DimsLayout(tuple(layout.subsystem_dims[i] for i in keep))

@@ -20,17 +20,18 @@ Conventions (fixed once, used by the whole package):
 * Input values: each spec field is declared once, as a `spec_field` of its
   dataclass: its kind (a checker such as `as_real`, a spec class, a `Seq` or
   an `Opt`), JSON key and JSON default.  The constructor checks each field by
-  its kind (`check_fields`) and the scenario-file reader derives its tables
-  from the same declarations; only rules that span fields are code.
+  its kind (`check_fields`; a `ValidationError`, also a `ValueError`, if
+  refused) and the scenario and sweep readers derive their tables from the
+  same declarations; only rules that span fields are code, such as the
+  collective weights that `SystemSpec` fills, one per emitter.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
@@ -44,19 +45,9 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
-from .linalg import DimsLayout
+from .linalg import DimsLayout, as_integer
 
 DEFAULT_DIMENSION_CAP = 256
-
-
-def as_integer(value, name: str) -> int:
-    """``value`` as an int; like a file, a spec's integer field refuses a boolean or non-integral value."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def as_real(value, name: str) -> float:
@@ -69,6 +60,16 @@ def as_real(value, name: str) -> float:
         except OverflowError:
             pass
     raise ValidationError(f"{name}: expected a finite number")
+
+
+def as_positive(value, name: str) -> float:
+    """``value`` as a float that passes `as_real` and is above 0."""
+    try:
+        if as_real(value, name) > 0:
+            return float(value)
+    except ValidationError:
+        pass
+    raise ValidationError(f"{name} must be finite and positive")
 
 
 def as_complex(value, name: str) -> complex:
@@ -202,21 +203,22 @@ class CollectiveChannelSpec:
 
     ``weights[j]`` multiplies the lowering operator of emitter ``j`` on
     ``transitions[j]``; complex weights carry the relative dissipation
-    phases.  Emitters with weight 0 do not participate.  The transitions
-    default to one ``(1, 0)`` per weight.
+    phases.  Emitters with weight 0 do not participate.  The weights default
+    to one per emitter, filled by the `SystemSpec` holding the channel, and
+    the transitions to one ``(1, 0)`` per weight.
     """
 
     rate: float = spec_field(as_real, missing=0.0)
-    weights: tuple[complex, ...] = spec_field(Seq(as_complex), missing=OMIT)  # a file's default needs the system
+    weights: tuple[complex, ...] | None = spec_field(Opt(Seq(as_complex)), None)
     transitions: tuple[tuple[int, int], ...] | None = spec_field(Opt(Seq(as_transition)), None)
 
     def __post_init__(self):
         check_fields(self)
-        if self.transitions is None:
+        if self.transitions is None and self.weights is not None:
             object.__setattr__(self, "transitions", ((1, 0),) * len(self.weights))
         if self.rate < 0:
             raise ValidationError(f"collective rate must be >= 0, got {self.rate}")
-        if len(self.weights) != len(self.transitions):
+        if self.weights is not None and len(self.weights) != len(self.transitions):
             raise ValidationError("weights and transitions must have equal length")
 
 
@@ -265,6 +267,9 @@ class SystemSpec:
 
     def __post_init__(self):
         check_fields(self)
+        ones = (1.0,) * len(self.emitters)  # the weights of a channel that gives none
+        object.__setattr__(self, "collective_channels", tuple(
+            ch if ch.weights is not None else replace(ch, weights=ones) for ch in self.collective_channels))
         if not self.emitters:
             raise ValidationError("at least one emitter is required")
         if self.frame not in ("lab", "rotating"):
@@ -362,7 +367,7 @@ def basis_index(layout: DimsLayout, levels: Sequence[int]) -> int:
         )
     idx = 0
     for level, d in zip(levels, layout.subsystem_dims):
-        level = int(level)
+        level = as_integer(level, "levels")
         if not 0 <= level < d:
             raise DimensionMismatch(f"level {level} out of range for local dim {d}")
         idx = idx * d + level

@@ -26,6 +26,7 @@ from .errors import DimensionMismatch, NonNormalizable
 from .linalg import (
     DimsLayout,
     as_complex_matrix,
+    as_integer,
     dagger,
     kernel_basis,
     partial_trace,
@@ -33,7 +34,7 @@ from .linalg import (
     reduced_layout,
     trace_norm_hermitian,
 )
-from .model import ModelOperators, as_integer
+from .model import ModelOperators
 
 # `nes_report` counts a state as non-equilibrium above this excitation spread.
 NES_EQUAL_TOL = 1e-9

@@ -34,10 +34,12 @@ basis strings, "vacuum", "psi_plus", "psi_minus", "W"/"psi1", "psi2",
 object may add a ``"name"``, its CSV column suffix (the label by default,
 required for the other forms): `dump_scenario` writes a renamed label as
 ``{"name": str, "label": str}``.  The bipartition defaults to ``[[0], [1]]``
-for two emitters.  Every object rejects unknown keys, no field converts
-between JSON types (a number is not a string, 0 is not false), and ``null``
-stands for None where a spec field may be None.  Each key, its kind and its
-default are declared once, as a `spec_field` of the spec it builds.
+for two emitters (filled by `Scenario`), a channel's weights to one per
+emitter (filled by `SystemSpec`).  Every object rejects unknown keys, no
+field converts between JSON types (a number is not a string, 0 is not
+false), and ``null`` stands for None where a spec field may be None.  Each
+key, its kind and its default are declared once, as a `spec_field` of the
+spec it builds.
 
 Time unit "kappa" means the grid (and the CSV ``t`` column) is in units of
 the inverse rate of the first collective channel.  The integrator's step
@@ -56,8 +58,10 @@ Sweep files: ``{"base": preset-name | scenario, "axes": {path: [value,...]},
 "reductions": [{"column": str, "kind": "final"|"fit_exp_rate" ["final"],
 "name": str ["<kind>_<column>"], "t_min": float [0], "t_max": float|null}]}``;
 the reductions default to ``[{"column": "trace_error"}]`` (named
-"final_trace_error").  An axis path such as ``system.local[0].rate``
-addresses the base's `dump_scenario` form; ``"a|b"`` sets both paths.
+"final_trace_error").  A sweep reads as a `SweepSpec` and each reduction as
+a `ReductionSpec`, declared and checked like a scenario's specs.  An axis
+path such as ``system.local[0].rate`` addresses the base's `dump_scenario`
+form; ``"a|b"`` sets both paths.
 `parse_sweep` parses the base once; each point writes the base's top-level
 fields that its paths start in, sets the axis values in that JSON and reads
 the fields back, so a point runs, or fails, as the base's dump form with
@@ -88,7 +92,6 @@ from .errors import (
 )
 from .model import (
     OMIT,
-    CollectiveChannelSpec,
     EmitterSpec,
     ModelOperators,
     Opt,
@@ -126,6 +129,7 @@ from .observables import (  # noqa: F401
 __all__ = [
     "Scenario",
     "SweepSpec",
+    "ReductionSpec",
     "ScenarioResult",
     "SweepResult",
     "parse_scenario",
@@ -162,7 +166,8 @@ class TimeSpec:
 
 @spec_class
 class ObservableSpec:
-    """One observable of `_OBSERVABLES`; a fidelity needs a target, a bipartition two non-empty groups."""
+    """One observable of `_OBSERVABLES`, whose table names the parameters its kind takes; any other stays at its
+    default.  A fidelity needs a target, a bipartition two non-empty groups."""
 
     kind: str = spec_field(as_text, key=None)  # a file gives it as the observable's name or object key
     target: StateSpec | None = spec_field(Opt(StateSpec), None, missing=MISSING)
@@ -172,6 +177,9 @@ class ObservableSpec:
     def __post_init__(self):
         check_fields(self)
         _expect(self.kind in _OBSERVABLES, "kind", f"unknown observable {self.kind!r}")
+        for key, (attr, *_) in _OBSERVABLE.items():  # every parameter; its class attribute is its default
+            _expect(key in (_OBSERVABLES[self.kind] or ()) or getattr(self, attr) == getattr(ObservableSpec, attr),
+                    attr, f"expected {getattr(ObservableSpec, attr)!r}: {self.kind!r} takes no {attr}")
         _expect(self.kind != "fidelity" or self.target is not None, "target", "a fidelity needs a target state")
         _expect(self.bipartition is None or (len(self.bipartition) == 2 and all(self.bipartition)), "bipartition",
                 f"expected two non-empty emitter index groups, got {self.bipartition}")
@@ -246,20 +254,6 @@ class Scenario:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepSpec:
-    """A parsed sweep; ``base`` is the scenario parsed once, whose dump form the axis paths address.
-
-    `run_sweep` sets each point's axis values on ``base`` by a dump round
-    trip of each top-level field the paths start in; ``axes`` keeps each
-    value as given, a list or object as JSON.
-    """
-
-    base: Scenario
-    axes: tuple[tuple[str, tuple[Any, ...]], ...]
-    reductions: tuple[dict, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class ScenarioResult:
     scenario: Scenario
     header: tuple[str, ...]
@@ -296,10 +290,10 @@ def _expect(cond: bool, where: str, message: str) -> None:
 
 
 def _build(make: Callable, kwargs: dict, where: str):
-    """``make(**kwargs)``; a constructor's `ValidationError` or `ValueError` is re-raised with the path."""
+    """``make(**kwargs)``; a constructor's `ValidationError` is re-raised with the path."""
     try:
         return make(**kwargs)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -335,7 +329,7 @@ def _object(table: dict[str, tuple], make: Callable) -> _Kind:
     return _Kind(lambda value, where: _read(value, table, where, make), partial(_write, table=table))
 
 
-def _same(value):
+def _same(value, where: str = ""):  # writes, or reads, a value as it is
     return value
 
 
@@ -416,17 +410,9 @@ def _read_frame(value, where: str) -> tuple[str, float]:
 
 
 def _read_system(value, where: str) -> SystemSpec:
-    """The system, which `SystemSpec` checks as a whole when it is built."""
     kwargs = _read(value, _SYSTEM, where, dict)
     if "frame" in kwargs:
         kwargs["frame"], kwargs["frame_frequency"] = kwargs["frame"]
-    # The collective weights default to one per emitter, and `CollectiveChannelSpec` gives each a transition.
-    weights = {"weights": (1.0,) * len(kwargs["emitters"])}
-    if "collective_channels" in kwargs:
-        kwargs["collective_channels"] = tuple(
-            _build(CollectiveChannelSpec, {**weights, **channel}, f"{where}.collective[{i}]")
-            for i, channel in enumerate(kwargs["collective_channels"])
-        )
     return _build(SystemSpec, kwargs, where)
 
 
@@ -505,9 +491,7 @@ _PART_KIND = _Kind(_object(_PART, _Part).read, lambda part: _write(_Part(*part),
 _AMPLITUDES = _Kind(_read_amplitudes, lambda amps: {label: _complex_to_json(amp) for label, amp in amps})
 
 _EMITTER = _spec_table(EmitterSpec)
-# Read as keyword dicts: `_read_system` adds the weights default, one per emitter, and builds each channel.
-_COLLECTIVE = _form(Seq(_object(_spec_table(CollectiveChannelSpec), dict)))
-_SYSTEM = _spec_table(SystemSpec, collective_channels=_COLLECTIVE, frame=(_read_frame, _same))
+_SYSTEM = _spec_table(SystemSpec, frame=(_read_frame, _same))
 _STATE = _spec_table(StateSpec, amplitudes=_form(Opt(_AMPLITUDES)), mixture=_form(Opt(Seq(_PART_KIND))))
 _INITIAL = {**_STATE, "name": ("name", as_text, _same, OMIT)}
 _INITIALS = _form(Seq(_Kind(_read_initial, _write_initial)))
@@ -708,6 +692,43 @@ def format_csv(header: Sequence[str], rows: np.ndarray) -> str:
 # Sweeps
 # ---------------------------------------------------------------------------
 
+
+@spec_class
+class ReductionSpec:
+    """One summary column of a sweep: the last value of the output column ``column`` ("final"), or the decay
+    rate fitted to it over ``t_min <= t <= t_max`` ("fit_exp_rate"); ``name`` defaults to ``<kind>_<column>``."""
+
+    column: str = spec_field(as_text)
+    kind: str = spec_field(as_text, "final")
+    name: str | None = spec_field(Opt(as_text), None)
+    t_min: float = spec_field(as_real, 0.0)
+    t_max: float | None = spec_field(Opt(as_real), None)
+
+    def __post_init__(self):
+        check_fields(self)
+        _expect(self.kind in ("final", "fit_exp_rate"), "kind", "must be 'final' or 'fit_exp_rate'")
+        if self.name is None:
+            object.__setattr__(self, "name", f"{self.kind}_{self.column}")
+
+
+@spec_class(eq=False)
+class SweepSpec:
+    """A sweep: the scenario ``base``, parsed once, whose dump form the axis paths address; ``axes``, one or
+    more ``(path, values)`` pairs of one or more values kept as given; `ReductionSpec`s [final_trace_error]."""
+
+    base: Scenario = spec_field(Scenario)
+    axes: tuple[tuple[str, tuple[Any, ...]], ...] = spec_field(Seq((as_text, Seq(_same))))
+    reductions: tuple[ReductionSpec, ...] = spec_field(Seq(ReductionSpec), ())
+    _set_axes: Callable[[Scenario, Sequence], Scenario] = field(init=False, repr=False)  # see `_axis_setter`
+
+    def __post_init__(self):
+        check_fields(self)
+        _expect(bool(self.axes) and all(values for _, values in self.axes), "axes", "expected one or more, none empty")
+        object.__setattr__(self, "_set_axes", _axis_setter(self.axes))  # parses every path
+        if not self.reductions:
+            object.__setattr__(self, "reductions", (ReductionSpec("trace_error"),))
+
+
 _PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|\[(\d+)\]")
 
 
@@ -769,45 +790,16 @@ def _read_base(value, where: str) -> Scenario:
 
 
 def _read_axes(value, where: str) -> tuple[tuple[str, tuple[Any, ...]], ...]:
-    _expect(isinstance(value, Mapping) and value, where, "non-empty object required")
-    for path, values in value.items():
-        _expect(isinstance(values, list) and values, f"{where}[{path}]", "non-empty list required")
-        for sub in path.split("|"):  # "a|b" sets both paths to the same value
-            _path_tokens(sub)
-    return tuple((path, tuple(values)) for path, values in value.items())
+    """The object ``{path: [value,...]}`` as `SweepSpec.axes` pairs."""
+    _expect(isinstance(value, Mapping), where, "expected an object")
+    return tuple((path, _form(Seq(_same)).read(values, f"{where}[{path}]")) for path, values in value.items())
 
 
-def _read_reduction_kind(value, where: str) -> str:
-    _expect(value in ("final", "fit_exp_rate"), where, "must be 'final' or 'fit_exp_rate'")
-    return value
-
-
-def _reduction(**red) -> dict:
-    red.setdefault("name", f"{red['kind']}_{red['column']}")
-    return red
-
-
-# A reduction stays a dict and a sweep is never written, so these tables are not derived from a spec.
-_REDUCTION = {
-    "name": ("name", as_text, None, OMIT),  # "<kind>_<column>", filled by `_reduction`
-    "kind": ("kind", _read_reduction_kind, None, "final"),
-    "column": ("column", as_text, None, MISSING),
-    "t_min": ("t_min", as_real, None, 0.0),
-    "t_max": ("t_max", _form(Opt(as_real)).read, None, None),
-}
-_SWEEP = {
-    "base": ("base", _read_base, None, MISSING),
-    "axes": ("axes", _read_axes, None, MISSING),
-    "reductions": ("reductions", _form(Seq(_object(_REDUCTION, _reduction))).read, None, ()),
-}
+_SWEEP = _spec_table(SweepSpec, base=(_read_base, None), axes=(_read_axes, None))  # a sweep is never written
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    sweep = _read(_load_json(text), _SWEEP, "sweep", SweepSpec)
-    if sweep.reductions:
-        return sweep
-    default = _read({"column": "trace_error"}, _REDUCTION, "sweep.reductions", _reduction)
-    return replace(sweep, reductions=(default,))
+    return _read(_load_json(text), _SWEEP, "sweep", SweepSpec)
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> float:
@@ -825,19 +817,18 @@ def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> float:
     return float(-slope)
 
 
-def _reduce(result: ScenarioResult, red: dict) -> float:
-    column = red["column"]
+def _reduce(result: ScenarioResult, red: ReductionSpec) -> float:
     try:
-        idx = result.header.index(column)
+        idx = result.header.index(red.column)
     except ValueError as exc:
-        raise ValidationError(f"reduction column {column!r} not in output") from exc
+        raise ValidationError(f"reduction column {red.column!r} not in output") from exc
     t = result.rows[:, 0]
     y = result.rows[:, idx]
-    if red["kind"] == "final":
+    if red.kind == "final":
         return float(y[-1])
-    mask = t >= red["t_min"]
-    if red["t_max"] is not None:
-        mask &= t <= red["t_max"]
+    mask = t >= red.t_min
+    if red.t_max is not None:
+        mask &= t <= red.t_max
     return fit_exponential_rate(t[mask], y[mask])
 
 
@@ -856,8 +847,7 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
     """
     paths = [p for p, _ in sweep.axes]
     grids = [v for _, v in sweep.axes]
-    header = tuple(paths + [red["name"] for red in sweep.reductions] + ["status"])
-    set_axes = _axis_setter(sweep.axes)
+    header = tuple(paths + [red.name for red in sweep.reductions] + ["status"])
 
     rows = []
     failed = 0
@@ -865,7 +855,7 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
         values = [grids[k][i] for k, i in enumerate(index)]
         row: list[Any] = list(values)
         try:
-            result = run_scenario(set_axes(sweep.base, values), fixed_step=fixed_step, check_strict=True)
+            result = run_scenario(sweep._set_axes(sweep.base, values), fixed_step=fixed_step, check_strict=True)
             for red in sweep.reductions:
                 row.append(_reduce(result, red))
             row.append("ok")

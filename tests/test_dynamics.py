@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, null_space
 
 import subrad as sr
-from subrad.errors import DimensionCapExceeded, InvariantBreach, InvariantViolation
+from subrad.errors import DimensionCapExceeded, InvariantBreach, InvariantViolation, ValidationError
 
 from random_systems import LEVELS, random_density, random_model, random_sector_state
 
@@ -214,6 +214,14 @@ class TestEvolve:
         # a NaN tolerance would make every error norm NaN, so Dormand-Prince would never accept a step
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             sr.IntegratorConfig(**{name: value})
+
+    def test_integrator_settings_are_refused_as_validation_errors(self):
+        # the error is a `ValidationError`, as for every spec field, and a `ValueError`, which `cli._fixed_step` catches
+        for name in ("rel_tol", "abs_tol", "initial_step", "fixed_step"):
+            for value in (0.0, -1.0, float("nan"), float("inf"), True, "0.1"):
+                with pytest.raises(ValidationError, match=f"^{name} must be finite and positive$"):
+                    sr.IntegratorConfig(**{name: value})
+        assert issubclass(ValidationError, ValueError)
 
     def test_rejects_invalid_initial_state(self):
         model = two_qubit_model()

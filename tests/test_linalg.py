@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subrad as sr
-from subrad.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
-from subrad.linalg import DimsLayout, as_complex_matrix, kernel_basis
+from subrad.errors import ConvergenceFailure, DimensionMismatch, NotHermitian, ValidationError
+from subrad.linalg import DimsLayout, as_complex_matrix, kernel_basis, partial_trace, partial_transpose, reduced_layout
+from subrad.model import basis_index
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -285,3 +286,31 @@ def test_as_complex_matrix_rejects_bad_input():
         as_complex_matrix(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(DimensionMismatch):
         as_complex_matrix(np.eye(3)[:2], square=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda rho, layout: partial_trace(rho, layout, [0.5]), id="partial-trace-fraction"),
+        pytest.param(lambda rho, layout: partial_trace(rho, layout, True), id="partial-trace-boolean"),
+        pytest.param(lambda rho, layout: partial_trace(rho, layout, 0.9), id="partial-trace-float"),
+        pytest.param(lambda rho, layout: partial_transpose(rho, layout, 1.0), id="partial-transpose-float"),
+        pytest.param(lambda rho, layout: reduced_layout(layout, [1.9]), id="reduced-layout"),
+        pytest.param(lambda rho, layout: DimsLayout((2.7, 2)), id="dims-layout"),
+        pytest.param(lambda rho, layout: basis_index(layout, (1.6, 0)), id="basis-index"),
+    ],
+)
+def test_index_arguments_refuse_what_is_not_an_integer(call):
+    """One integer rule for every index argument: a boolean or non-integral value is refused, never truncated."""
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(np.eye(4) / 4, DimsLayout((2, 2)))
+
+
+def test_index_arguments_take_numpy_integers():
+    layout = DimsLayout((np.int64(2), np.int32(2)))
+    assert layout.subsystem_dims == (2, 2) and all(type(d) is int for d in layout.subsystem_dims)
+    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    assert np.array_equal(partial_trace(rho, layout, np.int64(0)), partial_trace(rho, layout, [0]))
+    assert np.array_equal(partial_transpose(rho, layout, np.int64(1)), partial_transpose(rho, layout, 1))
+    assert reduced_layout(layout, np.array([1])).subsystem_dims == (2,)
+    assert basis_index(layout, (np.int64(1), 0)) == 2

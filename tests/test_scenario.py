@@ -15,7 +15,8 @@ import subrad as sr
 from subrad.cli import main
 from subrad.errors import InvariantBreach, ParseError, SubradError, UnknownLabel, ValidationError
 from subrad.scenario import (
-    ObservableSpec, OutputSpec, TimeSpec, format_csv, format_sweep_csv, parse_sweep, run_sweep, scenario_to_dict,
+    ObservableSpec, OutputSpec, ReductionSpec, TimeSpec, format_csv, format_sweep_csv, parse_sweep, run_sweep,
+    scenario_to_dict,
 )
 
 TINY_SCENARIO = {
@@ -63,6 +64,14 @@ class TestParsing:
         bad["system"].update(emitters=emitters, collective=[{"rate": 0.05, "weights": weights}])
         with pytest.raises(ValidationError, match=message):
             sr.scenario_from_dict(bad)
+
+    def test_collective_weights_default_to_one_per_emitter_in_the_system(self):
+        """A hand-built channel without weights gets them from its system, as a file's channel does."""
+        system = sr.SystemSpec((sr.EmitterSpec.qubit(),) * 2, (sr.CollectiveChannelSpec(0.1),))
+        data = {**TINY_SCENARIO, "system": {"emitters": ["qubit"] * 2, "collective": [{"rate": 0.1}]}}
+        assert system == sr.scenario_from_dict(data).system
+        assert system.collective_channels[0].weights == (1.0, 1.0)
+        assert system.collective_channels[0].transitions == ((1, 0), (1, 0))
 
     def test_empty_text_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -219,6 +228,14 @@ NESTED_FIELDS = [
      sr.SystemSpec((sr.EmitterSpec.qubit(),) * 2, (sr.CollectiveChannelSpec(0.5, (1, -1)),)), "x"),
     ("time", lambda s, v: replace(s, time=v), TimeSpec("omega", 5.0, 3), None),
     ("integrator", lambda s, v: replace(s, integrator=v), sr.IntegratorConfig(fixed_step=0.5), None),
+]
+
+# Each observable parameter that a kind does not take: ``(field, kind, value)``, a value off the field's default.
+UNTAKEN_PARAMETERS = [
+    ("target", "energy", sr.StateSpec.named("10")),
+    ("sqrt", "energy", True),
+    ("bipartition", "fidelity", ((0,), (1,))),
+    ("target", "log_negativity", sr.StateSpec.named("10")),
 ]
 
 
@@ -391,6 +408,15 @@ class TestRunScenario:
     def test_hand_built_nested_specs_dump_to_text_that_parses_back(self, make, value):
         text = sr.dump_scenario(make(sr.scenario_from_dict(TINY_SCENARIO), value))
         assert sr.dump_scenario(sr.parse_scenario(text)) == text
+
+    @pytest.mark.parametrize(
+        "name, kind, value", [pytest.param(*row, id=f"{row[1]}-{row[0]}") for row in UNTAKEN_PARAMETERS]
+    )
+    def test_observables_refuse_parameters_their_kind_does_not_take(self, name, kind, value):
+        """A file gives each kind only its own keys, so a dump would drop the value: it fails when built, naming it."""
+        params = {"target": sr.StateSpec.named("01")} if kind == "fidelity" else {}
+        with pytest.raises(ValidationError, match=f"^{name}: expected "):
+            ObservableSpec(kind, **params, **{name: value})
 
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
@@ -566,6 +592,34 @@ class TestPresets:
 
 
 class TestSweeps:
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            pytest.param("reductions", lambda sweep: replace(sweep, reductions=(
+                {"column": "trace_error", "kind": "mean", "name": "x", "t_min": 0.0, "t_max": None},)), id="dict-kind"),
+            pytest.param("reductions", lambda sweep: replace(sweep, reductions=({"column": "trace_error"},)),
+                         id="dict-without-name"),
+            pytest.param("axes", lambda sweep: replace(sweep, axes=(("system.collective[0].rate", 0.001),)),
+                         id="axis-value-not-a-list"),
+            pytest.param("axes", lambda sweep: replace(sweep, axes=()), id="no-axes"),
+            pytest.param("base", lambda sweep: replace(sweep, base="fig2"), id="base-name"),
+            pytest.param("kind", lambda sweep: ReductionSpec("energy", "mean"), id="reduction-kind"),
+            pytest.param("t_max", lambda sweep: ReductionSpec("energy", t_max="5"), id="reduction-t-max"),
+        ],
+    )
+    def test_hand_built_sweeps_refuse_what_a_file_refuses(self, name, make):
+        """A `replace`d sweep or hand-built reduction is held to a file's rules when built, naming the field."""
+        sweep = parse_sweep(json.dumps({"base": TINY_SCENARIO, "axes": {"system.collective[0].rate": [0.05]}}))
+        with pytest.raises(ValidationError, match=f"^{name}"):
+            make(sweep)
+
+    def test_a_null_reduction_name_reads_as_the_default(self):
+        reduction = {"column": "energy", "kind": "fit_exp_rate", "name": None}
+        sweep = parse_sweep(json.dumps({"base": TINY_SCENARIO, "axes": {"time.points": [3]},
+                                        "reductions": [reduction]}))
+        assert sweep.reductions == (ReductionSpec("energy", "fit_exp_rate"),)
+        assert sweep.reductions[0].name == "fit_exp_rate_energy"
+
     def make_base(self, horizon, alpha=0.0):
         base = {
             "name": "sweep-base",

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import subrad as sr
 from subrad.errors import ValidationError
 from subrad.model import basis_index
-from subrad.scenario import ObservableSpec, OutputSpec, TimeSpec, parse_sweep, scenario_to_dict
+from subrad.scenario import (
+    ObservableSpec, OutputSpec, ReductionSpec, SweepSpec, TimeSpec, parse_sweep, scenario_to_dict,
+)
 
 from random_systems import LEVELS, random_system
 from test_scenario import TINY_SCENARIO
@@ -267,14 +269,10 @@ def test_sweep_validation_families(text):
 
 def test_sweep_defaults():
     sweep = parse_sweep(sweep_text(reductions=[{"column": "energy"}]))
-    assert sweep.reductions == (
-        {"name": "final_energy", "kind": "final", "column": "energy", "t_min": 0.0, "t_max": None},
-    )
+    assert sweep.reductions == (ReductionSpec("energy", "final", "final_energy", 0.0, None),)
     for reductions in (None, []):
         sweep = parse_sweep(sweep_text(reductions=reductions))
-        assert sweep.reductions == (
-            {"name": "final_trace_error", "kind": "final", "column": "trace_error", "t_min": 0.0, "t_max": None},
-        )
+        assert sweep.reductions == (ReductionSpec("trace_error", "final", "final_trace_error", 0.0, None),)
     joint = parse_sweep(sweep_text(axes={"system.collective[0].rate|time.horizon": [0.05, 0.1]}))
     assert joint.axes == (("system.collective[0].rate|time.horizon", (0.05, 0.1)),)
     assert scenario_to_dict(joint.base) == scenario_to_dict(sr.scenario_from_dict(TINY_SCENARIO))
@@ -330,5 +328,14 @@ def test_schema_names_every_key_the_reader_accepts():
     tables = [sr.scenario._spec_table(cls) for cls in spec_classes()]
     tables += [sr.scenario._INITIAL, sr.scenario._POLAR, sr.scenario._PART]
     assert len(tables) == 11 + 3  # from `Scenario` down to `LocalChannelSpec` and `IntegratorConfig`
+    missing = {key for table in tables for key in table if f'"{key}"' not in schema}
+    assert not missing
+
+
+def test_sweep_schema_names_every_key_the_sweep_reader_accepts():
+    """Every key of the sweep reader's tables, derived from `SweepSpec` and `ReductionSpec`, is in "Sweep files:"."""
+    schema = sr.scenario.__doc__.split("Sweep files:")[1]
+    tables = [sr.scenario._spec_table(cls) for cls in (SweepSpec, ReductionSpec)]
+    assert sorted(tables[0]) == ["axes", "base", "reductions"]
     missing = {key for table in tables for key in table if f'"{key}"' not in schema}
     assert not missing
