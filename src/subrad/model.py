@@ -323,9 +323,8 @@ class ModelOperators:
     tables over the basis indices that the readout uses.  ``_dark_cache``
     holds the per-model constants of the readout, each built on first use
     and read-only: the dark subspaces of `observables.dark_subspace` (keyed
-    by sector number), the projector of `observables.dark_projector` (keyed
-    ``"projector"``) and the ground-level indicator of
-    `observables.nes_report` (keyed ``"ground"``).
+    by sector number) and their projector, `observables.dark_projector`
+    (keyed ``"projector"``).
     """
 
     dim: int

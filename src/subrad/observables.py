@@ -6,19 +6,18 @@ separately as `dark_overlap_sqrt` / the ``fidelity_sqrt`` column.  Both are
 emitted so either convention can be read off.
 
 Validation lives at the public functions: each checks its input before it
-reads anything off (`energy` a finite state of the model's dimension, the
-overlaps a unit target of the state's dimension).  `mean_energy`,
-`overlap` and `overlap_sqrt` are the formulas behind `energy`,
-`dark_overlap` and `dark_overlap_sqrt` without those checks, for callers
-whose state and constants were checked already: `run_scenario`'s columns
-read the grid-point state that `evolve` checked, ``model.free_energies``
-and the fidelity targets the `Scenario` resolved when it was built.
+reads anything off (`energy`, `nes_report` and `log_negativity` a finite
+state of the layout's dimension, the overlaps a unit target of the state's
+dimension).  Behind them, for a checked state, are the formulas
+`mean_energy`, `overlap` and `overlap_sqrt` and the functions of it compiled
+once per model by `nes_values(model)` and `negativity(layout, bipartition)`;
+`run_scenario`'s columns read the grid-point state `evolve` checked with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .linalg import (
     dagger,
     kernel_basis,
     partial_trace,
-    partial_transpose,
     reduced_layout,
     trace_norm_hermitian,
 )
@@ -118,6 +116,36 @@ def dark_overlap_sqrt(rho, target: np.ndarray) -> float:
     return overlap_sqrt(*_checked_overlap_input(rho, target))
 
 
+def bipartition_groups(bipartition, n_emitters: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both groups sorted; `DimensionMismatch` unless two disjoint non-empty groups of emitters below ``n_emitters``."""
+    groups = tuple(tuple(sorted(as_integer(i, "bipartition") for i in group)) for group in bipartition)
+    flat = sum(groups, ())
+    if len(groups) != 2 or not all(groups) or len(set(flat)) < len(flat):
+        raise DimensionMismatch(f"bipartition {bipartition} must be two disjoint non-empty groups of distinct emitters")
+    if any(i < 0 or i >= n_emitters for i in flat):
+        raise DimensionMismatch(f"bipartition {bipartition} out of range for {n_emitters} emitters")
+    return groups
+
+
+def negativity(layout: DimsLayout, bipartition) -> Callable[[np.ndarray], float]:
+    """`log_negativity` of a checked state of ``layout``: the groups checked once, the partial transpose one
+    axis permutation of the state, traced down to the emitters of both groups first if they are not all."""
+    group_a, group_b = bipartition_groups(bipartition, layout.n_subsystems)
+    kept = tuple(sorted(group_a + group_b))
+    reduced, m = reduced_layout(layout, kept), len(kept)
+    axes = list(range(2 * m))  # ket axes, then bra axes: each of group b's pairs swaps
+    for i in map(kept.index, group_b):
+        axes[i], axes[m + i] = m + i, i
+    shape, d = reduced.subsystem_dims * 2, reduced.total_dim
+
+    def value(rho: np.ndarray) -> float:
+        if m < layout.n_subsystems:
+            rho = partial_trace(rho, layout, kept)
+        return float(np.log2(trace_norm_hermitian(rho.reshape(shape).transpose(axes).reshape(d, d))))
+
+    return value
+
+
 def log_negativity(
     rho,
     layout: DimsLayout,
@@ -130,25 +158,7 @@ def log_negativity(
     are traced out first, so for larger networks a named pair yields the
     pairwise entanglement of the reduced two-emitter state.
     """
-    group_a, group_b = (tuple(sorted(as_integer(i, "bipartition") for i in bipartition[k])) for k in (0, 1))
-    flat = group_a + group_b
-    if not group_a or not group_b or len(set(flat)) < len(flat):
-        raise DimensionMismatch(f"bipartition {bipartition} must be two disjoint non-empty groups of distinct emitters")
-    n = layout.n_subsystems
-    if any(i < 0 or i >= n for i in flat):
-        raise DimensionMismatch(f"bipartition {bipartition} out of range for {n} emitters")
-
-    rho = layout.check_matrix(rho)
-    kept = tuple(sorted(flat))
-    if len(kept) < n:
-        rho = partial_trace(rho, layout, kept)
-        layout = reduced_layout(layout, kept)
-        group_b = tuple(kept.index(i) for i in group_b)
-
-    pt = rho
-    for idx in group_b:
-        pt = partial_transpose(pt, layout, idx)
-    return float(np.log2(trace_norm_hermitian(pt)))
+    return negativity(layout, bipartition)(layout.check_matrix(rho))
 
 
 def dark_subspace(model: ModelOperators, sector: int) -> DarkSubspace:
@@ -193,39 +203,32 @@ def dark_projector(model: ModelOperators) -> np.ndarray:
     return proj
 
 
-def _ground_indicator(model: ModelOperators) -> np.ndarray:
-    """``(n_emitters, dim)`` 0/1 matrix: basis index ``i`` has emitter ``j`` in level 0.
+def nes_values(model: ModelOperators) -> Callable[[np.ndarray], tuple[float, ...]]:
+    """`nes_report` of a checked state as ``(*per_emitter_excitation, dark_weight, is_nonequilibrium)``, all floats."""
+    ground = (model.levels == 0).astype(float)  # ground[j, i]: basis index i has emitter j in level 0
+    projector = dark_projector(model)
 
-    Built once per model and kept on it, read-only.
-    """
-    ground = model._dark_cache.get("ground")
-    if ground is None:
-        ground = (model.levels == 0).astype(float)
-        ground.flags.writeable = False
-        model._dark_cache["ground"] = ground
-    return ground
+    def values(rho: np.ndarray) -> tuple[float, ...]:
+        excitations = 1.0 - ground @ np.diagonal(rho).real
+        weight = np.einsum("ij,ji->", projector, rho).real
+        spread = excitations.max() - excitations.min()
+        return (*excitations.tolist(), float(weight), float(spread > NES_EQUAL_TOL))
+
+    return values
 
 
 def nes_report(rho, model: ModelOperators) -> NesReport:
     """Per-emitter excitation and dark weight of ``rho``.
 
-    Both are linear in ``rho`` and read off with per-model constants:
-    ``excitation_j = 1 - sum_{i: level_j(i) = 0} rho_ii`` (one product of
-    the ground-level indicator with the populations) and ``dark_weight =
-    tr(P_dark rho)`` with ``P_dark = dark_projector(model)``, the projector
-    onto the dark subspaces of every sector k >= 1.  Indicator and
-    projector are cached on ``model``.  The state counts as
-    non-equilibrium when the excitations differ by more than ``NES_EQUAL_TOL``.
+    Both are linear in ``rho`` and read off with per-model constants
+    (`nes_values`): ``excitation_j = 1 - sum_{i: level_j(i) = 0} rho_ii``
+    and ``dark_weight = tr(P_dark rho)`` with ``P_dark = dark_projector(model)``,
+    the projector onto the dark subspaces of every sector k >= 1.  The state
+    counts as non-equilibrium when the excitations differ by more than
+    ``NES_EQUAL_TOL``.
     """
-    rho = model.layout.check_matrix(rho)
-    excitations = 1.0 - _ground_indicator(model) @ np.diagonal(rho).real
-    weight = np.einsum("ij,ji->", dark_projector(model), rho).real
-    spread = excitations.max() - excitations.min()
-    return NesReport(
-        per_emitter_excitation=tuple(excitations.tolist()),
-        dark_weight=float(weight),
-        is_nonequilibrium=bool(spread > NES_EQUAL_TOL),
-    )
+    *excitations, weight, nonequilibrium = nes_values(model)(model.layout.check_matrix(rho))
+    return NesReport(tuple(excitations), weight, bool(nonequilibrium))
 
 
 def trace_distance(a, b) -> float:

@@ -84,6 +84,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, evolve
 from .errors import (
+    DimensionMismatch,
     InvariantBreach,
     ParseError,
     SubradError,
@@ -113,15 +114,18 @@ from .model import (
 )
 # `perfbench/tracer.py` wraps `energy`, `dark_overlap`, `dark_overlap_sqrt`,
 # `log_negativity` and `nes_report` under these names to time each observable,
-# and a traced run stops when one is gone.  The energy and fidelity columns
-# call the unchecked formulas, so the first three are not called here.
+# and a traced run stops when one is gone.  Every column reads a checked state
+# through an unchecked formula or compiled form, so none of the five is called here.
 from .observables import (  # noqa: F401
+    bipartition_groups,
     dark_overlap,
     dark_overlap_sqrt,
     energy,
     log_negativity,
     mean_energy,
+    negativity,
     nes_report,
+    nes_values,
     overlap,
     overlap_sqrt,
 )
@@ -204,8 +208,8 @@ class Scenario:
     need the whole scenario: one or more initial states with distinct labels
     and one or more observables, each state and fidelity target resolving on
     the layout, a first collective channel with positive rate for the 'kappa'
-    unit, and distinct emitters in a bipartition (``[[0], [1]]`` when two
-    emitters give none).
+    unit, and a bipartition by the rule `log_negativity` holds it to
+    (``[[0], [1]]`` when two emitters give none).
     ``states`` holds the initial density matrices in ``initials`` order and
     ``targets`` each observable's fidelity vector (None for other kinds),
     a read-only unit vector.
@@ -242,9 +246,10 @@ class Scenario:
                 if ob.bipartition is None:
                     _expect(n == 2, f"{where}.log_negativity.bipartition", "expected two emitter index groups")
                     observables[i] = ob = replace(ob, bipartition=((0,), (1,)))
-                flat = [j for g in ob.bipartition for j in g]
-                _expect(len(set(flat)) == len(flat) and all(0 <= j < n for j in flat), where,
-                        f"bipartition {ob.bipartition} invalid for {n} emitters")
+                try:
+                    bipartition_groups(ob.bipartition, n)
+                except DimensionMismatch as exc:
+                    raise ValidationError(f"{where}: {exc}") from exc
         object.__setattr__(self, "observables", tuple(observables))
         object.__setattr__(self, "states", states)
         for target in targets:
@@ -548,30 +553,25 @@ def dump_scenario(scenario: Scenario) -> str:
 
 def _observable_columns(
     ob: ObservableSpec, target: np.ndarray | None, model: ModelOperators
-) -> list[tuple[tuple[str, ...], Callable[[float, np.ndarray], tuple[float, ...]]]]:
-    """Column names of one observable and the function giving their values; ``target`` is a fidelity's vector."""
+) -> list[tuple[tuple[str, ...], Callable[[np.ndarray], tuple[float, ...]]]]:
+    """Names of an observable's columns and the function of a checked state giving them; ``target``: a fidelity's."""
     layout = model.layout
     if ob.kind == "energy":
         free_energies = model.free_energies
-        return [(("energy",), lambda t, rho: (mean_energy(rho, free_energies),))]
+        return [(("energy",), lambda rho: (mean_energy(rho, free_energies),))]
     if ob.kind == "purity":
-        return [(("purity",), lambda t, rho: (float(np.real(np.trace(rho @ rho))),))]
+        return [(("purity",), lambda rho: (float(np.real(np.trace(rho @ rho))),))]
     if ob.kind == "fidelity":
         if ob.sqrt:
-            return [(("fidelity_sqrt",), lambda t, rho: (overlap_sqrt(rho, target),))]
-        return [(("fidelity",), lambda t, rho: (overlap(rho, target),))]
+            return [(("fidelity_sqrt",), lambda rho: (overlap_sqrt(rho, target),))]
+        return [(("fidelity",), lambda rho: (overlap(rho, target),))]
     if ob.kind == "log_negativity":
-        bip = ob.bipartition
-        name = "log_negativity[" + "|".join(" ".join(map(str, group)) for group in bip) + "]"
-        return [((name,), lambda t, rho: (log_negativity(rho, layout, bip),))]
+        name = "log_negativity[" + "|".join(" ".join(map(str, group)) for group in ob.bipartition) + "]"
+        value = negativity(layout, ob.bipartition)
+        return [((name,), lambda rho: (value(rho),))]
     if ob.kind == "nes":
         names = tuple(f"nes_excitation_{j}" for j in range(layout.n_subsystems))
-
-        def nes_values(t, rho):
-            report = nes_report(rho, model)
-            return (*report.per_emitter_excitation, report.dark_weight, float(report.is_nonequilibrium))
-
-        return [(names + ("nes_dark_weight", "nes_is_nonequilibrium"), nes_values)]
+        return [(names + ("nes_dark_weight", "nes_is_nonequilibrium"), nes_values(model))]
     return []  # "checks": filled from the integrator's built-in records
 
 
@@ -590,11 +590,11 @@ def run_scenario(
     ``check_strict`` escalates any invariant breach to an exception
     (otherwise breaches are only flagged in the result).
 
-    The energy and fidelity columns do not validate their input again: they
-    read the grid-point state that `evolve` checked and constants checked
-    when they were built (the model's free energies, the scenario's fidelity
-    targets), where the public `energy`, `dark_overlap` and
-    `dark_overlap_sqrt` check theirs.
+    No column validates its input again: each reads the grid-point state
+    that `evolve` checked with a formula or a form compiled once per model
+    and constants checked when they were built (the model's free energies,
+    the scenario's fidelity targets and bipartitions), where the public
+    observable functions check theirs.
     """
     model = build_model(scenario.system)
 
@@ -625,14 +625,13 @@ def run_scenario(
     trajectories: dict[str, Trajectory] = {}
     trace_cols: list[np.ndarray] = []
 
+    def observer(t: float, rho: np.ndarray) -> dict[str, float]:
+        values: dict[str, float] = {}
+        for names, fn in column_fns:
+            values.update(zip(names, fn(rho)))
+        return values
+
     for label, rho0 in initials:
-
-        def observer(t: float, rho: np.ndarray) -> dict[str, float]:
-            values: dict[str, float] = {}
-            for names, fn in column_fns:
-                values.update(zip(names, fn(t, rho)))
-            return values
-
         traj = evolve(model, rho0, grid, cfg, observer)
         trajectories[label] = traj
         suffix = f":{label}" if multi else ""
@@ -696,7 +695,8 @@ def format_csv(header: Sequence[str], rows: np.ndarray) -> str:
 @spec_class
 class ReductionSpec:
     """One summary column of a sweep: the last value of the output column ``column`` ("final"), or the decay
-    rate fitted to it over ``t_min <= t <= t_max`` ("fit_exp_rate"); ``name`` defaults to ``<kind>_<column>``."""
+    rate fitted to it over ``t_min <= t <= t_max`` ("fit_exp_rate"), a window that must hold two or more grid
+    points, or the point fails; ``name`` defaults to ``<kind>_<column>``."""
 
     column: str = spec_field(as_text)
     kind: str = spec_field(as_text, "final")
@@ -707,6 +707,10 @@ class ReductionSpec:
     def __post_init__(self):
         check_fields(self)
         _expect(self.kind in ("final", "fit_exp_rate"), "kind", "must be 'final' or 'fit_exp_rate'")
+        for attr in ("t_min", "t_max"):  # the fit window; its class attribute is its default
+            _expect(self.kind == "fit_exp_rate" or getattr(self, attr) == getattr(ReductionSpec, attr), attr,
+                    f"expected {getattr(ReductionSpec, attr)!r}: 'final' takes no {attr}")
+        _expect(self.t_max is None or self.t_max >= self.t_min, "t_max", f"expected t_max >= t_min = {self.t_min}")
         if self.name is None:
             object.__setattr__(self, "name", f"{self.kind}_{self.column}")
 
@@ -822,14 +826,12 @@ def _reduce(result: ScenarioResult, red: ReductionSpec) -> float:
         idx = result.header.index(red.column)
     except ValueError as exc:
         raise ValidationError(f"reduction column {red.column!r} not in output") from exc
-    t = result.rows[:, 0]
-    y = result.rows[:, idx]
+    t, y = result.rows[:, 0], result.rows[:, idx]
     if red.kind == "final":
         return float(y[-1])
-    mask = t >= red.t_min
-    if red.t_max is not None:
-        mask &= t <= red.t_max
-    return fit_exponential_rate(t[mask], y[mask])
+    window = (t >= red.t_min) & (t <= (np.inf if red.t_max is None else red.t_max))
+    _expect(np.count_nonzero(window) >= 2, red.name, "the fit window holds fewer than two grid points")
+    return fit_exponential_rate(t[window], y[window])
 
 
 def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResult:
@@ -856,12 +858,9 @@ def run_sweep(sweep: SweepSpec, *, fixed_step: float | None = None) -> SweepResu
         row: list[Any] = list(values)
         try:
             result = run_scenario(sweep._set_axes(sweep.base, values), fixed_step=fixed_step, check_strict=True)
-            for red in sweep.reductions:
-                row.append(_reduce(result, red))
-            row.append("ok")
+            row += [_reduce(result, red) for red in sweep.reductions] + ["ok"]  # no cell unless all reduce
         except SubradError as exc:
-            row.extend([float("nan")] * len(sweep.reductions))
-            row.append(f"error:{type(exc).__name__}")
+            row += [float("nan")] * len(sweep.reductions) + [f"error:{type(exc).__name__}"]
             failed += 1
         rows.append(tuple(row))
     return SweepResult(header=header, rows=tuple(rows), failed=failed)
@@ -954,13 +953,11 @@ def load_preset(name: str) -> dict:
         if len(fields) > 2:
             raise UnknownLabel(f"nqubit preset takes at most a size and a phase list, got {name!r}")
         size, phases = fields + [""] * (2 - len(fields))
-        try:
-            n = int(size) if size else 4
-        except ValueError as exc:
-            raise UnknownLabel(f"bad nqubit size in {name!r}") from exc
+        if fields and not re.fullmatch("[0-9]+", size):  # a plain decimal: no sign, space or underscore
+            raise UnknownLabel(f"bad nqubit size in {name!r}")
         try:
             phases = [float(x) for x in phases.split(",")] if phases else None
         except ValueError as exc:
             raise UnknownLabel(f"bad nqubit phase list in {name!r}") from exc
-        return _nqubit_scenario(n, phases)
+        return _nqubit_scenario(int(size) if fields else 4, phases)
     raise UnknownLabel(f"unknown preset {name!r}")

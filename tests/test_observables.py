@@ -4,12 +4,12 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import subrad as sr
 import subrad.observables as observables
 from subrad.errors import DimensionMismatch, NonNormalizable, ValidationError
-from subrad.linalg import DimsLayout
+from subrad.linalg import DimsLayout, reduced_layout
 from subrad.scenario import ObservableSpec, _observable_columns
 
 from random_systems import LEVELS, random_density, random_model, random_sector_state
@@ -40,6 +40,17 @@ def two_qubit():
 @pytest.fixture(scope="module")
 def three_qubit():
     return qubit_chain_model(3)
+
+
+def per_emitter_log_negativity(rho, layout, bipartition):
+    """log-negativity by one `partial_transpose` per emitter of the second group, after `partial_trace` if needed."""
+    group_b = sorted(bipartition[1])
+    kept = sorted([*bipartition[0], *group_b])
+    if len(kept) < layout.n_subsystems:
+        rho, layout = sr.partial_trace(rho, layout, kept), reduced_layout(layout, kept)
+    for j in group_b:
+        rho = sr.partial_transpose(rho, layout, kept.index(j))
+    return float(np.log2(sr.trace_norm_hermitian(rho)))
 
 
 def asymptotic_two_qubit(model):
@@ -117,17 +128,19 @@ class TestDarkOverlap:
 
 
 class TestRunColumns:
-    """`run_scenario`'s energy and fidelity columns skip the public checks but keep their formulas."""
+    """`run_scenario`'s columns skip the public checks but keep their values, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
+    @example(levels=[2, 3, 2], n_collective=1, n_local=1, driven=True, n_kept=2, seed=5)  # a pair traced down
     @given(
         levels=LEVELS,
         n_collective=st.integers(0, 2),
         n_local=st.integers(0, 2),
         driven=st.booleans(),
+        n_kept=st.integers(2, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_columns_equal_public_functions(self, levels, n_collective, n_local, driven, seed):
+    def test_property_columns_equal_public_functions(self, levels, n_collective, n_local, driven, n_kept, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, levels, n_collective, n_local, driven)
         rho, _ = random_sector_state(rng, model)
@@ -137,16 +150,52 @@ class TestRunColumns:
         amplitudes = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
         spec = sr.StateSpec.from_amplitudes(dict(zip(labels, amplitudes)))
         target = sr.state_vector(spec, model.layout)
+        # unsorted groups of n_kept emitters; fewer than all are traced down to
+        kept = rng.permutation(len(levels))[: min(n_kept, len(levels))].tolist()
+        cut = int(rng.integers(1, len(kept)))
+        bipartition = (tuple(kept[:cut]), tuple(kept[cut:]))
         values = {}
-        for ob in (ObservableSpec("energy"), ObservableSpec("fidelity", spec), ObservableSpec("fidelity", spec, True)):
+        for ob in (
+            ObservableSpec("energy"),
+            ObservableSpec("fidelity", spec),
+            ObservableSpec("fidelity", spec, True),
+            ObservableSpec("nes"),
+            ObservableSpec("log_negativity", bipartition=bipartition),
+        ):
             [(names, column)] = _observable_columns(ob, target, model)
-            [values[names[0]]] = column(0.0, rho)
-        assert values == {
+            values.update(zip(names, column(rho)))
+        report = sr.nes_report(rho, model)
+        negativity_name = "log_negativity[" + "|".join(" ".join(map(str, group)) for group in bipartition) + "]"
+        expected = {
             "energy": sr.energy(rho, model),
             "fidelity": sr.dark_overlap(rho, target),
             "fidelity_sqrt": sr.dark_overlap_sqrt(rho, target),
+            **{f"nes_excitation_{j}": x for j, x in enumerate(report.per_emitter_excitation)},
+            "nes_dark_weight": report.dark_weight,
+            "nes_is_nonequilibrium": float(report.is_nonequilibrium),
+            negativity_name: sr.log_negativity(rho, model.layout, bipartition),
         }
+        assert list(values) == list(expected)
+        assert np.array(list(values.values())).tobytes() == np.array(list(expected.values())).tobytes()
         assert values["fidelity_sqrt"] == np.sqrt(max(values["fidelity"], 0.0))
+        # the one-permutation partial transpose reads what one transpose per emitter reads
+        assert values[negativity_name] == per_emitter_log_negativity(rho, model.layout, bipartition)
+
+    @pytest.mark.parametrize("preset", ["nqubit:4", "fig3e-clockwork"])
+    def test_no_column_checks_the_state_again(self, monkeypatch, preset):
+        """`evolve` has checked each grid-point state; the nes and log-negativity columns read it as it is."""
+        scenario = sr.scenario_from_dict(sr.load_preset(preset))
+        calls = []
+        original = DimsLayout.check_matrix
+
+        def counting(layout, *args, **kwargs):
+            calls.append(layout)
+            return original(layout, *args, **kwargs)
+
+        monkeypatch.setattr(DimsLayout, "check_matrix", counting)
+        result = sr.run_scenario(scenario)
+        assert any(name.startswith(("nes_", "log_negativity")) for name in result.header)
+        assert calls == []
 
 
 class TestLogNegativity:
@@ -200,6 +249,26 @@ class TestLogNegativity:
     def test_bad_bipartition(self, bipartition, error):
         with pytest.raises(error):
             sr.log_negativity(np.eye(4) / 4, self.layout, bipartition)
+
+    @pytest.mark.parametrize(
+        "bipartition, reason",
+        [
+            pytest.param(((0,), (2,)), "out of range for 2 emitters", id="range"),
+            pytest.param(((0, 1), (1,)), "must be two disjoint non-empty groups of distinct emitters", id="overlap"),
+        ],
+    )
+    def test_scenario_and_function_share_the_rule(self, bipartition, reason):
+        """The public function raises `DimensionMismatch`; a file fails with `ValidationError` naming the observable."""
+        with pytest.raises(DimensionMismatch, match=reason):
+            sr.log_negativity(np.eye(4) / 4, self.layout, bipartition)
+        data = {
+            "system": {"emitters": ["qubit", "qubit"], "collective": [{"rate": 0.001}]},
+            "initial": "10",
+            "time": {"horizon": 1.0, "points": 2},
+            "observables": ["energy", {"log_negativity": {"bipartition": [list(group) for group in bipartition]}}],
+        }
+        with pytest.raises(ValidationError, match=rf"^observables\[1\]: bipartition .* {reason}"):
+            sr.scenario_from_dict(data)
 
 
 class TestDarkSubspace:
@@ -296,6 +365,7 @@ class TestNesReport:
         assert report.is_nonequilibrium == (max(excitations) - min(excitations) > 1e-9)
 
     def test_constants_built_once_per_model_and_read_only(self, monkeypatch):
+        """The dark projector is kept on the model; `nes_values` binds it and the ground-level indicator once."""
         calls = {"dark_subspace": 0, "basis_levels": 0}
         for module, name in ((observables, "dark_subspace"), (sr.model, "basis_levels")):
             original = getattr(module, name)
@@ -309,18 +379,18 @@ class TestNesReport:
         rng = np.random.default_rng(7)
         for _ in range(3):
             sr.nes_report(random_density(rng, model.dim), model)
+        values = observables.nes_values(model)
         # one dark subspace per excited sector k = 1..4; the readout reads the one basis table `build_model` keeps
         assert calls == {"dark_subspace": 4, "basis_levels": 1}
 
         proj = sr.dark_projector(model)
-        ground = observables._ground_indicator(model)
         assert sr.dark_projector(model) is proj
-        assert observables._ground_indicator(model) is ground
-        for constant in (proj, ground):
-            assert not constant.flags.writeable
-            with pytest.raises(ValueError):
-                constant[0, 0] = 1.0
-        assert np.allclose(ground.sum(axis=0), 4 - model.levels.sum(axis=0))
+        assert not proj.flags.writeable
+        with pytest.raises(ValueError):
+            proj[0, 0] = 1.0
+        # on each basis state of four qubits, the excitations sum to its excited-emitter count
+        excitations = np.array([values(np.diag(e))[:4] for e in np.eye(model.dim)])
+        assert np.array_equal(excitations.sum(axis=1), model.levels.sum(axis=0))
         other = qubit_chain_model(4)
         assert sr.dark_projector(other) is not proj
         assert np.array_equal(sr.dark_projector(other), proj)

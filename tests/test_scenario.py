@@ -548,6 +548,7 @@ class TestPresets:
     def test_nqubit_parameterization(self):
         five = sr.scenario_from_dict(sr.load_preset("nqubit:5"))
         assert len(five.system.emitters) == 5
+        assert len(sr.load_preset("nqubit")["system"]["emitters"]) == 4
         phased = sr.scenario_from_dict(sr.load_preset("nqubit:2:0,3.14159"))
         w = phased.system.collective_channels[0].weights
         assert w[1].real == pytest.approx(-1.0, abs=1e-4)
@@ -605,6 +606,11 @@ class TestSweeps:
             pytest.param("base", lambda sweep: replace(sweep, base="fig2"), id="base-name"),
             pytest.param("kind", lambda sweep: ReductionSpec("energy", "mean"), id="reduction-kind"),
             pytest.param("t_max", lambda sweep: ReductionSpec("energy", t_max="5"), id="reduction-t-max"),
+            pytest.param("t_max", lambda sweep: ReductionSpec("energy", "fit_exp_rate", t_min=50.0, t_max=10.0),
+                         id="reduction-window-reversed"),
+            pytest.param("t_min", lambda sweep: ReductionSpec("energy", "final", t_min=50.0, t_max=10.0),
+                         id="final-reduction-window"),
+            pytest.param("t_max", lambda sweep: ReductionSpec("energy", t_max=10.0), id="final-reduction-t-max"),
         ],
     )
     def test_hand_built_sweeps_refuse_what_a_file_refuses(self, name, make):
@@ -686,6 +692,18 @@ class TestSweeps:
         off, on = result.rows
         assert abs(off[1]) < 1e-8
         assert on[1] == pytest.approx(2 * 5e-5, rel=0.05)
+
+    @pytest.mark.parametrize("t_min, t_max", [(75.0, 85.0), (81.0, 89.0), (120.0, None)])
+    def test_fit_window_of_fewer_than_two_grid_points_fails_the_point(self, t_min, t_max):
+        """On the grid 0, 10, ..., 100 these windows hold one grid point or none: no rate can be fitted."""
+        reduction = {"column": "energy", "kind": "fit_exp_rate", "t_min": t_min, "t_max": t_max}
+        sweep = parse_sweep(json.dumps({"base": TINY_SCENARIO, "axes": {"system.collective[0].rate": [0.05]},
+                                        "reductions": [{"column": "energy"}, reduction]}))
+        result = run_sweep(sweep)
+        assert result.failed == 1
+        assert len(result.rows[0]) == len(result.header) == 4
+        assert result.rows[0][0] == 0.05 and np.isnan(result.rows[0][1:3]).all()
+        assert result.rows[0][-1] == "error:ValidationError"
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValidationError):
@@ -779,7 +797,7 @@ def reference_sweep_rows(sweep):
                 for sub in path.split("|"):
                     apply_path(point, sub, copy.deepcopy(value))
             result = sr.run_scenario(sr.scenario_from_dict(point), check_strict=True)
-            row.extend(sr.scenario._reduce(result, red) for red in sweep.reductions)
+            row.extend([sr.scenario._reduce(result, red) for red in sweep.reductions])  # all or none
             row.append("ok")
         except SubradError as exc:
             row.extend([float("nan")] * len(sweep.reductions))
@@ -1046,6 +1064,8 @@ class TestCli:
         [
             ("nqubit:3:a,b", "bad nqubit phase list in 'nqubit:3:a,b'"),
             ("nqubit:x", "bad nqubit size in 'nqubit:x'"),
+            *((name, f"bad nqubit size in {name!r}") for name in ("nqubit:", "nqubit::", "nqubit:3_0", "nqubit:+3",
+                                                                   "nqubit: 3", "nqubit:3 ")),  # a plain decimal only
             ("nqubit:3:0,0,0:junk", "at most a size and a phase list, got 'nqubit:3:0,0,0:junk'"),
             ("no-such-preset", "unknown preset 'no-such-preset'"),
         ],

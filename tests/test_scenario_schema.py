@@ -258,6 +258,9 @@ SWEEP_FAMILIES = [
     pytest.param(sweep_text(reductions=[{"kind": "final"}]), id="reduction-column"),
     pytest.param(sweep_text(reductions=[{"column": "energy", "t_min": "5"}]), id="reduction-t-min"),
     pytest.param(sweep_text(reductions=[{"column": "energy", "t_max": "5"}]), id="reduction-t-max"),
+    pytest.param(sweep_text(reductions=[{"column": "energy", "kind": "fit_exp_rate", "t_min": 80, "t_max": 20}]),
+                 id="reduction-window-reversed"),
+    pytest.param(sweep_text(reductions=[{"column": "energy", "t_min": 5.0}]), id="final-reduction-window"),
 ]
 
 
