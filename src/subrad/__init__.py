@@ -14,7 +14,6 @@ from .dynamics import (
     Trajectory,
     asymptotic_state,
     evolve,
-    lindblad_rhs,
     liouvillian_matrix,
     unvec,
     vec,
@@ -23,9 +22,7 @@ from .linalg import (
     DimsLayout,
     hermitian_eigen,
     kernel_basis,
-    kron,
     partial_trace,
-    partial_transpose,
     trace_norm_hermitian,
 )
 from .model import (
@@ -53,7 +50,6 @@ from .observables import (
     energy,
     log_negativity,
     nes_report,
-    trace_distance,
 )
 from .scenario import (
     ReductionSpec,

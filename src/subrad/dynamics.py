@@ -80,7 +80,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow
-from .linalg import HERMITICITY_TOL, dagger, hermitian_eigen, kron, max_abs, svd
+from .linalg import HERMITICITY_TOL, dagger, hermitian_eigen, max_abs, svd
 from .model import ModelOperators, Opt, as_positive, check_fields, spec_class, spec_field
 
 Observer = Callable[[float, np.ndarray], Mapping[str, float]]
@@ -143,14 +143,6 @@ class Trajectory:
         return not np.all(within_tolerance(*(self.records[key] for key in _RESERVED_RECORDS)))
 
 
-def lindblad_rhs(model: ModelOperators, rho) -> np.ndarray:
-    """Right-hand side of the master equation at ``rho``."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (model.dim, model.dim):
-        raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
-    return _compiled_rhs(*_generator(model.hamiltonian, model.jumps))(rho)
-
-
 def _generator(hamiltonian: np.ndarray, jumps: Sequence[tuple[float, np.ndarray]]) -> tuple[np.ndarray, list]:
     """H_nh = H - i sum rate L†L and the scaled jumps sqrt(2 rate) L, from ``(rate, L)`` pairs.
 
@@ -182,18 +174,23 @@ def _compiled_rhs(h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> Callable[
     return rhs
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of square ``a`` and ``b`` as `numpy.kron` forms it, ``a`` the slower-varying factor."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+
+
 def _superoperator(h_nh: np.ndarray, jump_ops: Sequence[np.ndarray]) -> np.ndarray:
     """Dense matrix of the rhs `_compiled_rhs` builds from the same operators.
 
-    Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).
+    Column-stacking convention: vec(A rho B) = (B^T ⊗ A) vec(rho).
     Raises `DimensionCapExceeded` above `SUPEROPERATOR_MAX_DIM` states.
     """
     if h_nh.shape[0] > SUPEROPERATOR_MAX_DIM:
         raise DimensionCapExceeded(f"superoperator of {h_nh.shape[0]} states exceeds {SUPEROPERATOR_MAX_DIM}")
     eye = np.eye(h_nh.shape[0], dtype=np.complex128)
-    liou = -1j * (kron(eye, h_nh) - kron(h_nh.conj(), eye))
+    liou = -1j * (_kron(eye, h_nh) - _kron(h_nh.conj(), eye))
     for op in jump_ops:
-        liou += kron(op.conj(), op)
+        liou += _kron(op.conj(), op)
     return liou
 
 
@@ -503,9 +500,9 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def liouvillian_matrix(model: ModelOperators) -> np.ndarray:
-    """Dense superoperator L with L @ vec(rho) = vec(lindblad_rhs(rho)).
+    """Dense superoperator L with L @ vec(rho) = vec(drho/dt), the master equation of the module docstring.
 
-    Column-stacking convention: vec(A rho B) = (B^T kron A) vec(rho).
+    Column-stacking convention: vec(A rho B) = (B^T ⊗ A) vec(rho).
     Raises `DimensionCapExceeded` above `SUPEROPERATOR_MAX_DIM` states.
     """
     return _superoperator(*_generator(model.hamiltonian, model.jumps))

@@ -6,8 +6,8 @@ as immutable.  Dimensions in scope are small (a few hundred at most), so
 everything is dense and eigensolves go to LAPACK through numpy.
 
 Ordering convention, used everywhere in the package: subsystem 0 is the
-leftmost (slowest-varying) tensor factor, i.e. ``kron(a, b)`` acts with
-``a`` on subsystem 0.
+leftmost (slowest-varying) tensor factor, i.e. ``numpy.kron(a, b)`` acts
+with ``a`` on subsystem 0.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ class DimsLayout:
         return rho
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; ``a`` is the slower-varying (left) factor.
-
-    The same broadcast product as `numpy.kron`, so bit-identical to it,
-    without its generic shape handling.
-    """
-    a = as_complex_matrix(a, name="kron left factor")
-    b = as_complex_matrix(b, name="kron right factor")
-    product = a[:, None, :, None] * b[None, :, None, :]
-    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def hermitian_eigen(m) -> np.ndarray:
     """Real eigenvalues, ascending, of a Hermitian matrix by LAPACK (`numpy.linalg.eigvalsh`).
 
@@ -152,22 +140,6 @@ def kernel_basis(m) -> np.ndarray:
     null = np.ones(vh.shape[0], dtype=bool)
     null[: sigma.size] = sigma <= KERNEL_TOL * sigma[0]
     return dagger(vh[null])
-
-
-def partial_transpose(rho, layout: DimsLayout, subsystem_index: int) -> np.ndarray:
-    """Transpose the bra/ket index pair of one subsystem, leaving the rest.
-
-    An exact involution: applying it twice returns the input bit-for-bit.
-    """
-    rho = layout.check_matrix(rho)
-    subsystem_index = as_integer(subsystem_index, "subsystem_index")
-    n = layout.n_subsystems
-    if not 0 <= subsystem_index < n:
-        raise DimensionMismatch(f"subsystem index {subsystem_index} out of range for {n} factors")
-    dims = layout.subsystem_dims
-    t = rho.reshape(dims + dims)
-    t = np.swapaxes(t, subsystem_index, n + subsystem_index)
-    return t.reshape(layout.total_dim, layout.total_dim).copy()
 
 
 def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) -> np.ndarray:

@@ -230,11 +230,3 @@ def nes_report(rho, model: ModelOperators) -> NesReport:
     *excitations, weight, nonequilibrium = nes_values(model)(model.layout.check_matrix(rho))
     return NesReport(tuple(excitations), weight, bool(nonequilibrium))
 
-
-def trace_distance(a, b) -> float:
-    """(1/2) trace norm of the difference of two Hermitian matrices."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return 0.5 * trace_norm_hermitian(a - b)

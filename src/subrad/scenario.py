@@ -49,7 +49,9 @@ CSV output: header ``t,<columns>,trace_error``; one row per grid point;
 17-significant-digit scientific notation.  With several initial states each
 observable column is suffixed ``:<label>`` and ``trace_error`` is the
 worst value across them.  A log-negativity column separates the emitters of
-a group by spaces: ``log_negativity[0 1|2]``.  Both CSV writers write a
+a group by spaces: ``log_negativity[0 1|2]``.  Each column has one writer:
+`Scenario` refuses two observables that write one column name, naming the
+second and the column.  Both CSV writers write a
 number in 17-digit notation, text as it is unless it holds a comma, a quote
 or a line break (then quoted, its quotes doubled), and anything else,
 booleans included, as compact JSON in one quoted cell.
@@ -206,10 +208,11 @@ class Scenario:
 
     Each field checks its own rules; this constructor checks the rules that
     need the whole scenario: one or more initial states with distinct labels
-    and one or more observables, each state and fidelity target resolving on
-    the layout, a first collective channel with positive rate for the 'kappa'
-    unit, and a bipartition by the rule `log_negativity` holds it to
-    (``[[0], [1]]`` when two emitters give none).
+    and one or more observables, no two writing one column (`_column_names`),
+    each state and fidelity target resolving on the layout, a first
+    collective channel with positive rate for the 'kappa' unit, and a
+    bipartition by the rule `log_negativity` holds it to (``[[0], [1]]``
+    when two emitters give none).
     ``states`` holds the initial density matrices in ``initials`` order and
     ``targets`` each observable's fidelity vector (None for other kinds),
     a read-only unit vector.
@@ -238,7 +241,7 @@ class Scenario:
                 "'kappa' unit needs a first collective channel with positive rate")
         n = layout.n_subsystems
         observables = list(self.observables)
-        targets = []
+        targets, writers = [], {}  # writers: each column name and the first observable that writes it
         for i, ob in enumerate(observables):
             where = f"observables[{i}]"
             targets.append(state_vector(ob.target, layout) if ob.kind == "fidelity" else None)  # must be pure
@@ -250,6 +253,9 @@ class Scenario:
                     bipartition_groups(ob.bipartition, n)
                 except DimensionMismatch as exc:
                     raise ValidationError(f"{where}: {exc}") from exc
+            for column in _column_names(ob, n):
+                _expect(writers.setdefault(column, i) == i, where,
+                        f"writes the column {column!r}, as observables[{writers[column]}] does")
         object.__setattr__(self, "observables", tuple(observables))
         object.__setattr__(self, "states", states)
         for target in targets:
@@ -551,27 +557,36 @@ def dump_scenario(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _column_names(ob: ObservableSpec, n_emitters: int) -> tuple[str, ...]:
+    """The output columns ``ob`` writes in a system of ``n_emitters``, before any ``:<label>`` suffix."""
+    if ob.kind == "log_negativity":
+        return ("log_negativity[" + "|".join(" ".join(map(str, group)) for group in ob.bipartition) + "]",)
+    if ob.kind == "nes":
+        return (*(f"nes_excitation_{j}" for j in range(n_emitters)), "nes_dark_weight", "nes_is_nonequilibrium")
+    if ob.kind == "checks":  # read from the records `evolve` always keeps
+        return ("herm_error", "min_eigenvalue")
+    return ("fidelity_sqrt",) if ob.sqrt else (ob.kind,)  # "energy", "purity", "fidelity"
+
+
 def _observable_columns(
     ob: ObservableSpec, target: np.ndarray | None, model: ModelOperators
 ) -> list[tuple[tuple[str, ...], Callable[[np.ndarray], tuple[float, ...]]]]:
-    """Names of an observable's columns and the function of a checked state giving them; ``target``: a fidelity's."""
-    layout = model.layout
+    """`_column_names` of an observable and the function of a checked state giving them; ``target``: a fidelity's."""
+    names = _column_names(ob, model.layout.n_subsystems)
     if ob.kind == "energy":
         free_energies = model.free_energies
-        return [(("energy",), lambda rho: (mean_energy(rho, free_energies),))]
+        return [(names, lambda rho: (mean_energy(rho, free_energies),))]
     if ob.kind == "purity":
-        return [(("purity",), lambda rho: (float(np.real(np.trace(rho @ rho))),))]
+        return [(names, lambda rho: (float(np.real(np.trace(rho @ rho))),))]
     if ob.kind == "fidelity":
         if ob.sqrt:
-            return [(("fidelity_sqrt",), lambda rho: (overlap_sqrt(rho, target),))]
-        return [(("fidelity",), lambda rho: (overlap(rho, target),))]
+            return [(names, lambda rho: (overlap_sqrt(rho, target),))]
+        return [(names, lambda rho: (overlap(rho, target),))]
     if ob.kind == "log_negativity":
-        name = "log_negativity[" + "|".join(" ".join(map(str, group)) for group in ob.bipartition) + "]"
-        value = negativity(layout, ob.bipartition)
-        return [((name,), lambda rho: (value(rho),))]
+        value = negativity(model.layout, ob.bipartition)
+        return [(names, lambda rho: (value(rho),))]
     if ob.kind == "nes":
-        names = tuple(f"nes_excitation_{j}" for j in range(layout.n_subsystems))
-        return [(names + ("nes_dark_weight", "nes_is_nonequilibrium"), nes_values(model))]
+        return [(names, nes_values(model))]
     return []  # "checks": filled from the integrator's built-in records
 
 
@@ -616,9 +631,8 @@ def run_scenario(
     column_fns = []
     for ob, target in zip(scenario.observables, scenario.targets):
         column_fns.extend(_observable_columns(ob, target, model))
-    record_names = [name for names, _ in column_fns for name in names]
-    if any(ob.kind == "checks" for ob in scenario.observables):
-        record_names += ["herm_error", "min_eigenvalue"]
+    checks_last = sorted(scenario.observables, key=lambda ob: ob.kind == "checks")  # stable: the rest keep their order
+    record_names = [name for ob in checks_last for name in _column_names(ob, model.layout.n_subsystems)]
 
     header: list[str] = ["t"]
     columns: list[np.ndarray] = [grid_scenario_units]
@@ -952,12 +966,11 @@ def load_preset(name: str) -> dict:
     if family == "nqubit":
         if len(fields) > 2:
             raise UnknownLabel(f"nqubit preset takes at most a size and a phase list, got {name!r}")
-        size, phases = fields + [""] * (2 - len(fields))
-        if fields and not re.fullmatch("[0-9]+", size):  # a plain decimal: no sign, space or underscore
+        size, *phases = fields or ["4"]
+        if not re.fullmatch("[0-9]+", size):  # a plain decimal: no sign, space or underscore
             raise UnknownLabel(f"bad nqubit size in {name!r}")
-        try:
-            phases = [float(x) for x in phases.split(",")] if phases else None
-        except ValueError as exc:
-            raise UnknownLabel(f"bad nqubit phase list in {name!r}") from exc
-        return _nqubit_scenario(int(size) if fields else 4, phases)
+        phases = phases[0].split(",") if phases else []
+        if not all(re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", x) and np.isfinite(float(x)) for x in phases):
+            raise UnknownLabel(f"bad nqubit phase list in {name!r}")  # an empty list too
+        return _nqubit_scenario(int(size), [float(x) for x in phases] or None)
     raise UnknownLabel(f"unknown preset {name!r}")

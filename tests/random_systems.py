@@ -1,8 +1,10 @@
-"""Random systems and states shared by the property tests.
+"""Random systems and states shared by the property tests, and the formulas the tests check the library against.
 
 `random_system` draws a random qubit/qutrit `SystemSpec` from an ``rng`` and
 hypothesis-drawn sizes, and `random_model` builds it; every draw comes from
 the seeded ``rng``, so a failing example reproduces from its seed.
+`lindblad_rhs`, `partial_transpose` and `trace_distance` are the textbook
+formulas, written independently of the library's compiled forms.
 """
 
 import numpy as np
@@ -65,3 +67,26 @@ def random_sector_state(rng, model):
     rho0 = np.zeros((model.dim, model.dim), dtype=complex)
     rho0[np.ix_(support, support)] = random_density(rng, support.size)
     return rho0, support
+
+
+def lindblad_rhs(model, rho):
+    """The master equation as the `dynamics` module docstring writes it, term by term.
+
+    -i[H, rho] + sum rate (2 L rho L† - L†L rho - rho L†L), over ``model.jumps``.
+    """
+    out = -1j * (model.hamiltonian @ rho - rho @ model.hamiltonian)
+    for rate, op in model.jumps:
+        op_dag = op.conj().T
+        out += rate * (2.0 * op @ rho @ op_dag - op_dag @ op @ rho - rho @ op_dag @ op)
+    return out
+
+
+def partial_transpose(rho, dims, subsystem):
+    """``rho`` with the ket and bra indices of one subsystem of ``dims`` swapped: one reshape and axis swap."""
+    n = len(dims)
+    return np.swapaxes(rho.reshape(tuple(dims) * 2), subsystem, n + subsystem).reshape(rho.shape)
+
+
+def trace_distance(a, b):
+    """Half the sum of the absolute eigenvalues of the Hermitian difference a - b."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))

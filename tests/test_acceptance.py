@@ -14,6 +14,8 @@ from scipy.linalg import expm
 
 import subrad as sr
 
+from random_systems import lindblad_rhs, trace_distance
+
 KAPPA = 0.001
 
 # trajectories registered by earlier criteria, checked wholesale by criterion 10
@@ -129,7 +131,7 @@ def test_criterion_03_final_state_identity(fig2_runs, ideal_two_qubit):
     singlet = sr.named_state_vector("psi_minus", model.layout)
     closed = 0.5 * pure(singlet)
     closed[0, 0] += 0.5
-    dist = sr.trace_distance(fig2_runs["10"].final_state, closed)
+    dist = trace_distance(fig2_runs["10"].final_state, closed)
     predicted = sr.asymptotic_state(model, pure(sr.named_state_vector("10", model.layout)))
     pred_err = float(np.max(np.abs(predicted - closed)))
     ok = dist < 1e-3 and pred_err < 1e-12
@@ -239,9 +241,9 @@ def test_criterion_06_three_qubit_convergence(fig4_runs):
 
     e100 = sr.energy(runs["100"].final_state, model)
     e011 = sr.energy(runs["011"].final_state, model)
-    cross = sr.trace_distance(runs["100"].final_state, runs["011"].final_state)
-    d100 = sr.trace_distance(runs["100"].final_state, closed)
-    d011 = sr.trace_distance(runs["011"].final_state, closed)
+    cross = trace_distance(runs["100"].final_state, runs["011"].final_state)
+    d100 = trace_distance(runs["100"].final_state, closed)
+    d011 = trace_distance(runs["011"].final_state, closed)
     ok = (
         abs(e100 - 0.667) <= 1e-3
         and abs(e011 - 0.667) <= 1e-3
@@ -312,7 +314,7 @@ def test_criterion_08_clockwork_steady_entanglement():
         return sr.log_negativity(rho, model.layout, ((0,), (1,)))
 
     steady = sr.asymptotic_state(model, rho0)
-    rhs_norm = float(np.max(np.abs(sr.lindblad_rhs(model, steady))))
+    rhs_norm = float(np.max(np.abs(lindblad_rhs(model, steady))))
     converged = rhs_norm < 1e-9
     en_steady = tracked(steady)
     # explicit drift over one further 1/kappa interval at the plateau

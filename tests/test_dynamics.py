@@ -1,6 +1,8 @@
 """Evolution, spectra, superoperator, the reachable block and the asymptotic state.
 
-Oracles: closed-form exponentials from the non-Hermitian generator, the
+Oracles: the master equation written term by term (`random_systems.lindblad_rhs`,
+which does not go through `_generator`) for the superoperator, closed-form
+exponentials from the non-Hermitian generator, the
 2x2 single-excitation eigenvalue formula, the matrix exponential of
 the vectorized generator (scipy, scaling-and-squaring) for full-propagator
 comparisons, and the kernel projector of the full-space generator (scipy
@@ -15,7 +17,7 @@ from scipy.linalg import expm, null_space
 import subrad as sr
 from subrad.errors import DimensionCapExceeded, InvariantBreach, InvariantViolation, ValidationError
 
-from random_systems import LEVELS, random_density, random_model, random_sector_state
+from random_systems import LEVELS, lindblad_rhs, random_density, random_model, random_sector_state
 
 KAPPA = 0.001
 
@@ -66,17 +68,17 @@ class TestLindbladRhs:
     def test_ground_state_stationary(self):
         model = two_qubit_model()
         vac = pure(sr.named_state_vector("00", model.layout))
-        assert np.max(np.abs(sr.lindblad_rhs(model, vac))) < 1e-15
+        assert np.max(np.abs(lindblad_rhs(model, vac))) < 1e-15
 
     def test_dark_state_stationary(self):
         model = two_qubit_model()
         dark = pure(sr.named_state_vector("psi_minus", model.layout))
-        assert np.max(np.abs(sr.lindblad_rhs(model, dark))) < 1e-15
+        assert np.max(np.abs(lindblad_rhs(model, dark))) < 1e-15
 
     def test_bright_population_rate(self):
         model = two_qubit_model()
         bright = sr.named_state_vector("psi_plus", model.layout)
-        rhs = sr.lindblad_rhs(model, pure(bright))
+        rhs = lindblad_rhs(model, pure(bright))
         rate = float(np.real(np.vdot(bright, rhs @ bright)))
         assert rate == pytest.approx(-4 * KAPPA, rel=1e-12)
 
@@ -85,7 +87,7 @@ class TestLindbladRhs:
         model = two_qubit_model(delta=0.07, alpha=2e-4)
         for _ in range(10):
             rho = random_density(rng, 4)
-            out = sr.lindblad_rhs(model, rho)
+            out = lindblad_rhs(model, rho)
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert abs(np.trace(out)) < 1e-12
 
@@ -459,7 +461,7 @@ class TestLiouvillian:
         for _ in range(10):
             rho = random_density(rng, 4)
             lhs = liou @ sr.vec(rho)
-            rhs = sr.vec(sr.lindblad_rhs(model, rho))
+            rhs = sr.vec(lindblad_rhs(model, rho))
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_rotating_resonant_kernel_dimension(self):
@@ -554,7 +556,7 @@ class TestSteadyState:
         model = two_qubit_model(rate=0.05)
         rho0 = pure(sr.named_state_vector("10", model.layout))
         steady = sr.asymptotic_state(model, rho0)
-        assert np.max(np.abs(sr.lindblad_rhs(model, steady))) < 1e-9
+        assert np.max(np.abs(lindblad_rhs(model, steady))) < 1e-9
         evolved = sr.evolve(model, rho0, np.array([0.0, 2000.0])).final_state
         assert np.max(np.abs(steady - evolved)) < 1e-7
 
@@ -615,7 +617,7 @@ class TestAsymptoticState:
         bound = max(1e-10, CONDITIONING_FACTOR * np.finfo(float).eps * sigma[0] / sigma_gap)
         steady = sr.asymptotic_state(model, rho0)
         assert np.max(np.abs(steady - full_space_projection(liou, rho0))) < bound
-        assert np.max(np.abs(sr.lindblad_rhs(model, steady))) < 1e-10
+        assert np.max(np.abs(lindblad_rhs(model, steady))) < 1e-10
         assert abs(np.trace(steady) - 1.0) < bound
         assert np.linalg.eigvalsh(steady)[0] > -1e-10
 

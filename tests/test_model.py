@@ -402,6 +402,6 @@ def test_product_state_dark_component_present_when_unbalanced():
         rho_b = random_qubit_density()
         if abs(rho_a[1, 1].real - rho_b[1, 1].real) < 1e-3:
             continue
-        rho = sr.kron(rho_a, rho_b)
+        rho = np.kron(rho_a, rho_b)
         overlap = float(np.real(np.vdot(singlet, rho @ singlet)))
         assert overlap > 0.0

@@ -4,6 +4,8 @@ import copy
 import csv
 import io
 import json
+import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -337,6 +339,7 @@ class TestRunScenario:
             pytest.param(lambda s: replace(s, initials=()), id="no-initial-state"),
             pytest.param(lambda s: replace(s, initials=(s.initials[0], s.initials[0])), id="duplicate-initial-label"),
             pytest.param(lambda s: replace(s, observables=()), id="no-observables"),
+            pytest.param(lambda s: replace(s, observables=(*s.observables, s.observables[0])), id="repeated-observable"),
             pytest.param(lambda s: ObservableSpec("bogus"), id="unknown-observable"),
             pytest.param(lambda s: ObservableSpec("fidelity"), id="fidelity-without-target"),
             pytest.param(lambda s: ObservableSpec("log_negativity", bipartition=((0,),)), id="one-group"),
@@ -417,6 +420,31 @@ class TestRunScenario:
         params = {"target": sr.StateSpec.named("01")} if kind == "fidelity" else {}
         with pytest.raises(ValidationError, match=f"^{name}: expected "):
             ObservableSpec(kind, **params, **{name: value})
+
+    @pytest.mark.parametrize(
+        "observables, index, column",
+        [
+            pytest.param([{"fidelity": {"target": "psi_minus"}}, {"fidelity": {"target": "psi_plus"}}], 1, "fidelity",
+                         id="two-fidelities"),
+            pytest.param(["energy", "checks", "energy"], 2, "energy", id="energy"),
+            pytest.param(["nes", "energy", "nes"], 2, "nes_excitation_0", id="nes"),
+            pytest.param(["checks", "checks"], 1, "herm_error", id="checks"),
+            pytest.param([{"log_negativity": {}}, {"log_negativity": {"bipartition": [[0], [1]]}}], 1,
+                         "log_negativity[0|1]", id="default-and-given-bipartition"),
+        ],
+    )
+    def test_two_observables_that_write_one_column_are_refused(self, observables, index, column):
+        data = {**TINY_SCENARIO, "observables": observables}
+        with pytest.raises(ValidationError, match=re.escape(f"observables[{index}]: writes the column {column!r}")):
+            sr.scenario_from_dict(data)
+
+    def test_observables_that_write_distinct_columns_load(self):
+        observables = [{"fidelity": {"target": "psi_minus"}}, {"fidelity": {"target": "psi_plus", "sqrt": True}},
+                       {"log_negativity": {"bipartition": [[0], [1]]}}, {"log_negativity": {"bipartition": [[1], [0]]}},
+                       "checks"]
+        result = sr.run_scenario(sr.scenario_from_dict({**TINY_SCENARIO, "observables": observables}))
+        assert result.header == ("t", "fidelity", "fidelity_sqrt", "log_negativity[0|1]", "log_negativity[1|0]",
+                                 "herm_error", "min_eigenvalue", "trace_error")
 
     def test_checks_columns(self):
         data = json.loads(json.dumps(TINY_SCENARIO))
@@ -552,6 +580,16 @@ class TestPresets:
         phased = sr.scenario_from_dict(sr.load_preset("nqubit:2:0,3.14159"))
         w = phased.system.collective_channels[0].weights
         assert w[1].real == pytest.approx(-1.0, abs=1e-4)
+        w = sr.scenario_from_dict(sr.load_preset("nqubit:3:0,-1.5,3.14159")).system.collective_channels[0].weights
+        assert np.allclose(w, np.exp(1j * np.array([0.0, -1.5, 3.14159])), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["nqubit:2:inf,0", "nqubit:2:nan,0", "nqubit:2:" + "9" * 400 + ",0"],
+                             ids=["inf", "nan", "overflowing-decimal"])
+    def test_non_finite_phase_is_refused_without_a_warning(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnknownLabel, match="bad nqubit phase list"):
+                sr.load_preset(name)
 
     def test_nqubit_8_keeps_the_dark_energy(self):
         data = sr.load_preset("nqubit:8")
@@ -1063,6 +1101,9 @@ class TestCli:
         "target, reason",
         [
             ("nqubit:3:a,b", "bad nqubit phase list in 'nqubit:3:a,b'"),
+            *((name, f"bad nqubit phase list in {name!r}") for name in (
+                "nqubit:3:", "nqubit:2:1_0,0", "nqubit:2: 1,+0", "nqubit:2:+1,0", "nqubit:2:1e3,0", "nqubit:2:.5,0",
+                "nqubit:2:1.,0", "nqubit:2:1,,0", "nqubit:2:0x1,0", "nqubit:2:inf,0")),  # one or more plain decimals
             ("nqubit:x", "bad nqubit size in 'nqubit:x'"),
             *((name, f"bad nqubit size in {name!r}") for name in ("nqubit:", "nqubit::", "nqubit:3_0", "nqubit:+3",
                                                                    "nqubit: 3", "nqubit:3 ")),  # a plain decimal only
