@@ -429,6 +429,8 @@ class TestPurityAndChecks:
 
 
 class TestTraceDistance:
+    """The in-test formula the acceptance criteria measure final states with."""
+
     def test_identical_states(self):
         assert trace_distance(np.eye(2) / 2, np.eye(2) / 2) == 0.0
 
