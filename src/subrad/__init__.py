@@ -34,7 +34,6 @@ from .model import (
     StateSpec,
     SystemSpec,
     basis_levels,
-    basis_vector,
     build_initial_state,
     build_model,
     named_state_vector,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -142,8 +142,20 @@ def kernel_basis(m) -> np.ndarray:
     return dagger(vh[null])
 
 
+def _reduction(layout: DimsLayout, keep: tuple, transpose: tuple = ()) -> Callable[[np.ndarray], np.ndarray]:
+    """``reduce(rho)``: a checked state of ``layout`` traced down to the ascending subsystems ``keep``, with each
+    subsystem in ``transpose`` transposed, as a matrix.  The `numpy.einsum` labels are fixed here, once:
+    subsystem ``i`` has ket label ``i`` and bra label ``n + i``; a traced one's bra takes its ket label (the
+    trace), and a transposed one's ket and bra change places in the output (the partial transpose)."""
+    dims, n = layout.subsystem_dims, layout.n_subsystems
+    labels = list(range(n)) + [n + i if i in keep else i for i in range(n)]
+    out = [n + i if i in transpose else i for i in keep] + [i if i in transpose else n + i for i in keep]
+    d = math.prod(dims[i] for i in keep)
+    return lambda rho: np.einsum(rho.reshape(dims + dims), labels, out).reshape(d, d)
+
+
 def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) -> np.ndarray:
-    """Trace out every subsystem not in ``keep_indices``.
+    """Trace out every subsystem not in ``keep_indices``: the checked call of `_reduction`.
 
     The result is ordered by ascending original subsystem index and has
     dimension equal to the product of the kept local dimensions.  The trace
@@ -155,23 +167,9 @@ def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) ->
     n = layout.n_subsystems
     if not keep or any(i < 0 or i >= n for i in keep):
         raise DimensionMismatch(f"keep indices {keep} invalid for {n} subsystems")
-    dims = layout.subsystem_dims
-    t = rho.reshape(dims + dims)
-    # einsum: traced subsystems share a bra/ket label, kept ones stay free.
-    bra = list(range(n))
-    ket = [i if i not in keep else n + i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    result = np.einsum(t, bra + ket, out)
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return result.reshape(d_keep, d_keep)
+    return _reduction(layout, keep)(rho)
 
 
 def trace_norm_hermitian(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix, checked and solved by `hermitian_eigen`."""
     return float(np.sum(np.abs(hermitian_eigen(m))))
-
-
-def reduced_layout(layout: DimsLayout, keep_indices: Sequence[int]) -> DimsLayout:
-    """Layout of the state left over after `partial_trace` on the same keys."""
-    keep = tuple(sorted({as_integer(i, "keep_indices") for i in keep_indices}))
-    return DimsLayout(tuple(layout.subsystem_dims[i] for i in keep))

@@ -33,7 +33,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -164,7 +164,6 @@ def check_fields(obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# ---------------------------------------------------------------------------
 # System description
 # ---------------------------------------------------------------------------
 
@@ -281,8 +280,9 @@ class SystemSpec:
                     f"({len(self.emitters)}), got {len(ch.weights)}"
                 )
         dim = math.prod(e.levels for e in self.emitters)
-        if dim > self.dimension_cap:
-            raise DimensionCapExceeded(f"Hilbert dimension {dim} exceeds cap {self.dimension_cap}")
+        if dim > self.dimension_cap:  # `str` refuses an integer of thousands of digits: give a large one by its order
+            shown = dim if dim < 10**15 else f"about 10^{math.log10(dim):.0f}"
+            raise DimensionCapExceeded(f"Hilbert dimension {shown} exceeds cap {self.dimension_cap}")
         for ch in self.collective_channels:
             active = [j for j, w in enumerate(ch.weights) if w != 0]
             for j in active:
@@ -371,12 +371,6 @@ def basis_index(layout: DimsLayout, levels: Sequence[int]) -> int:
             raise DimensionMismatch(f"level {level} out of range for local dim {d}")
         idx = idx * d + level
     return idx
-
-
-def basis_vector(layout: DimsLayout, levels: Sequence[int]) -> np.ndarray:
-    vec = np.zeros(layout.total_dim, dtype=np.complex128)
-    vec[basis_index(layout, levels)] = 1.0
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -483,63 +477,54 @@ class StateSpec:
     def named(label: str) -> "StateSpec":
         return StateSpec(label=label)
 
-    @staticmethod
-    def from_amplitudes(amps: Mapping[str, complex]) -> "StateSpec":
-        return StateSpec(amplitudes=tuple(amps.items()))
 
-    @staticmethod
-    def mix(parts: Sequence[tuple[float, "StateSpec"]]) -> "StateSpec":
-        return StateSpec(mixture=tuple(parts))
-
-
-def parse_basis_label(label: str, layout: DimsLayout) -> tuple[int, ...]:
-    """Digit-string label -> per-site levels, leftmost digit = emitter 0."""
-    if len(label) != layout.n_subsystems or not label.isdigit():
-        raise UnknownLabel(
-            f"label {label!r} is not a {layout.n_subsystems}-digit basis string"
-        )
-    levels = tuple(int(ch) for ch in label)
-    for level, d in zip(levels, layout.subsystem_dims):
-        if level >= d:
-            raise UnknownLabel(f"label {label!r}: level {level} out of range (dim {d})")
-    return levels
+# The amplitude tables of the named superpositions, normalised when resolved.
+_NAMED_STATES = {
+    "psi_plus": (("10", 1.0), ("01", 1.0)),
+    "psi_minus": (("10", 1.0), ("01", -1.0)),
+    "W": (("100", 1.0), ("010", 1.0), ("001", 1.0)),
+    "psi1": (("100", 1.0), ("010", 1.0), ("001", 1.0)),
+    "psi2": (("100", 2.0), ("010", -1.0), ("001", -1.0)),
+    "psi3": (("010", 1.0), ("001", -1.0)),
+}
 
 
-_SQRT2 = np.sqrt(2.0)
-_SQRT3 = np.sqrt(3.0)
-_SQRT6 = np.sqrt(6.0)
+def _unit_vector(amplitudes: Sequence[tuple[str, complex]], layout: DimsLayout) -> np.ndarray:
+    """The normalised sum of ``amplitude * |label>`` over an amplitude table.  A label is a basis string: one
+    ASCII digit per emitter, its level, leftmost digit = emitter 0."""
+    vec = np.zeros(layout.total_dim, dtype=np.complex128)
+    for label, amp in amplitudes:
+        levels = tuple(map(int, label)) if label.isascii() and label.isdigit() else ()
+        if len(levels) != layout.n_subsystems or any(lv >= d for lv, d in zip(levels, layout.subsystem_dims)):
+            raise UnknownLabel(f"label {label!r} is not a basis string of one digit per emitter below {layout.subsystem_dims}")
+        vec[basis_index(layout, levels)] += amp
+    norm = float(np.linalg.norm(vec))
+    if norm < 1e-12:
+        raise NonNormalizable("amplitude table sums to the zero vector")
+    return vec / norm
 
 
 def named_state_vector(label: str, layout: DimsLayout) -> np.ndarray:
-    """Resolve a named pure state to a normalized vector.
+    """Resolve a named pure state to a normalized vector: its amplitude table, normalised by `_unit_vector`
+    as `state_vector` normalises a table it is given.
 
-    Supported: digit basis strings, "vacuum", the two-emitter
-    superpositions "psi_plus"/"psi_minus", and the three-emitter
-    single-excitation family "W" (= "psi1"), "psi2", "psi3".
+    Names: basis strings of ASCII digits (a table of one entry), "vacuum" (all
+    digits 0), the two-emitter "psi_plus"/"psi_minus" and the three-emitter
+    single-excitation "W" (= "psi1"), "psi2" and "psi3", whose tables are
+    `_NAMED_STATES`.
     """
     n = layout.n_subsystems
-
-    def basis(s: str) -> np.ndarray:
-        return basis_vector(layout, parse_basis_label(s, layout))
-
     if label == "vacuum":
-        return basis_vector(layout, (0,) * n)
-    if label in ("psi_plus", "psi_minus"):
-        if n != 2:
-            raise UnknownLabel(f"{label!r} requires exactly 2 emitters, layout has {n}")
-        sign = 1.0 if label == "psi_plus" else -1.0
-        return (basis("10") + sign * basis("01")) / _SQRT2
-    if label in ("W", "psi1", "psi2", "psi3"):
-        if n != 3:
-            raise UnknownLabel(f"{label!r} requires exactly 3 emitters, layout has {n}")
-        if label in ("W", "psi1"):
-            return (basis("100") + basis("010") + basis("001")) / _SQRT3
-        if label == "psi2":
-            return (2.0 * basis("100") - basis("010") - basis("001")) / _SQRT6
-        return (basis("010") - basis("001")) / _SQRT2
-    if label.isdigit():
-        return basis(label)
-    raise UnknownLabel(f"unknown state label {label!r}")
+        table = (("0" * n, 1.0),)
+    elif label in _NAMED_STATES:
+        table = _NAMED_STATES[label]
+        if len(table[0][0]) != n:
+            raise UnknownLabel(f"{label!r} requires exactly {len(table[0][0])} emitters, layout has {n}")
+    elif label.isascii() and label.isdigit():
+        table = ((label, 1.0),)
+    else:
+        raise UnknownLabel(f"unknown state label {label!r}")
+    return _unit_vector(table, layout)
 
 
 def state_vector(spec: StateSpec, layout: DimsLayout) -> np.ndarray:
@@ -547,13 +532,7 @@ def state_vector(spec: StateSpec, layout: DimsLayout) -> np.ndarray:
     if spec.label is not None:
         return named_state_vector(spec.label, layout)
     if spec.amplitudes is not None:
-        vec = np.zeros(layout.total_dim, dtype=np.complex128)
-        for label, amp in spec.amplitudes:
-            vec[basis_index(layout, parse_basis_label(label, layout))] += amp
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            raise NonNormalizable("amplitude table sums to the zero vector")
-        return vec / norm
+        return _unit_vector(spec.amplitudes, layout)
     raise NonNormalizable("a mixture has no single state vector")
 
 

@@ -12,6 +12,8 @@ dimension).  Behind them, for a checked state, are the formulas
 `mean_energy`, `overlap` and `overlap_sqrt` and the functions of it compiled
 once per model by `nes_values(model)` and `negativity(layout, bipartition)`;
 `run_scenario`'s columns read the grid-point state `evolve` checked with them.
+`negativity` traces down and transposes with `linalg._reduction`, the
+builder that the checked `partial_trace` calls too.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ import numpy as np
 from .errors import DimensionMismatch, NonNormalizable
 from .linalg import (
     DimsLayout,
+    _reduction,
     as_complex_matrix,
     as_integer,
     dagger,
     kernel_basis,
-    partial_trace,
-    reduced_layout,
     trace_norm_hermitian,
 )
+# `perfbench/tracer.py` wraps `partial_trace` under this name, and a traced run stops when it is gone; unused here.
+from .linalg import partial_trace  # noqa: F401
 from .model import ModelOperators
 
 # `nes_report` counts a state as non-equilibrium above this excitation spread.
@@ -128,22 +131,11 @@ def bipartition_groups(bipartition, n_emitters: int) -> tuple[tuple[int, ...], t
 
 
 def negativity(layout: DimsLayout, bipartition) -> Callable[[np.ndarray], float]:
-    """`log_negativity` of a checked state of ``layout``: the groups checked once, the partial transpose one
-    axis permutation of the state, traced down to the emitters of both groups first if they are not all."""
+    """`log_negativity` of a checked state of ``layout``: the groups checked once, and the state traced down to
+    the emitters of both groups and transposed on the second by one `_reduction`."""
     group_a, group_b = bipartition_groups(bipartition, layout.n_subsystems)
-    kept = tuple(sorted(group_a + group_b))
-    reduced, m = reduced_layout(layout, kept), len(kept)
-    axes = list(range(2 * m))  # ket axes, then bra axes: each of group b's pairs swaps
-    for i in map(kept.index, group_b):
-        axes[i], axes[m + i] = m + i, i
-    shape, d = reduced.subsystem_dims * 2, reduced.total_dim
-
-    def value(rho: np.ndarray) -> float:
-        if m < layout.n_subsystems:
-            rho = partial_trace(rho, layout, kept)
-        return float(np.log2(trace_norm_hermitian(rho.reshape(shape).transpose(axes).reshape(d, d))))
-
-    return value
+    reduce = _reduction(layout, tuple(sorted(group_a + group_b)), group_b)
+    return lambda rho: float(np.log2(trace_norm_hermitian(reduce(rho))))
 
 
 def log_negativity(

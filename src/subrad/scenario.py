@@ -747,7 +747,7 @@ class SweepSpec:
             object.__setattr__(self, "reductions", (ReductionSpec("trace_error"),))
 
 
-_PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|\[(\d+)\]")
+_PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|\[([0-9]+)\]")  # ASCII only: `\d` matches any Unicode digit
 
 
 def _path_tokens(path: str) -> list[Any]:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import subrad as sr
 from subrad.errors import ConvergenceFailure, DimensionMismatch, NotHermitian, ValidationError
-from subrad.linalg import DimsLayout, as_complex_matrix, kernel_basis, partial_trace, reduced_layout
+from subrad.linalg import DimsLayout, as_complex_matrix, kernel_basis, partial_trace
 from subrad.model import basis_index
 
 from random_systems import partial_transpose
@@ -242,7 +242,6 @@ def test_as_complex_matrix_rejects_bad_input():
         pytest.param(lambda rho, layout: partial_trace(rho, layout, [0.5]), id="partial-trace-fraction"),
         pytest.param(lambda rho, layout: partial_trace(rho, layout, True), id="partial-trace-boolean"),
         pytest.param(lambda rho, layout: partial_trace(rho, layout, 0.9), id="partial-trace-float"),
-        pytest.param(lambda rho, layout: reduced_layout(layout, [1.9]), id="reduced-layout"),
         pytest.param(lambda rho, layout: DimsLayout((2.7, 2)), id="dims-layout"),
         pytest.param(lambda rho, layout: basis_index(layout, (1.6, 0)), id="basis-index"),
     ],
@@ -258,5 +257,4 @@ def test_index_arguments_take_numpy_integers():
     assert layout.subsystem_dims == (2, 2) and all(type(d) is int for d in layout.subsystem_dims)
     rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     assert np.array_equal(partial_trace(rho, layout, np.int64(0)), partial_trace(rho, layout, [0]))
-    assert reduced_layout(layout, np.array([1])).subsystem_dims == (2,)
     assert basis_index(layout, (np.int64(1), 0)) == 2

@@ -15,7 +15,7 @@ from subrad.errors import (
     ValidationError,
 )
 from subrad.linalg import DimsLayout, kernel_basis, max_abs
-from subrad.model import _transition_entries, basis_levels, basis_vector
+from subrad.model import _transition_entries, basis_levels
 
 from random_systems import LEVELS, random_system
 
@@ -77,11 +77,11 @@ class TestLiftSiteOperator:
         return op
 
     def test_lowering_on_first_site(self):
-        state = basis_vector(self.layout, (1, 0))
-        assert np.array_equal(self.lowering(0) @ state, basis_vector(self.layout, (0, 0)))
+        state = np.eye(4)[2]  # |10>
+        assert np.array_equal(self.lowering(0) @ state, np.eye(4)[0])
 
     def test_lowering_on_second_site_annihilates_ground(self):
-        state = basis_vector(self.layout, (1, 0))
+        state = np.eye(4)[2]
         assert np.array_equal(self.lowering(1) @ state, np.zeros(4))
 
 
@@ -100,18 +100,17 @@ class TestCollectiveLowering:
     layout = DimsLayout((2, 2))
 
     def bell(self, sign):
-        vec = basis_vector(self.layout, (1, 0)) + sign * basis_vector(self.layout, (0, 1))
-        return vec / np.sqrt(2)
+        return (np.eye(4)[2] + sign * np.eye(4)[1]) / np.sqrt(2)  # (|10> + sign |01>) / sqrt(2)
 
     def test_equal_weights_bright_and_dark(self):
         op = collective_model((1, 1)).jumps[0][1]
         bright = op @ self.bell(+1)
-        assert np.allclose(bright, np.sqrt(2) * basis_vector(self.layout, (0, 0)))
+        assert np.allclose(bright, np.sqrt(2) * np.eye(4)[0])
         assert np.allclose(op @ self.bell(-1), 0.0)
 
     def test_opposite_phase_swaps_roles(self):
         op = collective_model((1, -1)).jumps[0][1]
-        assert np.allclose(op @ self.bell(-1), np.sqrt(2) * basis_vector(self.layout, (0, 0)))
+        assert np.allclose(op @ self.bell(-1), np.sqrt(2) * np.eye(4)[0])
         assert np.allclose(op @ self.bell(+1), 0.0)
 
     def test_zero_weight_leaves_the_local_lowerings_of_the_others(self):
@@ -160,6 +159,12 @@ class TestBuildModel:
         assert model.jumps[1][0] == pytest.approx(5e-5)
         assert np.array_equal(model.jumps[1][1], kron_transition(model.layout, 0, 1, 0))
         assert np.array_equal(model.jumps[2][1], kron_transition(model.layout, 1, 1, 0))
+
+    @pytest.mark.parametrize("n, order", [(1100, 331), (14400, 4335)])
+    def test_dimension_cap_message_gives_a_large_dimension_by_its_order(self, n, order):
+        # 2**n has more digits than `str` prints at n = 14400; the message stays one short line
+        with pytest.raises(DimensionCapExceeded, match=rf"^Hilbert dimension about 10\^{order} exceeds cap 256$"):
+            sr.SystemSpec((sr.EmitterSpec.qubit(),) * n)
 
     def test_rotating_frame_detuning(self):
         model = sr.build_model(two_qubit_spec(delta=0.1))
@@ -293,22 +298,16 @@ class TestInitialStates:
 
     def test_named_singlet_density_matrix(self):
         rho = sr.build_initial_state(sr.StateSpec.named("psi_minus"), self.layout)
-        vec = (basis_vector(self.layout, (1, 0)) - basis_vector(self.layout, (0, 1))) / np.sqrt(2)
+        vec = (np.eye(4)[2] - np.eye(4)[1]) / np.sqrt(2)  # (|10> - |01>) / sqrt(2)
         assert np.allclose(rho, np.outer(vec, vec.conj()), atol=1e-15)
 
     def test_named_psi2(self):
         vec = sr.named_state_vector("psi2", self.layout3)
-        expected = (
-            2 * basis_vector(self.layout3, (1, 0, 0))
-            - basis_vector(self.layout3, (0, 1, 0))
-            - basis_vector(self.layout3, (0, 0, 1))
-        ) / np.sqrt(6)
+        expected = (2 * np.eye(8)[4] - np.eye(8)[2] - np.eye(8)[1]) / np.sqrt(6)  # (2|100> - |010> - |001>) / sqrt(6)
         assert np.allclose(vec, expected)
 
     def test_mixture_matches_asymptotic_mixed_state(self):
-        spec = sr.StateSpec.mix(
-            [(0.5, sr.StateSpec.named("psi_minus")), (0.5, sr.StateSpec.named("00"))]
-        )
+        spec = sr.StateSpec(mixture=((0.5, sr.StateSpec.named("psi_minus")), (0.5, sr.StateSpec.named("00"))))
         rho = sr.build_initial_state(spec, self.layout)
         singlet = sr.named_state_vector("psi_minus", self.layout)
         expected = 0.5 * np.outer(singlet, singlet.conj())
@@ -316,7 +315,7 @@ class TestInitialStates:
         assert np.allclose(rho, expected, atol=1e-15)
 
     def test_amplitudes_are_normalized(self):
-        spec = sr.StateSpec.from_amplitudes({"10": 2.0, "01": 2.0})
+        spec = sr.StateSpec(amplitudes=(("10", 2.0), ("01", 2.0)))
         vec = sr.state_vector(spec, self.layout)
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
         plus = sr.named_state_vector("psi_plus", self.layout)
@@ -331,10 +330,32 @@ class TestInitialStates:
             sr.named_state_vector("psi2", self.layout)  # needs 3 emitters
 
     def test_zero_vector_rejected(self):
-        spec = sr.StateSpec.from_amplitudes({"10": 1.0, "01": 0.0})
+        spec = sr.StateSpec(amplitudes=(("10", 1.0), ("01", 0.0)))
         sr.state_vector(spec, self.layout)  # fine
         with pytest.raises(NonNormalizable):
-            sr.state_vector(sr.StateSpec.from_amplitudes({"10": 0.0}), self.layout)
+            sr.state_vector(sr.StateSpec(amplitudes=(("10", 0.0),)), self.layout)
+
+    @pytest.mark.parametrize(
+        "label, dims, expected",
+        [
+            ("vacuum", (2, 3), np.eye(6)[0]),
+            ("12", (2, 3), np.eye(6)[5]),
+            ("psi_plus", (2, 2), (np.eye(4)[2] + np.eye(4)[1]) / np.sqrt(2)),
+            ("W", (2, 2, 2), (np.eye(8)[4] + np.eye(8)[2] + np.eye(8)[1]) / np.sqrt(3)),
+            ("psi1", (2, 2, 2), (np.eye(8)[4] + np.eye(8)[2] + np.eye(8)[1]) / np.sqrt(3)),
+            ("psi3", (2, 2, 3), (np.eye(12)[3] - np.eye(12)[1]) / np.sqrt(2)),
+        ],
+    )
+    def test_named_states(self, label, dims, expected):
+        assert np.allclose(sr.named_state_vector(label, DimsLayout(dims)), expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("label", ["1\u00b2", "\u0661\u0660", "\uff11\uff10"], ids=["superscript", "arabic-indic", "fullwidth"])
+    def test_basis_labels_are_ascii_digits(self, label):
+        # each is `str.isdigit`; the last two would read as "10"
+        with pytest.raises(UnknownLabel):
+            sr.named_state_vector(label, self.layout)
+        with pytest.raises(UnknownLabel):
+            sr.state_vector(sr.StateSpec(amplitudes=((label, 1.0),)), self.layout)
 
     def test_basis_string_on_qudit(self):
         layout = DimsLayout((2, 4))
@@ -358,8 +379,8 @@ class TestInitialStates:
         ),
         pytest.param(lambda: sr.StateSpec(amplitudes=()), "at least one entry", id="empty-amplitudes"),
         pytest.param(lambda: sr.StateSpec(mixture=()), "at least one entry", id="empty-mixture"),
-        pytest.param(lambda: sr.StateSpec.from_amplitudes({}), "at least one entry", id="from-no-amplitudes"),
-        pytest.param(lambda: sr.StateSpec.mix([]), "at least one entry", id="mix-of-nothing"),
+        pytest.param(lambda: sr.StateSpec(amplitudes=[]), "at least one entry", id="from-no-amplitudes"),
+        pytest.param(lambda: sr.StateSpec(mixture=[]), "at least one entry", id="mix-of-nothing"),
     ],
 )
 def test_specs_are_checked_when_built(make, message):

@@ -9,10 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 import subrad as sr
 import subrad.observables as observables
 from subrad.errors import DimensionMismatch, NonNormalizable, ValidationError
-from subrad.linalg import DimsLayout, reduced_layout
+from subrad.linalg import DimsLayout
 from subrad.scenario import ObservableSpec, _observable_columns
 
 from random_systems import LEVELS, partial_transpose, random_density, random_model, random_sector_state, trace_distance
+
+
+# Three qubits on one collective channel from 100, the pair (0, 1) traced down to: the last emitter is left out.
+PAIR_SCENARIO = {
+    "system": {"emitters": ["qubit"] * 3, "collective": [{"rate": 1.0}]},
+    "initial": "100",
+    "time": {"unit": "kappa", "horizon": 30.0, "points": 61},
+    "observables": [{"log_negativity": {"bipartition": [[0], [1]]}}, "checks"],
+}
 
 
 def pure(vec):
@@ -46,10 +55,11 @@ def per_emitter_log_negativity(rho, layout, bipartition):
     """log-negativity by one in-test `partial_transpose` per emitter of the second group, after `partial_trace` if needed."""
     group_b = sorted(bipartition[1])
     kept = sorted([*bipartition[0], *group_b])
+    dims = tuple(layout.subsystem_dims[i] for i in kept)  # the layout left after the trace
     if len(kept) < layout.n_subsystems:
-        rho, layout = sr.partial_trace(rho, layout, kept), reduced_layout(layout, kept)
+        rho = sr.partial_trace(rho, layout, kept)
     for j in group_b:
-        rho = partial_transpose(rho, layout.subsystem_dims, kept.index(j))
+        rho = partial_transpose(rho, dims, kept.index(j))
     return float(np.log2(sr.trace_norm_hermitian(rho)))
 
 
@@ -148,7 +158,7 @@ class TestRunColumns:
         # a random target resolved the way `Scenario` resolves one: through `state_vector`
         labels = ["".join(map(str, column)) for column in model.levels.T]
         amplitudes = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
-        spec = sr.StateSpec.from_amplitudes(dict(zip(labels, amplitudes)))
+        spec = sr.StateSpec(amplitudes=tuple(zip(labels, amplitudes)))
         target = sr.state_vector(spec, model.layout)
         # unsorted groups of n_kept emitters; fewer than all are traced down to
         kept = rng.permutation(len(levels))[: min(n_kept, len(levels))].tolist()
@@ -181,10 +191,15 @@ class TestRunColumns:
         # the one-permutation partial transpose reads what one transpose per emitter reads
         assert values[negativity_name] == per_emitter_log_negativity(rho, model.layout, bipartition)
 
-    @pytest.mark.parametrize("preset", ["nqubit:4", "fig3e-clockwork"])
-    def test_no_column_checks_the_state_again(self, monkeypatch, preset):
-        """`evolve` has checked each grid-point state; the nes and log-negativity columns read it as it is."""
-        scenario = sr.scenario_from_dict(sr.load_preset(preset))
+    @pytest.mark.parametrize(
+        "data",
+        [sr.load_preset("nqubit:4"), sr.load_preset("fig3e-clockwork"), PAIR_SCENARIO],
+        ids=["nqubit:4", "fig3e-clockwork", "three-qubit-pair"],
+    )
+    def test_no_column_checks_the_state_again(self, monkeypatch, data):
+        """`evolve` has checked each grid-point state; the nes and log-negativity columns read it as it is,
+        also when the bipartition leaves an emitter to be traced out."""
+        scenario = sr.scenario_from_dict(data)
         calls = []
         original = DimsLayout.check_matrix
 
@@ -210,6 +225,13 @@ class TestLogNegativity:
         rho = asymptotic_two_qubit(two_qubit)
         expected = np.log2((1 + np.sqrt(2)) / 2)
         assert sr.log_negativity(rho, self.layout) == pytest.approx(expected, abs=1e-12)
+
+    def test_traced_down_pair_reaches_its_closed_form(self):
+        # 100 keeps 2/3 in the dark psi2 and the rest decays to 000; the pair (0, 1) of that state has the partial
+        # transpose spectrum {1/9, 4/9, (2 +- 2 sqrt(2))/9}.  The same bound holds in a CI step on the CLI's CSV.
+        result = sr.run_scenario(sr.scenario_from_dict(PAIR_SCENARIO), check_strict=True)
+        final = result.rows[-1, result.header.index("log_negativity[0|1]")]
+        assert abs(final - np.log2((5 + 4 * np.sqrt(2)) / 9)) < 1e-9
 
     def test_basis_state_not_entangled(self):
         rho = pure(sr.named_state_vector("10", self.layout))

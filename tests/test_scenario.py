@@ -208,17 +208,17 @@ CHECKED_FIELDS = [
     ("path", lambda s, v: replace(s, output=OutputSpec(path=v)), "out.csv", (5,)),
     ("initial", lambda s, v: replace(s, initials=((v, sr.StateSpec.named("10")),)), "ten", (5,)),
     ("label", lambda s, v: replace(s, initials=(("x", sr.StateSpec(label=v)),)), "01", (10,)),
-    ("amplitudes", lambda s, v: replace(s, initials=(("x", sr.StateSpec.from_amplitudes({v: 1.0})),)), "01", (10,)),
-    ("amplitudes", lambda s, v: replace(s, initials=(("x", sr.StateSpec.from_amplitudes({"10": 1.0, "01": v})),)),
+    ("amplitudes", lambda s, v: replace(s, initials=(("x", sr.StateSpec(amplitudes=((v, 1.0),))),)), "01", (10,)),
+    ("amplitudes", lambda s, v: replace(s, initials=(("x", sr.StateSpec(amplitudes=(("10", 1.0), ("01", v)))),)),
      np.complex128(0.5j), NUMBERS),
-    ("mixture", lambda s, v: replace(s, initials=(("x", sr.StateSpec.mix([(v, sr.StateSpec.named("10"))])),)),
+    ("mixture", lambda s, v: replace(s, initials=(("x", sr.StateSpec(mixture=((v, sr.StateSpec.named("10")),))),)),
      np.float64(0.5), NUMBERS),
 ]
 
 # Each spec field that holds specs or a tuple: ``(field, make, good, bad)`` as above, with one bad value of another type.
 NESTED_FIELDS = [
     ("initial", lambda s, v: replace(s, initials=(("x", v),)), sr.StateSpec.named("10"), "10"),
-    ("mixture", lambda s, v: replace(s, initials=(("x", sr.StateSpec.mix([(1.0, v)])),)), sr.StateSpec.named("10"),
+    ("mixture", lambda s, v: replace(s, initials=(("x", sr.StateSpec(mixture=((1.0, v),))),)), sr.StateSpec.named("10"),
      "10"),
     ("target", lambda s, v: replace(s, observables=(ObservableSpec("fidelity", v),)), sr.StateSpec.named("01"),
      "psi_minus"),
@@ -377,8 +377,8 @@ class TestRunScenario:
         assert channel.transition == (2, 0) and type(channel.transition[0]) is int
         collective = sr.CollectiveChannelSpec(np.float64(0.1), (np.complex128(1j), np.float64(1.0)))
         assert [type(x) for x in (collective.rate, *collective.weights)] == [float, complex, complex]
-        state = sr.StateSpec.from_amplitudes({"10": np.complex128(1j)})
-        mixture = sr.StateSpec.mix([(np.float64(1), state)])
+        state = sr.StateSpec(amplitudes=(("10", np.complex128(1j)),))
+        mixture = sr.StateSpec(mixture=((np.float64(1), state),))
         assert (type(state.amplitudes[0][1]), type(mixture.mixture[0][0])) == (complex, float)
 
     @pytest.mark.parametrize(
@@ -1138,6 +1138,9 @@ class TestCli:
                 "NonNormalizable",
             ),
             (lambda d: d["system"].update(dimension_cap=2), "DimensionCapExceeded"),
+            # 2**14400 has more digits than `str` prints: the refusal must not fail on its own message
+            pytest.param(lambda d: d["system"].update(emitters=["qubit"] * 14400, collective=[{"rate": 0.05}]),
+                         "DimensionCapExceeded", id="dimension-of-14400-qubits"),
         ],
     )
     def test_scenario_that_fails_to_load_exits_2(self, tmp_path, capsys, edit, error):
@@ -1150,6 +1153,19 @@ class TestCli:
         for argv in (["run", str(path)], ["sweep", str(sweep_path)]):
             assert main(argv) == 2
             assert f"subrad: {error}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "initial",
+        ["1\u00b2", "\u0661\u0660", {"name": "x", "amplitudes": {"\u0661\u0660": 1.0}}],
+        ids=["superscript-label", "arabic-indic-label", "arabic-indic-amplitude-label"],
+    )
+    def test_basis_labels_are_ascii_digits(self, tmp_path, capsys, initial):
+        # `str.isdigit` holds for each; "1\u00b2" failed in `int` and the Arabic-Indic digits read as "10"
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps({**TINY_SCENARIO, "initial": [initial]}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("subrad: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     @pytest.mark.parametrize(

@@ -40,14 +40,14 @@ def random_pure_state(rng, layout):
     if rng.random() < 0.5:
         return sr.StateSpec.named(named[rng.integers(len(named))])
     labels = {random_label(rng, layout) for _ in range(rng.integers(1, 4))}
-    return sr.StateSpec.from_amplitudes({label: random_weight(rng) for label in sorted(labels)})
+    return sr.StateSpec(amplitudes=tuple((label, random_weight(rng)) for label in sorted(labels)))
 
 
 def random_state(rng, layout, depth=0):
     """A pure state, or a mixture (possibly nested once) with positive weights."""
     if depth < 2 and rng.random() < 0.3:
         parts = [(float(rng.uniform(0.1, 1.0)), random_state(rng, layout, depth + 1)) for _ in range(rng.integers(1, 4))]
-        return sr.StateSpec.mix(parts)
+        return sr.StateSpec(mixture=tuple(parts))
     return random_pure_state(rng, layout)
 
 
@@ -133,7 +133,7 @@ class TestRoundTrip:
     def test_amplitude_states_keep_their_basis_positions(self):
         scenario = sr.scenario_from_dict(TINY_SCENARIO)
         layout = scenario.system.layout()
-        spec = sr.StateSpec.from_amplitudes({"01": 0.5, "10": -1j})
+        spec = sr.StateSpec(amplitudes=(("01", 0.5), ("10", -1j)))
         data = json.loads(sr.dump_scenario(replace(scenario, initials=(("mixed", spec),))))
         assert data["initial"] == [{"name": "mixed", "amplitudes": {"01": 0.5, "10": [0.0, -1.0]}}]
         vec = sr.state_vector(sr.scenario_from_dict(data).initials[0][1], layout)
@@ -252,6 +252,7 @@ SWEEP_FAMILIES = [
     pytest.param(sweep_text(axes=[["system.collective[0].rate", [0.05]]]), id="axes-not-object"),
     pytest.param(sweep_text(axes={"system.collective[0].rate": 0.05}), id="axis-values"),
     pytest.param(sweep_text(axes={"system..collective[x]": [0.05]}), id="axis-path"),
+    pytest.param(sweep_text(axes={"system.collective[\u0660].rate": [0.05]}), id="axis-path-non-ascii-index"),
     pytest.param(sweep_text(axes={"system.local[0].rate|": [0.05]}), id="joint-axis-path"),
     pytest.param(sweep_text(reductions=[5]), id="reduction-not-object"),
     pytest.param(sweep_text(reductions=[{"column": "energy", "kind": "mean"}]), id="reduction-kind"),
