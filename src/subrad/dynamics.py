@@ -35,7 +35,10 @@ drives or channels mixing transitions of different size simply make S
 larger, up to the whole space.  H and the jumps are sliced to S before
 `_generator` forms H_nh, so a run costs no full-space product.  The checks
 run on the block; observers see the full state, embedded at each grid
-point.
+point.  Initial states that reach one block S are stepped as one stack:
+one product, one check and one observer call per grid point for all of
+them.  With the propagator each state's values are bit for bit those of
+its own run; a Dormand-Prince stack shares one step sequence.
 
 The block is stepped by one of two solvers, chosen by |S| alone:
 
@@ -127,9 +130,9 @@ class IntegratorConfig:
 class Trajectory:
     """Time grid, per-time observable records and the final density matrix.
 
-    ``records`` maps column name to an array aligned with ``times``; the
-    built-in columns ``trace_error``, ``herm_error`` and ``min_eigenvalue``
-    are always present and never NaN (`evolve` raises on a non-finite state).
+    ``records`` maps column name to an array aligned with ``times`` (a column per state of a stacked run); the
+    built-in columns ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are always present and never NaN
+    (`evolve` raises on a non-finite state).
     """
 
     times: np.ndarray
@@ -221,7 +224,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _reachable(rho: np.ndarray, hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
-    """Sorted basis indices reachable from the support of ``rho``.
+    """Sorted basis indices reachable from the support of ``rho`` (of any state of a stack).
 
     Index i is reached from k when H[i, k] != 0, when some jump L has
     L[i, k] != 0, or when (L†L)[i, k] != 0 by pattern: L maps k to some m
@@ -231,7 +234,7 @@ def _reachable(rho: np.ndarray, hamiltonian: np.ndarray, jumps: Sequence[np.ndar
     # astype(bool) is the nonzero pattern (NaN counts as nonzero) at a third of the cost of != 0 on complex
     h_pattern = hamiltonian.astype(bool)
     patterns = [op.astype(bool) for op in jumps]
-    nonzero = rho.astype(bool)
+    nonzero = rho.astype(bool) if rho.ndim == 2 else rho.astype(bool).any(axis=0)  # a stack's union
     reached = nonzero.any(axis=0) | nonzero.any(axis=1)
     while True:
         grown = reached | h_pattern[:, reached].any(axis=1)
@@ -280,15 +283,20 @@ def _dp_step(rhs, y, h):
 def density_checks(rho: np.ndarray, name: str, dim: int) -> tuple[float, float, float, np.ndarray]:
     """Trace error, max|rho - rho†|, the lowest eigenvalue of H = (rho + rho†)/2, and H.
 
-    ``rho`` is a square block of a ``dim``-state space, zero outside it: below
-    ``dim`` states the lowest eigenvalue is min(lambda_H, 0).  ``name`` names
-    ``rho`` when a non-finite entry raises `InvariantViolation`.
+    ``rho`` is a square block of a ``dim``-state space, zero outside it: below ``dim`` states the lowest eigenvalue
+    is min(lambda_H, 0).  ``name`` names ``rho`` when a non-finite entry raises `InvariantViolation`.  A stack of k
+    blocks gives lists of k values, each block's own, from one `hermitian_eigen` call.
     """
     if not np.isfinite(rho).all():
         raise InvariantViolation(f"non-finite entries in {name}")
     rho_dagger = dagger(rho)
     hermitian = (rho + rho_dagger) / 2.0
-    lowest = float(hermitian_eigen(hermitian)[0])
+    lowest = hermitian_eigen(hermitian)
+    if rho.ndim > 2:  # plain floats: for a few states, cheaper to hold and reduce than arrays
+        lowest = [min(w, 0.0) if rho.shape[-1] < dim else w for w in lowest[:, 0].tolist()]
+        trace_error = [abs(z - 1.0) for z in rho.trace(axis1=1, axis2=2).tolist()]
+        return trace_error, np.abs(rho - rho_dagger).max(axis=(1, 2)).tolist(), lowest, hermitian
+    lowest = float(lowest[0])
     lowest = min(lowest, 0.0) if rho.shape[0] < dim else lowest
     return abs(complex(np.trace(rho)) - 1.0), max_abs(rho - rho_dagger), lowest, hermitian
 
@@ -298,27 +306,27 @@ def within_tolerance(trace_error, herm_error, min_eigenvalue):
     return (trace_error <= TRACE_TOL) & (herm_error <= HERMITICITY_TOL) & (min_eigenvalue >= MIN_EIGENVALUE_TOL)
 
 
-def _block(model: ModelOperators, rho0):
+def _block(model: ModelOperators, rho0, ndims=(2,)):
     """``np.ix_(S, S)`` of the block S reachable from ``rho0``, the block's checks and `_generator` formed on it.
 
-    S is found from the patterns of H and of the jumps of nonzero rate
-    (`_reachable`); H and the jumps are sliced to S before `_generator`
-    forms H_nh, so no full-space sum of L†L is built.  S is closed under
-    every jump, so L_S†L_S is (L†L) restricted to S.
-    The checks, Hermitian part last, are `density_checks` of ``rho0`` on the
-    block: outside it ``rho0`` is exactly zero (a NaN or infinite entry
-    counts as nonzero, so it lies in the block).  Refuses a ``rho0`` of the
-    wrong shape or outside `within_tolerance`.
+    S is found from the patterns of H and of the jumps of nonzero rate (`_reachable`); H and the jumps are sliced to
+    S before `_generator` forms H_nh, so no full-space sum of L†L is built.  S is closed under every jump, so
+    L_S†L_S is (L†L) restricted to S.  The checks, Hermitian part last, are `density_checks` of ``rho0`` on the
+    block: outside it ``rho0`` is exactly zero (a NaN or infinite entry counts as nonzero, so it lies in the block;
+    a stack, if ``ndims`` holds 3, reaches the union of its states' blocks).  Refuses a ``rho0`` of the wrong shape
+    or with a state outside `within_tolerance`.
     """
     rho = np.asarray(rho0, dtype=np.complex128)
-    if rho.shape != (model.dim, model.dim):
+    if rho.shape[-2:] != (model.dim, model.dim) or rho.ndim not in ndims:
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
     keep = _reachable(rho, model.hamiltonian, [op for rate, op in model.jumps if rate != 0.0])
     block = np.ix_(keep, keep)
-    checks = density_checks(rho[block], "the initial state", model.dim)
-    if not within_tolerance(*checks[:3]):
-        raise InvariantViolation(
-            "initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % checks[:3])
+    # a stack in C order, as one state's block is: a product's bits follow the layout of its operands
+    checks = density_checks(rho[block] if rho.ndim == 2 else np.ascontiguousarray(rho[(..., *block)]),
+                            "the initial state", model.dim)
+    worst = checks[:3] if rho.ndim == 2 else (max(checks[0]), max(checks[1]), min(checks[2]))
+    if not within_tolerance(*worst):
+        raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % worst)
     h_nh, jump_ops = _generator(model.hamiltonian[block], [(rate, op[block]) for rate, op in model.jumps])
     return block, checks, h_nh, jump_ops
 
@@ -328,8 +336,8 @@ def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
 
     The first step is probed at ``rho`` over ``span``; the step size and
     the controller's error memory carry over from one call to the next.  The
-    step-error norm averages over ``norm_count`` entries.  Counts accepted
-    and rejected steps into ``meta``.
+    step-error norm averages over ``norm_count`` entries, each state's its
+    own in a stack.  Counts accepted and rejected steps into ``meta``.
     """
     if cfg.initial_step is not None:
         h = float(cfg.initial_step)
@@ -358,7 +366,7 @@ def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
             if cfg.fixed_step is None:
                 if np.isfinite(y_new).all():
                     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(rho), np.abs(y_new))
-                    err_norm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2) / norm_count))
+                    err_norm = float(np.sqrt(np.sum(np.abs(err / scale) ** 2, axis=(-2, -1)) / norm_count).max())
                 else:
                     err_norm = np.inf
                 if err_norm > 1.0:
@@ -380,10 +388,11 @@ def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
 
 
 def _propagator(liou: np.ndarray, meta):
-    """Exact stepper ``advance(rho, t, target)``: one expm(liou (target - t)) product.
+    """Exact stepper ``advance(rho, t, target)``: one expm(liou (target - t)) product, for a stack too.
 
-    One propagator is computed per distinct interval length.  Counts the
-    products as ``meta["steps"]``.
+    One propagator is computed per distinct interval length.  Counts the products as ``meta["steps"]``.  A stack is
+    one product ``P @ V``, V holding each state as a `vec` column, bit for bit ``P @ v`` of each; it is returned in
+    C order, where the stack's checks run faster.
     """
     propagators: dict[float, np.ndarray] = {}
 
@@ -392,7 +401,9 @@ def _propagator(liou: np.ndarray, meta):
         if dt not in propagators:
             propagators[dt] = _expm(liou * dt)
         meta["steps"] += 1
-        return unvec(propagators[dt] @ vec(rho), rho.shape[0])
+        if rho.ndim == 2:
+            return unvec(propagators[dt] @ vec(rho), rho.shape[0])
+        return (propagators[dt] @ rho.swapaxes(1, 2).reshape(len(rho), -1, 1)).reshape(rho.shape).swapaxes(1, 2).copy()
 
     return advance
 
@@ -406,33 +417,26 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation, recording observables on a grid.
 
-    ``time_grid`` must be strictly increasing; ``rho0`` is the state at
-    ``time_grid[0]``.  The observer (if given) is called at every grid
-    point with the full ``(dim, dim)`` state, the Hermitian part that
-    point's check returned, and the mapping it returns is merged into the
-    records.  The keys it returns at the first grid point fix the record
-    columns, so every column is aligned with ``time_grid``: the keys
-    ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are reserved,
-    and a later point returning another key set raises `ValueError` naming
-    its ``t``.  A grid-point state that aborts the run (see the module
-    docstring) raises `InvariantViolation` before the observer sees it.
+    ``time_grid`` must be strictly increasing; ``rho0`` is the state at ``time_grid[0]``, or a ``(k, dim, dim)``
+    stack of k states stepped as one (see the module docstring; ``meta["stacked"]`` is k, 1 for one state).  The
+    observer (if given) is called at every grid point with the full ``(dim, dim)`` state, or the ``(k, dim, dim)``
+    stack, the Hermitian part that point's check returned, and the mapping it returns, k values per key for a stack,
+    is merged into the records: arrays of shape ``(points,)``, or ``(points, k)``.  The keys it returns at the first
+    grid point fix the record columns: the keys ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are reserved,
+    and a later point returning another key set raises `ValueError` naming its ``t``.  A grid-point state that
+    aborts the run (see the module docstring), a stack's included, raises `InvariantViolation` before the observer
+    sees it.
 
-    Only the block on the indices reachable from the support of ``rho0``
-    (see the module docstring) is stepped; ``meta["evolved_dim"]`` is its
-    size.  Outside the block the state is exactly zero, so the embedded
-    state has the block's spectrum plus zeros, and ``min_eigenvalue`` is
-    ``min(lambda_min(block), 0)``.
+    Only the block on the indices reachable from the support of ``rho0`` is stepped; ``meta["evolved_dim"]`` is its
+    size.  Outside the block the state is exactly zero, so ``min_eigenvalue`` is ``min(lambda_min(block), 0)``.
 
-    ``meta["solver"]`` names the solver the block size chose:
-    ``"propagator"`` when it is at most `PROPAGATOR_MAX_DIM`, else
-    ``"dp45"``.  ``meta["steps"]`` counts propagator products (one per grid
-    interval) or accepted Dormand-Prince steps, ``meta["rejected"]`` the
-    rejected ones (always 0 for the propagator) and ``meta["max_herm_drift"]``
-    is the largest ``herm_error``.  The Dormand-Prince step-error norm still
-    averages over all ``dim**2`` entries: the entries outside the block
-    would add exactly 0 to the sum, so dividing by the full count gives the
-    norm, and thus the step sequence, of a full-space run (up to the order
-    of roundoff).
+    ``meta["solver"]`` names the solver the block size chose: ``"propagator"`` when it is at most
+    `PROPAGATOR_MAX_DIM`, else ``"dp45"``.  ``meta["steps"]`` counts propagator products (one per grid interval) or
+    accepted Dormand-Prince steps, ``meta["rejected"]`` the rejected ones (always 0 for the propagator) and
+    ``meta["max_herm_drift"]`` is the largest ``herm_error``.  The Dormand-Prince step-error norm still averages
+    over all ``dim**2`` entries: the entries outside the block would add exactly 0 to the sum, so dividing by the
+    full count gives the norm, and thus the step sequence, of a full-space run (up to the order of roundoff).  A
+    stack takes a step only when each state's own norm is at most 1, and the largest sets the next step size.
     """
     cfg = config or IntegratorConfig()
     times = np.asarray(time_grid, dtype=float)
@@ -442,21 +446,24 @@ def evolve(
         raise DimensionMismatch("time grid must be strictly increasing")
 
     dim = model.dim
-    block, checks, h_nh, jump_ops = _block(model, rho0)
+    block, checks, h_nh, jump_ops = _block(model, rho0, (2, 3))
     rho = checks[3]
-    size = rho.shape[0]
+    size, stacked = rho.shape[-1], rho.ndim > 2
     solver = "propagator" if size <= PROPAGATOR_MAX_DIM else "dp45"
-    meta = {"solver": solver, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0, "evolved_dim": float(size)}
+    meta = {"solver": solver, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0, "evolved_dim": float(size),
+            "stacked": float(len(rho) if stacked else 1)}
     if solver == "propagator":
         advance = _propagator(_superoperator(h_nh, jump_ops), meta)
     else:
         advance = _dp45(_compiled_rhs(h_nh, jump_ops), rho, float(times[-1] - times[0]), cfg, dim**2, meta)
 
+    shape, index = (*rho.shape[:-2], dim, dim), (..., *block) if stacked else block
+
     def embed(state: np.ndarray) -> np.ndarray:
         if size == dim:
             return state
-        full = np.zeros((dim, dim), dtype=np.complex128)
-        full[block] = state
+        full = np.zeros(shape, dtype=np.complex128)
+        full[index] = state
         return full
 
     records: dict[str, list[float]] = {key: [] for key in _RESERVED_RECORDS}
@@ -466,8 +473,8 @@ def evolve(
         if i:
             checks = density_checks(advance(rho, grid[i - 1], t), f"the state at t={t:g}", dim)
         trace_error, herm_error, lowest, rho = checks
-        if lowest < MIN_EIGENVALUE_FLOOR:
-            raise InvariantViolation(f"min eigenvalue {lowest:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
+        if (worst := min(lowest) if stacked else lowest) < MIN_EIGENVALUE_FLOOR:
+            raise InvariantViolation(f"min eigenvalue {worst:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
         for key, value in zip(_RESERVED_RECORDS, (trace_error, herm_error, lowest)):
             records[key].append(value)
         if observer is not None:
@@ -482,9 +489,10 @@ def evolve(
                 raise ValueError(f"observer keys at t={t:g} {sorted(map(str, extra))} differ from "
                                  f"those at the first grid point {sorted(map(str, observed))}")
             for key, value in extra.items():
-                records[str(key)].append(float(value))
+                records[str(key)].append(value if stacked else float(value))
 
-    columns = {key: np.array(values) for key, values in records.items()}
+    # a stack's values too are refused unless numbers (a cast would make None NaN)
+    columns = {key: np.array(values).astype(float, casting="same_kind", copy=False) for key, values in records.items()}
     meta["max_herm_drift"] = float(columns["herm_error"].max())
     return Trajectory(times=times.copy(), records=columns, final_state=embed(rho).copy(), meta=meta)
 

@@ -52,8 +52,8 @@ def as_complex_matrix(a, *, square: bool = False, name: str = "matrix") -> np.nd
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose, of each matrix of a stack on the last two axes."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -96,22 +96,27 @@ class DimsLayout:
 def hermitian_eigen(m) -> np.ndarray:
     """Real eigenvalues, ascending, of a Hermitian matrix by LAPACK (`numpy.linalg.eigvalsh`).
 
-    The input is symmetrised before the solve; a non-finite or non-square
-    one raises `DimensionMismatch`.
+    A stack on the last two axes gives one row per matrix, bit for bit its own.  The input is symmetrised before
+    the solve; a non-finite, empty or non-square one raises `DimensionMismatch`.
 
     Raises
     ------
     NotHermitian
-        if ``max|m - m†| > HERMITICITY_TOL``.
+        if ``max|m - m†| > HERMITICITY_TOL`` (for some matrix of a stack).
     ConvergenceFailure
         if LAPACK reports that the solve did not converge.
     """
-    a = as_complex_matrix(m, square=True, name="matrix")
-    herm_err = max_abs(a - dagger(a))
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 3:
+        a = as_complex_matrix(a, square=True, name="matrix")
+    elif not (a.size and a.shape[-1] == a.shape[-2] and np.isfinite(a).all()):
+        raise DimensionMismatch(f"matrix stack must be non-empty, square and finite, got shape {a.shape}")
+    a_dagger = dagger(a)
+    herm_err = max_abs(a - a_dagger)
     if herm_err > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermitian by {herm_err:.3e} > {HERMITICITY_TOL:.3e}")
     try:
-        return np.linalg.eigvalsh((a + dagger(a)) / 2.0)
+        return np.linalg.eigvalsh((a + a_dagger) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"Hermitian eigensolve did not converge: {exc}") from exc
 

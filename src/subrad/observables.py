@@ -12,12 +12,15 @@ dimension).  Behind them, for a checked state, are the formulas
 `mean_energy`, `overlap` and `overlap_sqrt` and the functions of it compiled
 once per model by `nes_values(model)` and `negativity(layout, bipartition)`;
 `run_scenario`'s columns read the grid-point state `evolve` checked with them.
+The formulas also read a ``(k, dim, dim)`` stack: `numpy.vecdot` takes each
+state's dot product as ``@`` and `numpy.vdot` take one state's, bit for bit.
 `negativity` traces down and transposes with `linalg._reduction`, the
 builder that the checked `partial_trace` calls too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,16 +73,20 @@ class NesReport:
 
 def mean_energy(rho: np.ndarray, free_energies: np.ndarray) -> float:
     """`energy` of a checked ``(dim, dim)`` state: ``free_energies`` dotted with its populations."""
+    if rho.ndim > 2:
+        return np.vecdot(free_energies, rho.diagonal(axis1=1, axis2=2).real)
     return float(free_energies @ rho.diagonal().real)
 
 
 def overlap(rho: np.ndarray, target: np.ndarray) -> float:
     """`dark_overlap` of a checked state and a unit complex target vector of its dimension."""
-    return float(np.vdot(target, rho @ target).real)
+    return np.vecdot(target, rho @ target).real if rho.ndim > 2 else float(np.vdot(target, rho @ target).real)
 
 
 def overlap_sqrt(rho: np.ndarray, target: np.ndarray) -> float:
     """`dark_overlap_sqrt` of a checked state and a unit complex target vector of its dimension."""
+    if rho.ndim > 2:  # math.sqrt rounds as np.sqrt does
+        return [math.sqrt(max(value, 0.0)) for value in overlap(rho, target).tolist()]
     return float(np.sqrt(max(overlap(rho, target), 0.0)))
 
 

@@ -84,7 +84,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, evolve
+from .dynamics import IntegratorConfig, Trajectory, _reachable, evolve
 from .errors import (
     DimensionMismatch,
     InvariantBreach,
@@ -535,6 +535,8 @@ def _load_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than `sys.get_int_max_str_digits` allows
+        raise ParseError(str(exc)) from exc
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -571,23 +573,25 @@ def _column_names(ob: ObservableSpec, n_emitters: int) -> tuple[str, ...]:
 def _observable_columns(
     ob: ObservableSpec, target: np.ndarray | None, model: ModelOperators
 ) -> list[tuple[tuple[str, ...], Callable[[np.ndarray], tuple[float, ...]]]]:
-    """`_column_names` of an observable and the function of a checked state giving them; ``target``: a fidelity's."""
+    """`_column_names` of an observable and the function of a checked state giving them; ``target``: a fidelity's.
+    Given a stack of k states, it gives k values per column: energy and fidelity read the stack at once."""
     names = _column_names(ob, model.layout.n_subsystems)
     if ob.kind == "energy":
         free_energies = model.free_energies
         return [(names, lambda rho: (mean_energy(rho, free_energies),))]
-    if ob.kind == "purity":
-        return [(names, lambda rho: (float(np.real(np.trace(rho @ rho))),))]
     if ob.kind == "fidelity":
-        if ob.sqrt:
-            return [(names, lambda rho: (overlap_sqrt(rho, target),))]
-        return [(names, lambda rho: (overlap(rho, target),))]
-    if ob.kind == "log_negativity":
+        value = overlap_sqrt if ob.sqrt else overlap
+        return [(names, lambda rho: (value(rho, target),))]
+    if ob.kind == "checks":
+        return []  # filled from the integrator's built-in records
+    if ob.kind == "purity":
+        fn = lambda rho: (float(np.real(np.trace(rho @ rho))),)  # noqa: E731
+    elif ob.kind == "log_negativity":
         value = negativity(model.layout, ob.bipartition)
-        return [(names, lambda rho: (value(rho),))]
-    if ob.kind == "nes":
-        return [(names, nes_values(model))]
-    return []  # "checks": filled from the integrator's built-in records
+        fn = lambda rho: (value(rho),)  # noqa: E731
+    else:  # "nes"
+        fn = nes_values(model)
+    return [(names, lambda rho: fn(rho) if rho.ndim == 2 else tuple(zip(*map(fn, rho))))]
 
 
 def run_scenario(
@@ -598,6 +602,9 @@ def run_scenario(
     initial: str | None = None,
 ) -> ScenarioResult:
     """Evolve every initial state the scenario resolved when it was built and assemble the output table.
+
+    The initial states that reach one block (see `evolve`) are stepped as one stack, by one `evolve` call, in
+    their order; each one's columns and trajectory are those of its own run, bit for bit with the propagator.
 
     ``fixed_step`` replaces the integrator's; both step lengths are in the
     scenario's time unit and converted to the model's with the grid;
@@ -636,8 +643,6 @@ def run_scenario(
 
     header: list[str] = ["t"]
     columns: list[np.ndarray] = [grid_scenario_units]
-    trajectories: dict[str, Trajectory] = {}
-    trace_cols: list[np.ndarray] = []
 
     def observer(t: float, rho: np.ndarray) -> dict[str, float]:
         values: dict[str, float] = {}
@@ -645,31 +650,43 @@ def run_scenario(
             values.update(zip(names, fn(rho)))
         return values
 
+    groups: dict[bytes, list] = {}  # the initial states by reachable block, in order
+    jumps = [op for rate, op in model.jumps if rate != 0.0]
     for label, rho0 in initials:
-        traj = evolve(model, rho0, grid, cfg, observer)
-        trajectories[label] = traj
+        key = _reachable(rho0, model.hamiltonian, jumps).tobytes() if multi else b""
+        groups.setdefault(key, []).append((label, rho0))
+    runs: dict[str, Trajectory] = {}
+    for group in groups.values():
+        labels, states = zip(*group)
+        traj = evolve(model, np.stack(states) if labels[1:] else states[0], grid, cfg, observer)
+        runs.update({label: _member(traj, j) if labels[1:] else traj for j, label in enumerate(labels)})
+    trajectories = {label: runs[label] for label, _ in initials}
+    for label, traj in trajectories.items():
         suffix = f":{label}" if multi else ""
         for name in record_names:
             header.append(name + suffix)
             columns.append(traj.records[name])
-        trace_cols.append(traj.records["trace_error"])
-
-    trace_error = np.max(np.vstack(trace_cols), axis=0)
-    header.append("trace_error")
-    columns.append(trace_error)
+    header.append("trace_error")  # the worst across the initial states
+    columns.append(np.max([traj.records["trace_error"] for traj in trajectories.values()], axis=0))
 
     breached = any(traj.breached for traj in trajectories.values())
     if breached and check_strict:
         raise InvariantBreach("invariant check tripped (strict mode)")
 
-    rows = np.column_stack(columns)
     return ScenarioResult(
         scenario=scenario,
         header=tuple(header),
-        rows=rows,
+        rows=np.column_stack(columns),
         trajectories=trajectories,
         breached=breached,
     )
+
+
+def _member(traj: Trajectory, j: int) -> Trajectory:
+    """State ``j`` of a stacked trajectory, with its own records, final state and ``max_herm_drift``."""
+    records = {key: values[:, j] for key, values in traj.records.items()}
+    meta = {**traj.meta, "max_herm_drift": float(records["herm_error"].max())}
+    return Trajectory(times=traj.times, records=records, final_state=traj.final_state[j], meta=meta)
 
 
 # Rows formatted per joined string in `format_csv`: the lines of one chunk are

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, null_space
 
 import subrad as sr
-from subrad.errors import DimensionCapExceeded, InvariantBreach, InvariantViolation, ValidationError
+from subrad.errors import DimensionCapExceeded, DimensionMismatch, InvariantBreach, InvariantViolation, ValidationError
+
+from subrad.observables import mean_energy, overlap
 
 from random_systems import LEVELS, lindblad_rhs, random_density, random_model, random_sector_state
 
@@ -412,6 +414,131 @@ class TestPropagator:
             for scale in (0.0, 1e-3, 0.7, 1.0, 40.0):
                 ref = expm(scale * a)
                 assert np.max(np.abs(sr.dynamics._expm(scale * a) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+class TestStackedEvolve:
+    """A ``(k, dim, dim)`` stack of initial states is stepped as one array, one check and observer call per point."""
+
+    @staticmethod
+    def states(model, *labels):
+        return [pure(sr.named_state_vector(label, model.layout)) for label in labels]
+
+    def test_stack_records_and_final_states_equal_each_run_alone(self):
+        model = two_qubit_model(delta=0.1)
+        target = sr.named_state_vector("psi_minus", model.layout)
+        states = self.states(model, "10", "psi_minus", "psi_plus")
+        grid = np.linspace(0.0, 3000.0, 31)
+        seen = []
+
+        def observer(t, rho):
+            seen.append(rho.shape)
+            return {"energy": mean_energy(rho, model.free_energies), "f": overlap(rho, target)}
+
+        stacked = sr.evolve(model, np.stack(states), grid, observer=observer)
+        assert seen == [(3, 4, 4)] * grid.size
+        assert (stacked.meta["stacked"], stacked.meta["evolved_dim"], stacked.meta["steps"]) == (3, 3, 30)
+        assert stacked.final_state.shape == (3, 4, 4)
+        for j, rho0 in enumerate(states):
+            alone = sr.evolve(model, rho0, grid, observer=observer)
+            assert alone.meta["stacked"] == 1
+            assert stacked.final_state[j].tobytes() == alone.final_state.tobytes()
+            for key, column in alone.records.items():
+                assert stacked.records[key].shape == (grid.size, 3)
+                assert stacked.records[key][:, j].tobytes() == column.tobytes(), key
+
+    def test_members_of_different_blocks_step_their_union(self):
+        model = two_qubit_model()
+        states = self.states(model, "10", "11")
+        grid = np.linspace(0.0, 1000.0, 5)
+        stacked = sr.evolve(model, np.stack(states), grid)
+        assert stacked.meta["evolved_dim"] == 4
+        assert sr.evolve(model, states[0], grid).meta["evolved_dim"] == 3
+        for j, rho0 in enumerate(states):
+            assert np.max(np.abs(stacked.final_state[j] - sr.evolve(model, rho0, grid).final_state)) < 1e-12
+        assert not stacked.final_state[0][3].any() and not stacked.final_state[0][:, 3].any()  # 11 stays empty
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_is_refused_as_alone(self, bad):
+        model = two_qubit_model()
+        states = self.states(model, "10", "psi_plus")
+        states[1][0, 0] = bad
+        for rho0 in (np.stack(states), states[1]):
+            with pytest.raises(InvariantViolation, match="non-finite entries in the initial state"):
+                sr.evolve(model, rho0, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_member_at_or_below_the_floor_acts_as_alone(self, monkeypatch, beyond):
+        # the last state's lowest eigenvalue reads `lowest` after the initial state
+        floor = sr.dynamics.MIN_EIGENVALUE_FLOOR
+        lowest = np.nextafter(floor, -np.inf) if beyond else floor
+        real = sr.dynamics.density_checks
+
+        def checks(rho, name, dim):
+            trace_error, herm_error, low, hermitian = real(rho, name, dim)
+            if name != "the initial state":
+                low = [*low[:-1], lowest] if rho.ndim > 2 else lowest
+            return trace_error, herm_error, low, hermitian
+
+        monkeypatch.setattr(sr.dynamics, "density_checks", checks)
+        model = two_qubit_model()
+        states = self.states(model, "10", "psi_minus", "psi_plus")
+        for rho0 in (np.stack(states), states[-1]):
+            if beyond:
+                with pytest.raises(InvariantViolation, match="below"):
+                    sr.evolve(model, rho0, np.array([0.0, 1.0]))
+            else:
+                traj = sr.evolve(model, rho0, np.array([0.0, 1.0]))
+                assert traj.breached and traj.records["min_eigenvalue"][-1, ...].flat[-1] == floor
+                if rho0.ndim > 2:  # the other states stay within the thresholds
+                    assert np.all(sr.dynamics.within_tolerance(*(traj.records[key][:, :-1] for key in CHECKED)))
+
+    def test_a_stack_of_one_under_dormand_prince_is_the_state_alone(self):
+        model = five_qubit_model()
+        rho0 = pure(sr.named_state_vector("11100", model.layout))
+        grid = np.linspace(0.0, 2000.0, 5)
+        alone, stacked = sr.evolve(model, rho0, grid), sr.evolve(model, rho0[None], grid)
+        assert stacked.meta["solver"] == "dp45"
+        assert (stacked.meta["steps"], stacked.meta["rejected"]) == (alone.meta["steps"], alone.meta["rejected"])
+        assert stacked.final_state[0].tobytes() == alone.final_state.tobytes()
+        for key, column in alone.records.items():
+            assert stacked.records[key][:, 0].tobytes() == column.tobytes()
+
+    def test_dormand_prince_stack_steps_as_its_least_accurate_state(self):
+        # the ground state is stationary, so its error norm is 0: the stack takes 11100's own steps, no more, no fewer
+        model = five_qubit_model()
+        active, ground = self.states(model, "11100", "00000")
+        grid = np.linspace(0.0, 2000.0, 5)
+        alone, stacked = sr.evolve(model, active, grid), sr.evolve(model, np.stack([active, ground]), grid)
+        assert stacked.meta["solver"] == "dp45"
+        assert (stacked.meta["steps"], stacked.meta["rejected"]) == (alone.meta["steps"], alone.meta["rejected"])
+        assert stacked.final_state[0].tobytes() == alone.final_state.tobytes()
+        assert np.array_equal(stacked.final_state[1], ground)
+
+    def test_dormand_prince_stack_stays_within_tolerance_of_each_run(self):
+        model = five_qubit_model()
+        states = self.states(model, "11100", "11010", "10101")
+        grid = np.linspace(0.0, 2000.0, 5)
+        stacked = sr.evolve(model, np.stack(states), grid)
+        assert stacked.meta["solver"] == "dp45"
+        for j, rho0 in enumerate(states):
+            assert np.max(np.abs(stacked.final_state[j] - sr.evolve(model, rho0, grid).final_state)) < 1e-7
+
+    @pytest.mark.parametrize("value", [None, 1j])
+    def test_stack_observer_values_must_be_real_numbers(self, value):
+        model = two_qubit_model()
+        for rho0, values in ((self.states(model, "10")[0], value), (np.stack(self.states(model, "10", "01")), [value, 0.5])):
+            with pytest.raises(TypeError):
+                sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": values})
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 3, 3), (1, 2, 4, 4)])
+    def test_stack_of_wrong_shape_is_refused(self, shape):
+        with pytest.raises(DimensionMismatch):
+            sr.evolve(two_qubit_model(), np.zeros(shape, dtype=complex), np.array([0.0, 1.0]))
+
+    def test_asymptotic_state_takes_one_state(self):
+        model = two_qubit_model()
+        with pytest.raises(DimensionMismatch):
+            sr.asymptotic_state(model, np.stack(self.states(model, "10", "psi_plus")))
 
 
 class TestEffectiveHamiltonian:

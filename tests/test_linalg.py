@@ -94,6 +94,34 @@ class TestHermitianEigen:
         assert np.allclose(w, np.sort(spectrum), rtol=0, atol=1e-12 * n * scale)
 
 
+class TestHermitianEigenStacks:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_the_matrices_one_by_one(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        w = sr.hermitian_eigen(stack)
+        assert w.shape == (k, n)
+        assert np.array_equal(w, np.array([sr.hermitian_eigen(m) for m in stack]))
+
+    def test_one_non_hermitian_member_is_refused(self):
+        stack = np.stack([np.eye(2, dtype=complex), SIGMA_MINUS, np.eye(2, dtype=complex)])
+        with pytest.raises(NotHermitian):
+            sr.hermitian_eigen(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_is_refused(self, bad):
+        stack = np.stack([np.eye(3, dtype=complex)] * 2)
+        stack[1, 0, 2] = stack[1, 2, 0] = bad
+        with pytest.raises(DimensionMismatch):
+            sr.hermitian_eigen(stack)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 3, 3), (2, 0, 0), (3,)])
+    def test_non_square_or_empty_input_is_refused(self, shape):
+        with pytest.raises(DimensionMismatch):
+            sr.hermitian_eigen(np.zeros(shape, dtype=complex))
+
+
 class TestKernelBasis:
     def test_row_vector_singlet(self):
         # [[1, 1]] annihilates exactly (1,-1)/sqrt(2)

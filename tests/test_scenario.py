@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import re
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -20,6 +21,8 @@ from subrad.scenario import (
     ObservableSpec, OutputSpec, ReductionSpec, TimeSpec, format_csv, format_sweep_csv, parse_sweep, run_sweep,
     scenario_to_dict,
 )
+
+from random_systems import LEVELS, random_sector_state, random_system
 
 TINY_SCENARIO = {
     "name": "tiny",
@@ -488,6 +491,90 @@ def reference_format_csv(header, rows):
     for row in np.atleast_2d(rows):
         lines.append(",".join(f"{v:.16e}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _columns_of(result, label):
+    """Each per-state column of ``result`` for ``label`` by its unsuffixed name (all of them for a one-state run)."""
+    names = result.header[1:-1]
+    if any(":" in name for name in names):
+        return {name.split(":")[0]: result.rows[:, i] for i, name in enumerate(names, 1) if name.endswith(":" + label)}
+    return {name: result.rows[:, i] for i, name in enumerate(names, 1)}
+
+
+class TestStackedInitials:
+    """`run_scenario` steps the initial states that reach one block as one stack, with the bits of each one's run."""
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3a", "fig3c", "fig4"])
+    def test_each_initial_writes_the_columns_of_its_own_run(self, preset):
+        scenario = sr.scenario_from_dict(sr.load_preset(preset))
+        result = sr.run_scenario(scenario)
+        for label, _ in scenario.initials:
+            alone = sr.run_scenario(scenario, initial=label)
+            grouped, own = _columns_of(result, label), _columns_of(alone, label)
+            assert grouped.keys() == own.keys() and grouped
+            for name, column in own.items():
+                assert grouped[name].tobytes() == column.tobytes(), (label, name)
+            assert result.trajectories[label].final_state.tobytes() == alone.trajectories[label].final_state.tobytes()
+            assert result.trajectories[label].records["trace_error"].tobytes() == alone.rows[:, -1].tobytes()
+
+    def test_one_evolve_and_one_observer_call_per_block_and_grid_point(self, monkeypatch):
+        real, calls, stacked = sr.scenario.evolve, [], []
+
+        def counting(model, rho0, time_grid, config=None, observer=None):
+            traj = real(model, rho0, time_grid, config, lambda t, rho: calls.append(t) or observer(t, rho))
+            stacked.append(traj.meta["stacked"])
+            return traj
+
+        monkeypatch.setattr(sr.scenario, "evolve", counting)
+        result = sr.run_scenario(sr.scenario_from_dict(sr.load_preset("fig2")))
+        assert stacked == [1, 3] and len(calls) == 2 * 201
+        assert {label: traj.meta["stacked"] for label, traj in result.trajectories.items()} == {
+            "11": 1, "10": 3, "psi_minus": 3, "psi_plus": 3}
+        assert list(result.trajectories) == ["11", "10", "psi_minus", "psi_plus"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        levels=LEVELS,
+        n_collective=st.integers(0, 2),
+        n_local=st.integers(0, 2),
+        driven=st.booleans(),
+        n_states=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_grouped_run_equals_runs_one_by_one(self, levels, n_collective, n_local, driven, n_states, seed):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, levels, n_collective, n_local, driven)
+        model = sr.build_model(system)
+        labels = ["".join(map(str, model.levels[:, i])) for i in range(model.dim)]
+
+        def table(support):  # a random pure state on the support, as an amplitude table
+            return tuple((labels[i], complex(*rng.normal(size=2))) for i in support)
+
+        supports = [random_sector_state(rng, model)[1] for _ in range(n_states - 1)]
+        supports.insert(int(rng.integers(n_states)), supports[0])  # two states on one support share a block
+        initials = [(f"s{j}", sr.StateSpec(amplitudes=table(support))) for j, support in enumerate(supports)]
+        initials[-1] = ("mixed", sr.StateSpec(mixture=((0.3, initials[-1][1]), (0.7, sr.StateSpec(
+            amplitudes=table(supports[-1]))))))
+        target = sr.StateSpec(amplitudes=table(range(model.dim)))
+        observables = (
+            ObservableSpec("energy"), ObservableSpec("fidelity", target=target),
+            ObservableSpec("fidelity", target=target, sqrt=True), ObservableSpec("purity"),
+            ObservableSpec("log_negativity", bipartition=((0,), (1,))), ObservableSpec("nes"),
+            ObservableSpec("checks"),
+        )
+        scenario = sr.Scenario(
+            name="random", system=system, initials=tuple(initials), time=TimeSpec("omega", rng.uniform(0.5, 5.0), 6),
+            observables=observables, integrator=sr.IntegratorConfig(), output=OutputSpec(),
+        )
+        result = sr.run_scenario(scenario)
+        assert max(traj.meta["stacked"] for traj in result.trajectories.values()) >= 2
+        for label, _ in initials:
+            traj, own = result.trajectories[label], sr.run_scenario(scenario, initial=label).trajectories[label]
+            assert traj.records.keys() == own.records.keys()
+            for key, column in own.records.items():
+                assert traj.records[key].tobytes() == column.tobytes(), (label, key)
+            assert traj.final_state.tobytes() == own.final_state.tobytes()
+            assert traj.meta["max_herm_drift"] == own.meta["max_herm_drift"]
 
 
 class TestFormatCsv:
@@ -1120,6 +1207,18 @@ class TestCli:
         path.write_text(json.dumps(TINY_SCENARIO).replace('"rate": 0.05', '"rate": NaN'))
         assert main(["run", str(path)]) == 2
         assert "system.collective[0].rate: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    def test_integer_beyond_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an integer literal over the limit
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        text = json.dumps(TINY_SCENARIO).replace('"frame"', f'"dimension_cap": {digits}, "frame"')
+        with pytest.raises(ParseError, match="Exceeds the limit"):
+            sr.parse_scenario(text)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert "Exceeds the limit" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = json.loads(json.dumps(TINY_SCENARIO))
