@@ -223,17 +223,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _reachable(rho: np.ndarray, hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> np.ndarray:
-    """Sorted basis indices reachable from the support of ``rho`` (of any state of a stack).
+def _reachable(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
+    """Sorted basis indices reachable from the support of ``rho`` (of any state of a stack) under ``model``.
 
-    Index i is reached from k when H[i, k] != 0, when some jump L has
-    L[i, k] != 0, or when (L†L)[i, k] != 0 by pattern: L maps k to some m
+    Index i is reached from k when H[i, k] != 0, when some jump L of nonzero
+    rate has L[i, k] != 0, or when (L†L)[i, k] != 0 by pattern: L maps k to some m
     with L[m, i] != 0.  The result is the smallest superset of the support
     closed under that; no product of operators is formed.
     """
     # astype(bool) is the nonzero pattern (NaN counts as nonzero) at a third of the cost of != 0 on complex
-    h_pattern = hamiltonian.astype(bool)
-    patterns = [op.astype(bool) for op in jumps]
+    h_pattern = model.hamiltonian.astype(bool)
+    patterns = [op.astype(bool) for rate, op in model.jumps if rate != 0.0]
     nonzero = rho.astype(bool) if rho.ndim == 2 else rho.astype(bool).any(axis=0)  # a stack's union
     reached = nonzero.any(axis=0) | nonzero.any(axis=1)
     while True:
@@ -306,6 +306,13 @@ def within_tolerance(trace_error, herm_error, min_eigenvalue):
     return (trace_error <= TRACE_TOL) & (herm_error <= HERMITICITY_TOL) & (min_eigenvalue >= MIN_EIGENVALUE_TOL)
 
 
+def block_key(model: ModelOperators, rho0) -> bytes | None:
+    """The indices of the block `evolve` steps ``rho0`` on, as bytes, where `run_scenario` stacks the states of one
+    key; None where Dormand-Prince steps it, since its stack shares one step sequence (each such state steps alone)."""
+    keep = _reachable(np.asarray(rho0), model)
+    return keep.tobytes() if len(keep) <= PROPAGATOR_MAX_DIM else None
+
+
 def _block(model: ModelOperators, rho0, ndims=(2,)):
     """``np.ix_(S, S)`` of the block S reachable from ``rho0``, the block's checks and `_generator` formed on it.
 
@@ -319,11 +326,10 @@ def _block(model: ModelOperators, rho0, ndims=(2,)):
     rho = np.asarray(rho0, dtype=np.complex128)
     if rho.shape[-2:] != (model.dim, model.dim) or rho.ndim not in ndims:
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
-    keep = _reachable(rho, model.hamiltonian, [op for rate, op in model.jumps if rate != 0.0])
+    keep = _reachable(rho, model)
     block = np.ix_(keep, keep)
-    # a stack in C order, as one state's block is: a product's bits follow the layout of its operands
-    checks = density_checks(rho[block] if rho.ndim == 2 else np.ascontiguousarray(rho[(..., *block)]),
-                            "the initial state", model.dim)
+    # C order: a product's bits follow the layout of its operands, and a stack's slice is not C-ordered
+    checks = density_checks(np.ascontiguousarray(rho[(..., *block)]), "the initial state", model.dim)
     worst = checks[:3] if rho.ndim == 2 else (max(checks[0]), max(checks[1]), min(checks[2]))
     if not within_tolerance(*worst):
         raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % worst)
@@ -419,13 +425,12 @@ def evolve(
 
     ``time_grid`` must be strictly increasing; ``rho0`` is the state at ``time_grid[0]``, or a ``(k, dim, dim)``
     stack of k states stepped as one (see the module docstring; ``meta["stacked"]`` is k, 1 for one state).  The
-    observer (if given) is called at every grid point with the full ``(dim, dim)`` state, or the ``(k, dim, dim)``
-    stack, the Hermitian part that point's check returned, and the mapping it returns, k values per key for a stack,
-    is merged into the records: arrays of shape ``(points,)``, or ``(points, k)``.  The keys it returns at the first
-    grid point fix the record columns: the keys ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are reserved,
-    and a later point returning another key set raises `ValueError` naming its ``t``.  A grid-point state that
-    aborts the run (see the module docstring), a stack's included, raises `InvariantViolation` before the observer
-    sees it.
+    observer (if given) is called at every grid point with the full ``(dim, dim)`` state or ``(k, dim, dim)`` stack,
+    the Hermitian part that point's check returned; the mapping it returns, k values per key for a stack, is merged
+    into the records: arrays of shape ``(points,)``, or ``(points, k)``.  Its keys at the first grid point fix the
+    record columns: ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are reserved, and a later point returning
+    another key set raises `ValueError` naming its ``t``.  A grid-point state that aborts the run (see the module
+    docstring), a stack's included, raises `InvariantViolation` before the observer sees it.
 
     Only the block on the indices reachable from the support of ``rho0`` is stepped; ``meta["evolved_dim"]`` is its
     size.  Outside the block the state is exactly zero, so ``min_eigenvalue`` is ``min(lambda_min(block), 0)``.

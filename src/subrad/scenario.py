@@ -84,7 +84,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, _reachable, evolve
+from .dynamics import IntegratorConfig, Trajectory, block_key, evolve
 from .errors import (
     DimensionMismatch,
     InvariantBreach,
@@ -603,8 +603,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evolve every initial state the scenario resolved when it was built and assemble the output table.
 
-    The initial states that reach one block (see `evolve`) are stepped as one stack, by one `evolve` call, in
-    their order; each one's columns and trajectory are those of its own run, bit for bit with the propagator.
+    The initial states of one `block_key` are stepped as one stack, in their order, by one `evolve` call; each one's
+    columns and trajectory are those of its own run, bit for bit (a state of a Dormand-Prince block steps alone).
 
     ``fixed_step`` replaces the integrator's; both step lengths are in the
     scenario's time unit and converted to the model's with the grid;
@@ -650,11 +650,9 @@ def run_scenario(
             values.update(zip(names, fn(rho)))
         return values
 
-    groups: dict[bytes, list] = {}  # the initial states by reachable block, in order
-    jumps = [op for rate, op in model.jumps if rate != 0.0]
+    groups: dict[bytes | str, list] = {}  # the initial states by `block_key`, in order; a state with None, alone
     for label, rho0 in initials:
-        key = _reachable(rho0, model.hamiltonian, jumps).tobytes() if multi else b""
-        groups.setdefault(key, []).append((label, rho0))
+        groups.setdefault((multi and block_key(model, rho0)) or label, []).append((label, rho0))
     runs: dict[str, Trajectory] = {}
     for group in groups.values():
         labels, states = zip(*group)

@@ -298,7 +298,7 @@ class TestReachableBlock:
         rho0 = sr.build_initial_state(dict(scenario.initials)["110000"], model.layout)
         grid = scenario.time.grid()
         reduced = sr.evolve(model, rho0, grid, scenario.integrator)
-        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, hamiltonian, jumps: np.arange(rho.shape[0]))
+        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, model: np.arange(rho.shape[0]))
         full = sr.evolve(model, rho0, grid, scenario.integrator)
         assert (reduced.meta["evolved_dim"], full.meta["evolved_dim"]) == (22, model.dim)
         assert reduced.meta["solver"] == full.meta["solver"] == "dp45"

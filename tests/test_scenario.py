@@ -532,6 +532,20 @@ class TestStackedInitials:
             "11": 1, "10": 3, "psi_minus": 3, "psi_plus": 3}
         assert list(result.trajectories) == ["11", "10", "psi_minus", "psi_plus"]
 
+    def test_states_of_a_dormand_prince_block_step_alone(self):
+        # a Dormand-Prince stack shares one step sequence; only the propagator's blocks are stacked
+        data = sr.load_preset("nqubit:5")
+        data["initial"] = ["11100", "10000", "11010", "01000"]
+        data["time"] = {"unit": "omega", "horizon": 2000.0, "points": 5}
+        scenario = sr.scenario_from_dict(data)
+        result = sr.run_scenario(scenario)
+        assert {label: (traj.meta["solver"], traj.meta["stacked"]) for label, traj in result.trajectories.items()} == {
+            "11100": ("dp45", 1), "10000": ("propagator", 2), "11010": ("dp45", 1), "01000": ("propagator", 2)}
+        for label, _ in scenario.initials:
+            own = _columns_of(sr.run_scenario(scenario, initial=label), label)
+            for name, column in own.items():
+                assert _columns_of(result, label)[name].tobytes() == column.tobytes(), (label, name)
+
     @settings(max_examples=25, deadline=None)
     @given(
         levels=LEVELS,
