@@ -33,12 +33,12 @@ exactly on its own and everything outside it stays zero.  Decay only lowers
 excitation, so an initial excitation in a few sectors never leaves them;
 drives or channels mixing transitions of different size simply make S
 larger, up to the whole space.  H and the jumps are sliced to S before
-`_generator` forms H_nh, so a run costs no full-space product.  The checks
-run on the block; observers see the full state, embedded at each grid
-point.  Initial states that reach one block S are stepped as one stack:
-one product, one check and one observer call per grid point for all of
-them.  With the propagator each state's values are bit for bit those of
-its own run; a Dormand-Prince stack shares one step sequence.
+`_generator` forms H_nh, so a run costs no full-space product.  `evolve`
+steps a ``(k, dim, dim)`` stack of initial states (a 2-D state is a stack of
+one at its boundary) on the union S of their blocks: one product, one check
+on the block and one observer call, with the full states, per grid point.
+With the propagator each state's values are bit for bit those of its own
+run; a Dormand-Prince stack shares one step sequence.
 
 The block is stepped by one of two solvers, chosen by |S| alone:
 
@@ -224,7 +224,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _reachable(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
-    """Sorted basis indices reachable from the support of ``rho`` (of any state of a stack) under ``model``.
+    """Sorted basis indices reachable from the support of any state of the stack ``rho`` under ``model``.
 
     Index i is reached from k when H[i, k] != 0, when some jump L of nonzero
     rate has L[i, k] != 0, or when (L†L)[i, k] != 0 by pattern: L maps k to some m
@@ -234,7 +234,7 @@ def _reachable(rho: np.ndarray, model: ModelOperators) -> np.ndarray:
     # astype(bool) is the nonzero pattern (NaN counts as nonzero) at a third of the cost of != 0 on complex
     h_pattern = model.hamiltonian.astype(bool)
     patterns = [op.astype(bool) for rate, op in model.jumps if rate != 0.0]
-    nonzero = rho.astype(bool) if rho.ndim == 2 else rho.astype(bool).any(axis=0)  # a stack's union
+    nonzero = rho.astype(bool).any(axis=0)  # the union of the states' patterns
     reached = nonzero.any(axis=0) | nonzero.any(axis=1)
     while True:
         grown = reached | h_pattern[:, reached].any(axis=1)
@@ -280,25 +280,20 @@ def _dp_step(rhs, y, h):
     return y5, err
 
 
-def density_checks(rho: np.ndarray, name: str, dim: int) -> tuple[float, float, float, np.ndarray]:
-    """Trace error, max|rho - rho†|, the lowest eigenvalue of H = (rho + rho†)/2, and H.
+def density_checks(rho: np.ndarray, name: str, dim: int) -> tuple[list, list, list, np.ndarray]:
+    """Trace errors, max|rho - rho†|, the lowest eigenvalues of H = (rho + rho†)/2, and H, of a ``(k, n, n)`` stack.
 
-    ``rho`` is a square block of a ``dim``-state space, zero outside it: below ``dim`` states the lowest eigenvalue
-    is min(lambda_H, 0).  ``name`` names ``rho`` when a non-finite entry raises `InvariantViolation`.  A stack of k
-    blocks gives lists of k values, each block's own, from one `hermitian_eigen` call.
+    Each state is a block of a ``dim``-state space, zero outside it: below ``dim`` states the lowest eigenvalue is
+    min(lambda_H, 0).  ``name`` names ``rho`` when a non-finite entry raises `InvariantViolation`.  The values are
+    lists of k floats (cheaper than arrays for a few states), each state's own, from one `hermitian_eigen` call.
     """
     if not np.isfinite(rho).all():
         raise InvariantViolation(f"non-finite entries in {name}")
     rho_dagger = dagger(rho)
     hermitian = (rho + rho_dagger) / 2.0
-    lowest = hermitian_eigen(hermitian)
-    if rho.ndim > 2:  # plain floats: for a few states, cheaper to hold and reduce than arrays
-        lowest = [min(w, 0.0) if rho.shape[-1] < dim else w for w in lowest[:, 0].tolist()]
-        trace_error = [abs(z - 1.0) for z in rho.trace(axis1=1, axis2=2).tolist()]
-        return trace_error, np.abs(rho - rho_dagger).max(axis=(1, 2)).tolist(), lowest, hermitian
-    lowest = float(lowest[0])
-    lowest = min(lowest, 0.0) if rho.shape[0] < dim else lowest
-    return abs(complex(np.trace(rho)) - 1.0), max_abs(rho - rho_dagger), lowest, hermitian
+    lowest = [min(w, 0.0) if rho.shape[-1] < dim else w for w in hermitian_eigen(hermitian)[:, 0].tolist()]
+    trace_error = [abs(z - 1.0) for z in rho.trace(axis1=1, axis2=2).tolist()]
+    return trace_error, np.abs(rho - rho_dagger).max(axis=(1, 2)).tolist(), lowest, hermitian
 
 
 def within_tolerance(trace_error, herm_error, min_eigenvalue):
@@ -309,28 +304,27 @@ def within_tolerance(trace_error, herm_error, min_eigenvalue):
 def block_key(model: ModelOperators, rho0) -> bytes | None:
     """The indices of the block `evolve` steps ``rho0`` on, as bytes, where `run_scenario` stacks the states of one
     key; None where Dormand-Prince steps it, since its stack shares one step sequence (each such state steps alone)."""
-    keep = _reachable(np.asarray(rho0), model)
+    keep = _reachable(np.asarray(rho0)[None], model)
     return keep.tobytes() if len(keep) <= PROPAGATOR_MAX_DIM else None
 
 
-def _block(model: ModelOperators, rho0, ndims=(2,)):
-    """``np.ix_(S, S)`` of the block S reachable from ``rho0``, the block's checks and `_generator` formed on it.
+def _block(model: ModelOperators, rho0):
+    """``np.ix_(S, S)`` of the block S reachable from a ``(k, dim, dim)`` stack, its checks and `_generator` on it.
 
-    S is found from the patterns of H and of the jumps of nonzero rate (`_reachable`); H and the jumps are sliced to
-    S before `_generator` forms H_nh, so no full-space sum of L†L is built.  S is closed under every jump, so
-    L_S†L_S is (L†L) restricted to S.  The checks, Hermitian part last, are `density_checks` of ``rho0`` on the
-    block: outside it ``rho0`` is exactly zero (a NaN or infinite entry counts as nonzero, so it lies in the block;
-    a stack, if ``ndims`` holds 3, reaches the union of its states' blocks).  Refuses a ``rho0`` of the wrong shape
-    or with a state outside `within_tolerance`.
+    S, the union of the states' blocks, is found from the patterns of H and of the jumps of nonzero rate
+    (`_reachable`); H and the jumps are sliced to S before `_generator` forms H_nh, so no full-space sum of L†L is
+    built.  S is closed under every jump, so L_S†L_S is (L†L) restricted to S.  The checks, Hermitian parts last,
+    are `density_checks` of ``rho0`` on the block: outside it ``rho0`` is exactly zero (a NaN or infinite entry counts
+    as nonzero, so it lies in the block).  Refuses a ``rho0`` of the wrong shape or with a state outside them.
     """
     rho = np.asarray(rho0, dtype=np.complex128)
-    if rho.shape[-2:] != (model.dim, model.dim) or rho.ndim not in ndims:
+    if rho.shape[-2:] != (model.dim, model.dim) or rho.ndim != 3:
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
     keep = _reachable(rho, model)
     block = np.ix_(keep, keep)
     # C order: a product's bits follow the layout of its operands, and a stack's slice is not C-ordered
     checks = density_checks(np.ascontiguousarray(rho[(..., *block)]), "the initial state", model.dim)
-    worst = checks[:3] if rho.ndim == 2 else (max(checks[0]), max(checks[1]), min(checks[2]))
+    worst = max(checks[0]), max(checks[1]), min(checks[2])
     if not within_tolerance(*worst):
         raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % worst)
     h_nh, jump_ops = _generator(model.hamiltonian[block], [(rate, op[block]) for rate, op in model.jumps])
@@ -394,7 +388,7 @@ def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
 
 
 def _propagator(liou: np.ndarray, meta):
-    """Exact stepper ``advance(rho, t, target)``: one expm(liou (target - t)) product, for a stack too.
+    """Exact stepper ``advance(rho, t, target)`` of a stack: one expm(liou (target - t)) product.
 
     One propagator is computed per distinct interval length.  Counts the products as ``meta["steps"]``.  A stack is
     one product ``P @ V``, V holding each state as a `vec` column, bit for bit ``P @ v`` of each; it is returned in
@@ -407,8 +401,6 @@ def _propagator(liou: np.ndarray, meta):
         if dt not in propagators:
             propagators[dt] = _expm(liou * dt)
         meta["steps"] += 1
-        if rho.ndim == 2:
-            return unvec(propagators[dt] @ vec(rho), rho.shape[0])
         return (propagators[dt] @ rho.swapaxes(1, 2).reshape(len(rho), -1, 1)).reshape(rho.shape).swapaxes(1, 2).copy()
 
     return advance
@@ -423,14 +415,14 @@ def evolve(
 ) -> Trajectory:
     """Integrate the master equation, recording observables on a grid.
 
-    ``time_grid`` must be strictly increasing; ``rho0`` is the state at ``time_grid[0]``, or a ``(k, dim, dim)``
-    stack of k states stepped as one (see the module docstring; ``meta["stacked"]`` is k, 1 for one state).  The
-    observer (if given) is called at every grid point with the full ``(dim, dim)`` state or ``(k, dim, dim)`` stack,
-    the Hermitian part that point's check returned; the mapping it returns, k values per key for a stack, is merged
-    into the records: arrays of shape ``(points,)``, or ``(points, k)``.  Its keys at the first grid point fix the
-    record columns: ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are reserved, and a later point returning
-    another key set raises `ValueError` naming its ``t``.  A grid-point state that aborts the run (see the module
-    docstring), a stack's included, raises `InvariantViolation` before the observer sees it.
+    ``time_grid`` must be strictly increasing; ``rho0`` is a ``(k, dim, dim)`` stack of the states at
+    ``time_grid[0]`` (``meta["stacked"]`` is k).  The observer (if given) is called at every grid point with the
+    full stack, the Hermitian parts that point's check returned; the mapping it returns, k real numbers per key, is
+    merged into the records of shape ``(points, k)`` (another shape raises `ValueError` naming the key).  Its keys
+    at the first grid point fix the record columns: ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are
+    reserved, and a later point returning another key set raises `ValueError` naming its ``t``.  A grid-point state
+    that aborts the run (see the module docstring) raises `InvariantViolation` before the observer sees it.  A 2-D
+    ``rho0`` is a stack of one inside: its observer sees and returns one state's, its records are ``(points,)``.
 
     Only the block on the indices reachable from the support of ``rho0`` is stepped; ``meta["evolved_dim"]`` is its
     size.  Outside the block the state is exactly zero, so ``min_eigenvalue`` is ``min(lambda_min(block), 0)``.
@@ -450,19 +442,23 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise DimensionMismatch("time grid must be strictly increasing")
 
-    dim = model.dim
-    block, checks, h_nh, jump_ops = _block(model, rho0, (2, 3))
+    dim, pick = model.dim, slice(None)  # `pick` takes the records and final state of the states passed in
+    if np.ndim(rho0) == 2:  # a stack of one from here to the return
+        rho0, observe, pick = np.asarray(rho0)[None], observer, 0
+        if observe is not None:
+            observer = lambda t, rho: {key: [value] for key, value in observe(t, rho[0]).items()}  # noqa: E731
+    block, checks, h_nh, jump_ops = _block(model, rho0)
     rho = checks[3]
-    size, stacked = rho.shape[-1], rho.ndim > 2
+    size = rho.shape[-1]
     solver = "propagator" if size <= PROPAGATOR_MAX_DIM else "dp45"
     meta = {"solver": solver, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0, "evolved_dim": float(size),
-            "stacked": float(len(rho) if stacked else 1)}
+            "stacked": float(len(rho))}
     if solver == "propagator":
         advance = _propagator(_superoperator(h_nh, jump_ops), meta)
     else:
         advance = _dp45(_compiled_rhs(h_nh, jump_ops), rho, float(times[-1] - times[0]), cfg, dim**2, meta)
 
-    shape, index = (*rho.shape[:-2], dim, dim), (..., *block) if stacked else block
+    shape, index = (len(rho), dim, dim), (..., *block)
 
     def embed(state: np.ndarray) -> np.ndarray:
         if size == dim:
@@ -471,14 +467,14 @@ def evolve(
         full[index] = state
         return full
 
-    records: dict[str, list[float]] = {key: [] for key in _RESERVED_RECORDS}
+    records: dict[str, list] = {key: [] for key in _RESERVED_RECORDS}
     observed = None  # the observer's key set, fixed at the first grid point
     grid = times.tolist()
     for i, t in enumerate(grid):
         if i:
             checks = density_checks(advance(rho, grid[i - 1], t), f"the state at t={t:g}", dim)
         trace_error, herm_error, lowest, rho = checks
-        if (worst := min(lowest) if stacked else lowest) < MIN_EIGENVALUE_FLOOR:
+        if (worst := min(lowest)) < MIN_EIGENVALUE_FLOOR:
             raise InvariantViolation(f"min eigenvalue {worst:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
         for key, value in zip(_RESERVED_RECORDS, (trace_error, herm_error, lowest)):
             records[key].append(value)
@@ -494,12 +490,19 @@ def evolve(
                 raise ValueError(f"observer keys at t={t:g} {sorted(map(str, extra))} differ from "
                                  f"those at the first grid point {sorted(map(str, observed))}")
             for key, value in extra.items():
-                records[str(key)].append(value if stacked else float(value))
+                records[str(key)].append(value)
 
-    # a stack's values too are refused unless numbers (a cast would make None NaN)
-    columns = {key: np.array(values).astype(float, casting="same_kind", copy=False) for key, values in records.items()}
+    columns = {}
+    for key, values in records.items():
+        try:  # one row per state, as tuples: far cheaper for numpy to read than a list per grid point
+            column = np.array([*zip(*values, strict=True)])
+        except (TypeError, ValueError):  # a value that is no sequence, or values of different lengths
+            column = None
+        if column is None or column.shape != (len(rho), len(grid)):
+            raise ValueError(f"observer key {key!r} did not give one value per state at every grid point")
+        columns[key] = column.T.astype(float, casting="same_kind", copy=False)[:, pick]  # refuses None and complex
     meta["max_herm_drift"] = float(columns["herm_error"].max())
-    return Trajectory(times=times.copy(), records=columns, final_state=embed(rho).copy(), meta=meta)
+    return Trajectory(times=times.copy(), records=columns, final_state=embed(rho)[pick].copy(), meta=meta)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -545,7 +548,7 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     raised.  Raises `DimensionCapExceeded` when |S| exceeds
     `SUPEROPERATOR_MAX_DIM`, like `liouvillian_matrix`.
     """
-    block, (*_, rho), h_nh, jump_ops = _block(model, rho0)
+    block, (*_, (rho,)), h_nh, jump_ops = _block(model, np.asarray(rho0)[None])
     size = rho.shape[0]
     liou = _superoperator(h_nh, jump_ops)
     u, sigma, vh = svd(liou)

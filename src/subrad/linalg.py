@@ -97,7 +97,7 @@ def hermitian_eigen(m) -> np.ndarray:
     """Real eigenvalues, ascending, of a Hermitian matrix by LAPACK (`numpy.linalg.eigvalsh`).
 
     A stack on the last two axes gives one row per matrix, bit for bit its own.  The input is symmetrised before
-    the solve; a non-finite, empty or non-square one raises `DimensionMismatch`.
+    the solve; one of fewer than two axes, or empty, non-square or non-finite, raises `DimensionMismatch`.
 
     Raises
     ------
@@ -107,10 +107,8 @@ def hermitian_eigen(m) -> np.ndarray:
         if LAPACK reports that the solve did not converge.
     """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 3:
-        a = as_complex_matrix(a, square=True, name="matrix")
-    elif not (a.size and a.shape[-1] == a.shape[-2] and np.isfinite(a).all()):
-        raise DimensionMismatch(f"matrix stack must be non-empty, square and finite, got shape {a.shape}")
+    if not (a.ndim >= 2 and a.size and a.shape[-1] == a.shape[-2] and np.isfinite(a).all()):
+        raise DimensionMismatch(f"matrix or stack must be non-empty, square and finite, got shape {a.shape}")
     a_dagger = dagger(a)
     herm_err = max_abs(a - a_dagger)
     if herm_err > HERMITICITY_TOL:
@@ -148,15 +146,15 @@ def kernel_basis(m) -> np.ndarray:
 
 
 def _reduction(layout: DimsLayout, keep: tuple, transpose: tuple = ()) -> Callable[[np.ndarray], np.ndarray]:
-    """``reduce(rho)``: a checked state of ``layout`` traced down to the ascending subsystems ``keep``, with each
-    subsystem in ``transpose`` transposed, as a matrix.  The `numpy.einsum` labels are fixed here, once:
+    """``reduce(rho)``: each checked state of ``layout`` (leading axes stack them) traced down to the ascending
+    subsystems ``keep``, each in ``transpose`` transposed, as a matrix.  The `numpy.einsum` labels are fixed here:
     subsystem ``i`` has ket label ``i`` and bra label ``n + i``; a traced one's bra takes its ket label (the
     trace), and a transposed one's ket and bra change places in the output (the partial transpose)."""
     dims, n = layout.subsystem_dims, layout.n_subsystems
-    labels = list(range(n)) + [n + i if i in keep else i for i in range(n)]
-    out = [n + i if i in transpose else i for i in keep] + [i if i in transpose else n + i for i in keep]
+    labels = [..., *range(n), *(n + i if i in keep else i for i in range(n))]
+    out = [..., *(n + i if i in transpose else i for i in keep), *(i if i in transpose else n + i for i in keep)]
     d = math.prod(dims[i] for i in keep)
-    return lambda rho: np.einsum(rho.reshape(dims + dims), labels, out).reshape(d, d)
+    return lambda rho: np.einsum(rho.reshape(*rho.shape[:-2], *dims, *dims), labels, out).reshape(*rho.shape[:-2], d, d)
 
 
 def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) -> np.ndarray:
@@ -175,6 +173,7 @@ def partial_trace(rho, layout: DimsLayout, keep_indices: Iterable[int] | int) ->
     return _reduction(layout, keep)(rho)
 
 
-def trace_norm_hermitian(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix, checked and solved by `hermitian_eigen`."""
-    return float(np.sum(np.abs(hermitian_eigen(m))))
+def trace_norm_hermitian(m):
+    """Sum of absolute eigenvalues of a Hermitian matrix (a float; an array for a stack), by `hermitian_eigen`."""
+    norms = np.abs(hermitian_eigen(m)).sum(axis=-1)
+    return norms if norms.ndim else float(norms)

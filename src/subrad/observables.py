@@ -11,16 +11,16 @@ state of the layout's dimension, the overlaps a unit target of the state's
 dimension).  Behind them, for a checked state, are the formulas
 `mean_energy`, `overlap` and `overlap_sqrt` and the functions of it compiled
 once per model by `nes_values(model)` and `negativity(layout, bipartition)`;
-`run_scenario`'s columns read the grid-point state `evolve` checked with them.
-The formulas also read a ``(k, dim, dim)`` stack: `numpy.vecdot` takes each
-state's dot product as ``@`` and `numpy.vdot` take one state's, bit for bit.
+`run_scenario`'s columns read the grid-point stack `evolve` checked with
+them, k values per column; the public functions read one checked matrix with
+them and return floats.  `numpy.vecdot` gives each state's dot product bit
+for bit as ``@`` or `numpy.vdot` give it for that state alone.
 `negativity` traces down and transposes with `linalg._reduction`, the
 builder that the checked `partial_trace` calls too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,23 +71,19 @@ class NesReport:
     is_nonequilibrium: bool
 
 
-def mean_energy(rho: np.ndarray, free_energies: np.ndarray) -> float:
-    """`energy` of a checked ``(dim, dim)`` state: ``free_energies`` dotted with its populations."""
-    if rho.ndim > 2:
-        return np.vecdot(free_energies, rho.diagonal(axis1=1, axis2=2).real)
-    return float(free_energies @ rho.diagonal().real)
+def mean_energy(rho: np.ndarray, free_energies: np.ndarray) -> np.ndarray:
+    """`energy` of each checked state of ``rho``: ``free_energies`` dotted with its populations."""
+    return np.vecdot(free_energies, rho.diagonal(axis1=-2, axis2=-1).real)
 
 
-def overlap(rho: np.ndarray, target: np.ndarray) -> float:
-    """`dark_overlap` of a checked state and a unit complex target vector of its dimension."""
-    return np.vecdot(target, rho @ target).real if rho.ndim > 2 else float(np.vdot(target, rho @ target).real)
+def overlap(rho: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """`dark_overlap` of each checked state of ``rho`` and a unit complex target vector of their dimension."""
+    return np.vecdot(target, rho @ target).real
 
 
-def overlap_sqrt(rho: np.ndarray, target: np.ndarray) -> float:
-    """`dark_overlap_sqrt` of a checked state and a unit complex target vector of its dimension."""
-    if rho.ndim > 2:  # math.sqrt rounds as np.sqrt does
-        return [math.sqrt(max(value, 0.0)) for value in overlap(rho, target).tolist()]
-    return float(np.sqrt(max(overlap(rho, target), 0.0)))
+def overlap_sqrt(rho: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """`dark_overlap_sqrt` of each checked state of ``rho`` and a unit complex target vector of their dimension."""
+    return np.sqrt(np.maximum(overlap(rho, target), 0.0))
 
 
 def energy(rho, model: ModelOperators) -> float:
@@ -97,7 +93,7 @@ def energy(rho, model: ModelOperators) -> float:
     populations.  Level populations are frame-invariant, so this is valid
     for states evolved in either frame.
     """
-    return mean_energy(model.layout.check_matrix(rho), model.free_energies)
+    return float(mean_energy(model.layout.check_matrix(rho), model.free_energies))
 
 
 def _checked_overlap_input(rho, target) -> tuple[np.ndarray, np.ndarray]:
@@ -118,12 +114,12 @@ def _checked_overlap_input(rho, target) -> tuple[np.ndarray, np.ndarray]:
 
 def dark_overlap(rho, target: np.ndarray) -> float:
     """Population overlap <target|rho|target> of a normalized pure target."""
-    return overlap(*_checked_overlap_input(rho, target))
+    return float(overlap(*_checked_overlap_input(rho, target)))
 
 
 def dark_overlap_sqrt(rho, target: np.ndarray) -> float:
     """Square root of `dark_overlap` (the literal-formula fidelity variant)."""
-    return overlap_sqrt(*_checked_overlap_input(rho, target))
+    return float(overlap_sqrt(*_checked_overlap_input(rho, target)))
 
 
 def bipartition_groups(bipartition, n_emitters: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -137,12 +133,12 @@ def bipartition_groups(bipartition, n_emitters: int) -> tuple[tuple[int, ...], t
     return groups
 
 
-def negativity(layout: DimsLayout, bipartition) -> Callable[[np.ndarray], float]:
-    """`log_negativity` of a checked state of ``layout``: the groups checked once, and the state traced down to
-    the emitters of both groups and transposed on the second by one `_reduction`."""
+def negativity(layout: DimsLayout, bipartition) -> Callable[[np.ndarray], np.ndarray]:
+    """`log_negativity` of each checked state of a stack of ``layout``: the groups checked once, and the states
+    traced down to the emitters of both groups and transposed on the second by one `_reduction`."""
     group_a, group_b = bipartition_groups(bipartition, layout.n_subsystems)
     reduce = _reduction(layout, tuple(sorted(group_a + group_b)), group_b)
-    return lambda rho: float(np.log2(trace_norm_hermitian(reduce(rho))))
+    return lambda rho: np.log2(trace_norm_hermitian(reduce(rho)))
 
 
 def log_negativity(
@@ -157,7 +153,7 @@ def log_negativity(
     are traced out first, so for larger networks a named pair yields the
     pairwise entanglement of the reduced two-emitter state.
     """
-    return negativity(layout, bipartition)(layout.check_matrix(rho))
+    return float(negativity(layout, bipartition)(layout.check_matrix(rho)))
 
 
 def dark_subspace(model: ModelOperators, sector: int) -> DarkSubspace:
@@ -202,16 +198,18 @@ def dark_projector(model: ModelOperators) -> np.ndarray:
     return proj
 
 
-def nes_values(model: ModelOperators) -> Callable[[np.ndarray], tuple[float, ...]]:
-    """`nes_report` of a checked state as ``(*per_emitter_excitation, dark_weight, is_nonequilibrium)``, all floats."""
+def nes_values(model: ModelOperators) -> Callable[[np.ndarray], tuple]:
+    """`nes_report` of each state of a checked stack: ``(*per_emitter_excitation, dark_weight, is_nonequilibrium)``."""
     ground = (model.levels == 0).astype(float)  # ground[j, i]: basis index i has emitter j in level 0
     projector = dark_projector(model)
 
-    def values(rho: np.ndarray) -> tuple[float, ...]:
-        excitations = 1.0 - ground @ np.diagonal(rho).real
-        weight = np.einsum("ij,ji->", projector, rho).real
-        spread = excitations.max() - excitations.min()
-        return (*excitations.tolist(), float(weight), float(spread > NES_EQUAL_TOL))
+    def values(rho: np.ndarray) -> tuple:
+        # one matrix-vector product per state, bit for bit its own (``diagonals @ ground.T`` is not)
+        excitations = (1.0 - (ground @ rho.diagonal(axis1=1, axis2=2).real[..., None])[..., 0]).tolist()
+        weight = np.einsum("ij,kji->k", projector, rho).real.tolist()
+        # plain floats: for a few states, cheaper to reduce and hand over than arrays
+        nonequilibrium = [max(state) - min(state) > NES_EQUAL_TOL for state in excitations]
+        return (*zip(*excitations), weight, nonequilibrium)
 
     return values
 
@@ -226,6 +224,6 @@ def nes_report(rho, model: ModelOperators) -> NesReport:
     counts as non-equilibrium when the excitations differ by more than
     ``NES_EQUAL_TOL``.
     """
-    *excitations, weight, nonequilibrium = nes_values(model)(model.layout.check_matrix(rho))
-    return NesReport(tuple(excitations), weight, bool(nonequilibrium))
+    *excitations, (weight,), (nonequilibrium,) = nes_values(model)(model.layout.check_matrix(rho)[None])
+    return NesReport(tuple(x for (x,) in excitations), weight, nonequilibrium)
 

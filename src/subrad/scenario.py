@@ -572,26 +572,26 @@ def _column_names(ob: ObservableSpec, n_emitters: int) -> tuple[str, ...]:
 
 def _observable_columns(
     ob: ObservableSpec, target: np.ndarray | None, model: ModelOperators
-) -> list[tuple[tuple[str, ...], Callable[[np.ndarray], tuple[float, ...]]]]:
-    """`_column_names` of an observable and the function of a checked state giving them; ``target``: a fidelity's.
-    Given a stack of k states, it gives k values per column: energy and fidelity read the stack at once."""
+) -> list[tuple[tuple[str, ...], Callable[[np.ndarray], tuple]]]:
+    """`_column_names` of an observable and the function of a checked ``(k, dim, dim)`` stack giving them as lists of
+    k floats (`evolve` assembles those faster than arrays), read off the stack at once; ``target``: a fidelity's."""
     names = _column_names(ob, model.layout.n_subsystems)
-    if ob.kind == "energy":
-        free_energies = model.free_energies
-        return [(names, lambda rho: (mean_energy(rho, free_energies),))]
-    if ob.kind == "fidelity":
-        value = overlap_sqrt if ob.sqrt else overlap
-        return [(names, lambda rho: (value(rho, target),))]
     if ob.kind == "checks":
         return []  # filled from the integrator's built-in records
-    if ob.kind == "purity":
-        fn = lambda rho: (float(np.real(np.trace(rho @ rho))),)  # noqa: E731
+    if ob.kind == "energy":
+        free_energies = model.free_energies
+        fn = lambda rho: (mean_energy(rho, free_energies).tolist(),)  # noqa: E731
+    elif ob.kind == "fidelity":
+        value = overlap_sqrt if ob.sqrt else overlap
+        fn = lambda rho: (value(rho, target).tolist(),)  # noqa: E731
+    elif ob.kind == "purity":
+        fn = lambda rho: (np.trace(rho @ rho, axis1=-2, axis2=-1).real.tolist(),)  # noqa: E731
     elif ob.kind == "log_negativity":
         value = negativity(model.layout, ob.bipartition)
-        fn = lambda rho: (value(rho),)  # noqa: E731
+        fn = lambda rho: (value(rho).tolist(),)  # noqa: E731
     else:  # "nes"
         fn = nes_values(model)
-    return [(names, lambda rho: fn(rho) if rho.ndim == 2 else tuple(zip(*map(fn, rho))))]
+    return [(names, fn)]
 
 
 def run_scenario(
@@ -604,7 +604,7 @@ def run_scenario(
     """Evolve every initial state the scenario resolved when it was built and assemble the output table.
 
     The initial states of one `block_key` are stepped as one stack, in their order, by one `evolve` call; each one's
-    columns and trajectory are those of its own run, bit for bit (a state of a Dormand-Prince block steps alone).
+    columns and trajectory are those of its own run, bit for bit (a state of a Dormand-Prince block is a stack of one).
 
     ``fixed_step`` replaces the integrator's; both step lengths are in the
     scenario's time unit and converted to the model's with the grid;
@@ -644,8 +644,8 @@ def run_scenario(
     header: list[str] = ["t"]
     columns: list[np.ndarray] = [grid_scenario_units]
 
-    def observer(t: float, rho: np.ndarray) -> dict[str, float]:
-        values: dict[str, float] = {}
+    def observer(t: float, rho: np.ndarray) -> dict:
+        values: dict = {}
         for names, fn in column_fns:
             values.update(zip(names, fn(rho)))
         return values
@@ -656,8 +656,8 @@ def run_scenario(
     runs: dict[str, Trajectory] = {}
     for group in groups.values():
         labels, states = zip(*group)
-        traj = evolve(model, np.stack(states) if labels[1:] else states[0], grid, cfg, observer)
-        runs.update({label: _member(traj, j) if labels[1:] else traj for j, label in enumerate(labels)})
+        traj = evolve(model, np.stack(states), grid, cfg, observer)
+        runs.update({label: _member(traj, j) for j, label in enumerate(labels)})
     trajectories = {label: runs[label] for label, _ in initials}
     for label, traj in trajectories.items():
         suffix = f":{label}" if multi else ""

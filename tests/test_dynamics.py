@@ -298,7 +298,7 @@ class TestReachableBlock:
         rho0 = sr.build_initial_state(dict(scenario.initials)["110000"], model.layout)
         grid = scenario.time.grid()
         reduced = sr.evolve(model, rho0, grid, scenario.integrator)
-        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, model: np.arange(rho.shape[0]))
+        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, model: np.arange(rho.shape[-1]))
         full = sr.evolve(model, rho0, grid, scenario.integrator)
         assert (reduced.meta["evolved_dim"], full.meta["evolved_dim"]) == (22, model.dim)
         assert reduced.meta["solver"] == full.meta["solver"] == "dp45"
@@ -343,9 +343,9 @@ class TestReachableBlock:
         while not np.array_equal(grown := reached | pattern[:, reached].any(axis=1), reached):
             reached = grown
         keep = np.flatnonzero(reached)
-        block, (*_, rho), h_block, jumps_block = sr.dynamics._block(model, rho0)
+        block, (*_, rho), h_block, jumps_block = sr.dynamics._block(model, rho0[None])
         assert np.array_equal(block[0].ravel(), keep) and np.array_equal(block[1].ravel(), keep)
-        assert np.array_equal(rho, (rho0[block] + rho0[block].conj().T) / 2)  # the Hermitian part of rho0's block
+        assert np.array_equal(rho, [(rho0[block] + rho0[block].conj().T) / 2])  # the Hermitian part of rho0's block
         # only the sum order of L†L over the block's rows may differ
         assert np.allclose(h_block, h_nh[block], rtol=0.0, atol=4e-16 * np.max(np.abs(h_nh)))
         assert len(jumps_block) == len(jump_ops)
@@ -476,7 +476,7 @@ class TestStackedEvolve:
         def checks(rho, name, dim):
             trace_error, herm_error, low, hermitian = real(rho, name, dim)
             if name != "the initial state":
-                low = [*low[:-1], lowest] if rho.ndim > 2 else lowest
+                low = [*low[:-1], lowest]
             return trace_error, herm_error, low, hermitian
 
         monkeypatch.setattr(sr.dynamics, "density_checks", checks)
@@ -529,6 +529,15 @@ class TestStackedEvolve:
         for rho0, values in ((self.states(model, "10")[0], value), (np.stack(self.states(model, "10", "01")), [value, 0.5])):
             with pytest.raises(TypeError):
                 sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": values})
+
+    def test_observer_values_must_be_one_per_state(self):
+        model = two_qubit_model()
+        stack = np.stack(self.states(model, "10", "01", "psi_plus"))
+        for rho0, value in ((stack, 1.0), (stack, [1.0, 2.0]), (stack, [[1.0, 2.0, 3.0]]), (stack[0], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="observer key 'x'"):
+                sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": value})
+        with pytest.raises(ValueError, match="observer key 'x'"):  # one grid point with one value too many
+            sr.evolve(model, stack, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": [0.5] * (3 if t == 0 else 4)})
 
     @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 3, 3), (1, 2, 4, 4)])
     def test_stack_of_wrong_shape_is_refused(self, shape):
@@ -855,11 +864,11 @@ class TestValidityPolicy:
             w[0] = lowest
             rho = (v * w) @ v.conj().T
         rho = rho + skew * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        trace_error, herm_error, min_eigenvalue, hermitian = sr.dynamics.density_checks(rho, "rho", n)
-        assert trace_error == pytest.approx(abs(np.trace(rho) - 1.0), rel=1e-15, abs=0.0)
-        assert herm_error == np.max(np.abs(rho - rho.conj().T))
-        assert min_eigenvalue == pytest.approx(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0], abs=1e-15)
-        assert np.array_equal(hermitian, (rho + rho.conj().T) / 2)
+        trace_error, herm_error, min_eigenvalue, hermitian = sr.dynamics.density_checks(rho[None], "rho", n)
+        assert trace_error == pytest.approx([abs(np.trace(rho) - 1.0)], rel=1e-15, abs=0.0)
+        assert herm_error == [np.max(np.abs(rho - rho.conj().T))]
+        assert min_eigenvalue == pytest.approx([np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]], abs=1e-15)
+        assert np.array_equal(hermitian, [(rho + rho.conj().T) / 2])
 
     @pytest.mark.parametrize("column, at, outward", THRESHOLDS)
     def test_value_at_threshold_passes_and_next_float_fails(self, column, at, outward):
@@ -875,7 +884,7 @@ class TestValidityPolicy:
         model = two_qubit_model()
         rho0 = pure(sr.named_state_vector("10", model.layout))
         for value, ok in ((at, True), (np.nextafter(at, outward), False)):
-            checks = tuple((dict.fromkeys(CHECKED, 0.0) | {column: value}).values())
+            checks = tuple([check] for check in (dict.fromkeys(CHECKED, 0.0) | {column: value}).values())
             monkeypatch.setattr(sr.dynamics, "density_checks", lambda rho, name, dim: (*checks, rho))
             for run in (lambda: sr.evolve(model, rho0, np.array([0.0])), lambda: sr.asymptotic_state(model, rho0)):
                 if ok:
@@ -892,7 +901,7 @@ class TestValidityPolicy:
 
         def checks(rho, name, dim):  # the initial state passes; later grid points read `lowest`
             trace_error, herm_error, _, hermitian = real(rho, name, dim)
-            return trace_error, herm_error, 0.0 if name == "the initial state" else lowest, hermitian
+            return trace_error, herm_error, [0.0 if name == "the initial state" else lowest], hermitian
 
         monkeypatch.setattr(sr.dynamics, "density_checks", checks)
         model = two_qubit_model()
@@ -917,7 +926,7 @@ class TestValidityPolicy:
         model = sr.build_model(sr.scenario_from_dict(sr.load_preset("nqubit:8")).system)
         rho0 = pure(sr.named_state_vector("10000000", model.layout))
         traj = sr.evolve(model, rho0, np.array([0.0, 1.0]))
-        assert shapes == [(9, 9)] and traj.meta["evolved_dim"] == 9
+        assert shapes == [(1, 9, 9)] and traj.meta["evolved_dim"] == 9
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_initial_state_is_an_invariant_violation(self, bad):

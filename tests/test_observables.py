@@ -141,20 +141,25 @@ class TestRunColumns:
     """`run_scenario`'s columns skip the public checks but keep their values, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
-    @example(levels=[2, 3, 2], n_collective=1, n_local=1, driven=True, n_kept=2, seed=5)  # a pair traced down
+    # a pair traced down
+    @example(levels=[2, 3, 2], n_collective=1, n_local=1, driven=True, n_kept=2, n_states=1, seed=5)
     @given(
         levels=LEVELS,
         n_collective=st.integers(0, 2),
         n_local=st.integers(0, 2),
         driven=st.booleans(),
         n_kept=st.integers(2, 4),
+        n_states=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_columns_equal_public_functions(self, levels, n_collective, n_local, driven, n_kept, seed):
+    def test_property_columns_equal_public_functions(self, levels, n_collective, n_local, driven, n_kept, n_states,
+                                                     seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, levels, n_collective, n_local, driven)
-        rho, _ = random_sector_state(rng, model)
-        rho = (rho + rho.conj().T) / 2.0  # as `evolve` hands it over
+        states = []
+        for _ in range(n_states):
+            rho, _ = random_sector_state(rng, model)
+            states.append((rho + rho.conj().T) / 2.0)  # as `evolve` hands it over
         # a random target resolved the way `Scenario` resolves one: through `state_vector`
         labels = ["".join(map(str, column)) for column in model.levels.T]
         amplitudes = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
@@ -164,7 +169,7 @@ class TestRunColumns:
         kept = rng.permutation(len(levels))[: min(n_kept, len(levels))].tolist()
         cut = int(rng.integers(1, len(kept)))
         bipartition = (tuple(kept[:cut]), tuple(kept[cut:]))
-        values = {}
+        columns = []
         for ob in (
             ObservableSpec("energy"),
             ObservableSpec("fidelity", spec),
@@ -172,24 +177,53 @@ class TestRunColumns:
             ObservableSpec("nes"),
             ObservableSpec("log_negativity", bipartition=bipartition),
         ):
-            [(names, column)] = _observable_columns(ob, target, model)
-            values.update(zip(names, column(rho)))
-        report = sr.nes_report(rho, model)
+            columns.extend(_observable_columns(ob, target, model))
+
+        def read(stack):  # each column's k values, by name
+            values = {}
+            for names, column in columns:
+                values.update(zip(names, column(stack)))
+            assert all(np.shape(value) == (len(stack),) for value in values.values())
+            return values
+
+        stacked = read(np.stack(states))
         negativity_name = "log_negativity[" + "|".join(" ".join(map(str, group)) for group in bipartition) + "]"
-        expected = {
-            "energy": sr.energy(rho, model),
-            "fidelity": sr.dark_overlap(rho, target),
-            "fidelity_sqrt": sr.dark_overlap_sqrt(rho, target),
-            **{f"nes_excitation_{j}": x for j, x in enumerate(report.per_emitter_excitation)},
-            "nes_dark_weight": report.dark_weight,
-            "nes_is_nonequilibrium": float(report.is_nonequilibrium),
-            negativity_name: sr.log_negativity(rho, model.layout, bipartition),
-        }
-        assert list(values) == list(expected)
-        assert np.array(list(values.values())).tobytes() == np.array(list(expected.values())).tobytes()
-        assert values["fidelity_sqrt"] == np.sqrt(max(values["fidelity"], 0.0))
-        # the one-permutation partial transpose reads what one transpose per emitter reads
-        assert values[negativity_name] == per_emitter_log_negativity(rho, model.layout, bipartition)
+        for j, rho in enumerate(states):
+            values = {name: value[0] for name, value in read(rho[None]).items()}
+            # a state of the stack reads what its stack of one reads, bit for bit
+            own = np.array(list(values.values()))
+            assert np.array([value[j] for value in stacked.values()]).tobytes() == own.tobytes()
+            report = sr.nes_report(rho, model)
+            expected = {
+                "energy": sr.energy(rho, model),
+                "fidelity": sr.dark_overlap(rho, target),
+                "fidelity_sqrt": sr.dark_overlap_sqrt(rho, target),
+                **{f"nes_excitation_{i}": x for i, x in enumerate(report.per_emitter_excitation)},
+                "nes_dark_weight": report.dark_weight,
+                "nes_is_nonequilibrium": float(report.is_nonequilibrium),
+                negativity_name: sr.log_negativity(rho, model.layout, bipartition),
+            }
+            assert list(values) == list(expected)
+            assert own.tobytes() == np.array(list(expected.values())).tobytes()
+            assert values["fidelity_sqrt"] == np.sqrt(max(values["fidelity"], 0.0))
+            # the one-permutation partial transpose reads what one transpose per emitter reads
+            assert values[negativity_name] == per_emitter_log_negativity(rho, model.layout, bipartition)
+
+    def test_public_functions_of_one_state_return_floats(self):
+        model = qubit_chain_model(3)
+        rho = random_density(np.random.default_rng(3), model.dim)
+        target = sr.named_state_vector("W", model.layout)
+        values = (
+            sr.energy(rho, model),
+            sr.dark_overlap(rho, target),
+            sr.dark_overlap_sqrt(rho, target),
+            sr.log_negativity(rho, model.layout, ((0,), (1, 2))),
+            sr.trace_norm_hermitian(rho),
+        )
+        assert [type(value) for value in values] == [float] * 5
+        report = sr.nes_report(rho, model)
+        assert [type(value) for value in (*report.per_emitter_excitation, report.dark_weight)] == [float] * 4
+        assert type(report.is_nonequilibrium) is bool
 
     @pytest.mark.parametrize(
         "data",
@@ -411,7 +445,7 @@ class TestNesReport:
         with pytest.raises(ValueError):
             proj[0, 0] = 1.0
         # on each basis state of four qubits, the excitations sum to its excited-emitter count
-        excitations = np.array([values(np.diag(e))[:4] for e in np.eye(model.dim)])
+        excitations = np.array(values(np.stack([np.diag(e) for e in np.eye(model.dim)]))[:4]).T
         assert np.array_equal(excitations.sum(axis=1), model.levels.sum(axis=0))
         other = qubit_chain_model(4)
         assert sr.dark_projector(other) is not proj
