@@ -406,6 +406,10 @@ def _propagator(liou: np.ndarray, meta):
     return advance
 
 
+def _not_one_per_state(key) -> ValueError:
+    return ValueError(f"observer key {key!r} did not give one value per state at every grid point")
+
+
 def evolve(
     model: ModelOperators,
     rho0,
@@ -467,9 +471,11 @@ def evolve(
         full[index] = state
         return full
 
+    # each column is one flat list of floats, k per grid point: a list kept per point would be one more object for
+    # the cyclic garbage collector to count and walk, and its collections would fall at varying grid points
     records: dict[str, list] = {key: [] for key in _RESERVED_RECORDS}
     observed = None  # the observer's key set, fixed at the first grid point
-    grid = times.tolist()
+    grid, k = times.tolist(), len(rho)
     for i, t in enumerate(grid):
         if i:
             checks = density_checks(advance(rho, grid[i - 1], t), f"the state at t={t:g}", dim)
@@ -477,7 +483,7 @@ def evolve(
         if (worst := min(lowest)) < MIN_EIGENVALUE_FLOOR:
             raise InvariantViolation(f"min eigenvalue {worst:.3e} below {MIN_EIGENVALUE_FLOOR:.0e} at t={t:g}")
         for key, value in zip(_RESERVED_RECORDS, (trace_error, herm_error, lowest)):
-            records[key].append(value)
+            records[key].extend(value)
         if observer is not None:
             extra = observer(t, embed(rho))
             if observed is None:
@@ -490,17 +496,24 @@ def evolve(
                 raise ValueError(f"observer keys at t={t:g} {sorted(map(str, extra))} differ from "
                                  f"those at the first grid point {sorted(map(str, observed))}")
             for key, value in extra.items():
-                records[str(key)].append(value)
+                column = records[str(key)]
+                try:
+                    column.extend(value)
+                except TypeError:  # a value that is no sequence; the length check below refuses it
+                    pass
+                if len(column) != (i + 1) * k:
+                    raise _not_one_per_state(key)
 
     columns = {}
     for key, values in records.items():
-        try:  # one row per state, as tuples: far cheaper for numpy to read than a list per grid point
-            column = np.array([*zip(*values, strict=True)])
-        except (TypeError, ValueError):  # a value that is no sequence, or values of different lengths
+        try:
+            column = np.array(values)
+        except ValueError:  # values that are sequences of different lengths
             column = None
-        if column is None or column.shape != (len(rho), len(grid)):
-            raise ValueError(f"observer key {key!r} did not give one value per state at every grid point")
-        columns[key] = column.T.astype(float, casting="same_kind", copy=False)[:, pick]  # refuses None and complex
+        if column is None or column.shape != (len(grid) * k,):  # a value that is a sequence
+            raise _not_one_per_state(key)
+        # astype refuses None and complex
+        columns[key] = column.astype(float, casting="same_kind", copy=False).reshape(len(grid), k)[:, pick]
     meta["max_herm_drift"] = float(columns["herm_error"].max())
     return Trajectory(times=times.copy(), records=columns, final_state=embed(rho)[pick].copy(), meta=meta)
 

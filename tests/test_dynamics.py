@@ -9,6 +9,8 @@ comparisons, and the kernel projector of the full-space generator (scipy
 `null_space`) for the asymptotic state.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -538,6 +540,19 @@ class TestStackedEvolve:
                 sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": value})
         with pytest.raises(ValueError, match="observer key 'x'"):  # one grid point with one value too many
             sr.evolve(model, stack, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": [0.5] * (3 if t == 0 else 4)})
+
+    def test_records_keep_no_object_per_grid_point(self):
+        # a list kept per grid point and column made the cyclic collector run every few dozen points
+        model = two_qubit_model()
+        stack = np.stack(self.states(model, "10", "01"))
+        collections = []
+        gc.collect()
+        gc.callbacks.append(callback := lambda phase, info: collections.append(info["generation"]))
+        try:
+            sr.evolve(model, stack, np.linspace(0.0, 100.0, 3000), observer=lambda t, rho: {"x": [0.5, 0.25]})
+        finally:
+            gc.callbacks.remove(callback)
+        assert len(collections) <= 2
 
     @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 3, 3), (1, 2, 4, 4)])
     def test_stack_of_wrong_shape_is_refused(self, shape):
