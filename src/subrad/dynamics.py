@@ -406,10 +406,6 @@ def _propagator(liou: np.ndarray, meta):
     return advance
 
 
-def _not_one_per_state(key) -> ValueError:
-    return ValueError(f"observer key {key!r} did not give one value per state at every grid point")
-
-
 def evolve(
     model: ModelOperators,
     rho0,
@@ -471,8 +467,7 @@ def evolve(
         full[index] = state
         return full
 
-    # each column is one flat list of floats, k per grid point: a list kept per point would be one more object for
-    # the cyclic garbage collector to count and walk, and its collections would fall at varying grid points
+    # one flat list of floats per record: a list kept per point would make the garbage collector run every few points
     records: dict[str, list] = {key: [] for key in _RESERVED_RECORDS}
     observed = None  # the observer's key set, fixed at the first grid point
     grid, k = times.tolist(), len(rho)
@@ -502,17 +497,13 @@ def evolve(
                 except TypeError:  # a value that is no sequence; the length check below refuses it
                     pass
                 if len(column) != (i + 1) * k:
-                    raise _not_one_per_state(key)
+                    raise ValueError(f"observer key {key!r} did not give one value per state at every grid point")
 
     columns = {}
     for key, values in records.items():
-        try:
-            column = np.array(values)
-        except ValueError:  # values that are sequences of different lengths
-            column = None
-        if column is None or column.shape != (len(grid) * k,):  # a value that is a sequence
-            raise _not_one_per_state(key)
-        # astype refuses None and complex
+        column = np.array(values)  # values that are sequences of different lengths raise ValueError here
+        if column.shape != (len(grid) * k,):  # a value that is a sequence; astype below refuses None and complex
+            raise ValueError(f"observer key {key!r} did not give one value per state at every grid point")
         columns[key] = column.astype(float, casting="same_kind", copy=False).reshape(len(grid), k)[:, pick]
     meta["max_herm_drift"] = float(columns["herm_error"].max())
     return Trajectory(times=times.copy(), records=columns, final_state=embed(rho)[pick].copy(), meta=meta)
