@@ -315,12 +315,15 @@ def _block(model: ModelOperators, rho0):
     (`_reachable`); H and the jumps are sliced to S before `_generator` forms H_nh, so no full-space sum of L†L is
     built.  S is closed under every jump, so L_S†L_S is (L†L) restricted to S.  The checks, Hermitian parts last,
     are `density_checks` of ``rho0`` on the block: outside it ``rho0`` is exactly zero (a NaN or infinite entry counts
-    as nonzero, so it lies in the block).  Refuses a ``rho0`` of the wrong shape or with a state outside them.
+    as nonzero, so it lies in the block).  Refuses a ``rho0`` of the wrong shape, an empty stack, or a state outside
+    them: a zero state, whose block is empty, is checked on index 0, where it is zero as well (trace error 1).
     """
     rho = np.asarray(rho0, dtype=np.complex128)
-    if rho.shape[-2:] != (model.dim, model.dim) or rho.ndim != 3:
-        raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}")
+    if rho.shape[-2:] != (model.dim, model.dim) or rho.ndim != 3 or not len(rho):
+        raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}: need a stack of one or more states")
     keep = _reachable(rho, model)
+    if not keep.size:
+        keep = np.arange(1)
     block = np.ix_(keep, keep)
     # C order: a product's bits follow the layout of its operands, and a stack's slice is not C-ordered
     checks = density_checks(np.ascontiguousarray(rho[(..., *block)]), "the initial state", model.dim)

@@ -41,6 +41,14 @@ false), and ``null`` stands for None where a spec field may be None.  Each
 key, its kind and its default are declared once, as a `spec_field` of the
 spec it builds.
 
+Each observable kind is declared once, by its entry in the private table
+`_OBSERVABLES`: the parameters it takes (none: the file gives it as its bare
+name), how a scenario resolves it on the layout (a fidelity's target vector;
+a log-negativity's bipartition, checked, ``[[0], [1]]`` when two emitters give
+none), the columns it writes for n emitters, and its form compiled on a
+checked ``(k, dim, dim)`` stack (none for ``checks``, whose columns are the
+records `evolve` keeps).  Adding a kind is one entry and its formula.
+
 Time unit "kappa" means the grid (and the CSV ``t`` column) is in units of
 the inverse rate of the first collective channel.  The integrator's step
 lengths (``initial_step``, ``fixed_step``) are in the same unit.
@@ -172,8 +180,8 @@ class TimeSpec:
 
 @spec_class
 class ObservableSpec:
-    """One observable of `_OBSERVABLES`, whose table names the parameters its kind takes; any other stays at its
-    default.  A fidelity needs a target, a bipartition two non-empty groups."""
+    """One observable of a kind in `_OBSERVABLES`, whose entry names the parameters the kind takes: a required one
+    (the fidelity's target) is given, any other stays at its default.  A bipartition has two non-empty groups."""
 
     kind: str = spec_field(as_text, key=None)  # a file gives it as the observable's name or object key
     target: StateSpec | None = spec_field(Opt(StateSpec), None, missing=MISSING)
@@ -183,10 +191,11 @@ class ObservableSpec:
     def __post_init__(self):
         check_fields(self)
         _expect(self.kind in _OBSERVABLES, "kind", f"unknown observable {self.kind!r}")
-        for key, (attr, *_) in _OBSERVABLE.items():  # every parameter; its class attribute is its default
-            _expect(key in (_OBSERVABLES[self.kind] or ()) or getattr(self, attr) == getattr(ObservableSpec, attr),
-                    attr, f"expected {getattr(ObservableSpec, attr)!r}: {self.kind!r} takes no {attr}")
-        _expect(self.kind != "fidelity" or self.target is not None, "target", "a fidelity needs a target state")
+        taken = _OBSERVABLES[self.kind].params or {}
+        for key, (attr, _, _, missing) in _OBSERVABLE.items():  # every parameter; its class attribute is its default
+            value, default = getattr(self, attr), getattr(ObservableSpec, attr)
+            _expect(key in taken or value == default, attr, f"expected {default!r}: {self.kind!r} takes no {attr}")
+            _expect(key not in taken or missing is not MISSING or value is not None, attr, f"required by {self.kind!r}")
         _expect(self.bipartition is None or (len(self.bipartition) == 2 and all(self.bipartition)), "bipartition",
                 f"expected two non-empty emitter index groups, got {self.bipartition}")
 
@@ -206,13 +215,10 @@ class OutputSpec:
 class Scenario:
     """One simulation, checked when it is built: parsed, `replace`d or by hand alike.
 
-    Each field checks its own rules; this constructor checks the rules that
-    need the whole scenario: one or more initial states with distinct labels
-    and one or more observables, no two writing one column (`_column_names`),
-    each state and fidelity target resolving on the layout, a first
-    collective channel with positive rate for the 'kappa' unit, and a
-    bipartition by the rule `log_negativity` holds it to (``[[0], [1]]``
-    when two emitters give none).
+    Each field checks its own rules; this constructor checks the rules that need the whole scenario: one or more
+    initial states with distinct labels and one or more observables, no two writing one column, each state
+    resolving on the layout and each observable as its kind's entry in `_OBSERVABLES` resolves it, and a first
+    collective channel with positive rate for the 'kappa' unit.
     ``states`` holds the initial density matrices in ``initials`` order and
     ``targets`` each observable's fidelity vector (None for other kinds),
     a read-only unit vector.
@@ -235,33 +241,22 @@ class Scenario:
         _expect(len(set(names)) == len(names), "initial", f"duplicate initial labels in {names}")
         _expect(bool(self.observables), "observables", "at least one observable is required")
         layout = self.system.layout()
-        states = tuple(build_initial_state(spec, layout) for _, spec in self.initials)
+        states = tuple(_resolved(f"initial[{i}]", build_initial_state, spec, layout)
+                       for i, (_, spec) in enumerate(self.initials))
         channels = self.system.collective_channels
         _expect(self.time.unit != "kappa" or bool(channels) and channels[0].rate > 0, "time.unit",
                 "'kappa' unit needs a first collective channel with positive rate")
-        n = layout.n_subsystems
-        observables = list(self.observables)
-        targets, writers = [], {}  # writers: each column name and the first observable that writes it
-        for i, ob in enumerate(observables):
-            where = f"observables[{i}]"
-            targets.append(state_vector(ob.target, layout) if ob.kind == "fidelity" else None)  # must be pure
-            if ob.kind == "log_negativity":
-                if ob.bipartition is None:
-                    _expect(n == 2, f"{where}.log_negativity.bipartition", "expected two emitter index groups")
-                    observables[i] = ob = replace(ob, bipartition=((0,), (1,)))
-                try:
-                    bipartition_groups(ob.bipartition, n)
-                except DimensionMismatch as exc:
-                    raise ValidationError(f"{where}: {exc}") from exc
-            for column in _column_names(ob, n):
+        resolved, writers = [], {}  # writers: each column name and the first observable that writes it
+        for i, ob in enumerate(self.observables):
+            kind, where = _OBSERVABLES[ob.kind], f"observables[{i}]"
+            resolved.append(kind.resolve(ob, layout, where))
+            for column in kind.columns(resolved[-1][0], layout.n_subsystems):
                 _expect(writers.setdefault(column, i) == i, where,
                         f"writes the column {column!r}, as observables[{writers[column]}] does")
-        object.__setattr__(self, "observables", tuple(observables))
+        observables, targets = zip(*resolved)
+        object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "states", states)
-        for target in targets:
-            if target is not None:
-                target.flags.writeable = False
-        object.__setattr__(self, "targets", tuple(targets))
+        object.__setattr__(self, "targets", targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +301,14 @@ def _build(make: Callable, kwargs: dict, where: str):
         return make(**kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _resolved(where: str, resolve: Callable, *args):
+    """``resolve(*args)``; an error it raises is raised again, of its own type, with the path ``where``."""
+    try:
+        return resolve(*args)
+    except SubradError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _read(data, table: dict[str, tuple], where: str, make: Callable, prefix: str | None = None):
@@ -465,22 +468,56 @@ def _read_initials(value, where: str) -> tuple[tuple[str, StateSpec], ...]:
 
 def _read_observable(value, where: str) -> ObservableSpec:
     """A kind without parameters is its bare name, any other ``{kind: parameters}``."""
-    if isinstance(value, str) and value in _OBSERVABLES and _OBSERVABLES[value] is None:
+    if isinstance(value, str) and value in _OBSERVABLES and _OBSERVABLES[value].params is None:
         return ObservableSpec(value)
     if isinstance(value, dict) and len(value) == 1:
         ((kind, params),) = value.items()
-        if _OBSERVABLES.get(kind) is not None:
-            return _read(params, _OBSERVABLES[kind], f"{where}.{kind}", partial(ObservableSpec, kind))
+        if kind in _OBSERVABLES and _OBSERVABLES[kind].params is not None:
+            return _read(params, _OBSERVABLES[kind].params, f"{where}.{kind}", partial(ObservableSpec, kind))
     raise ValidationError(f"{where}: unknown observable {value!r}")
 
 
 def _write_observable(ob: ObservableSpec) -> Any:
-    table = _OBSERVABLES[ob.kind]
+    table = _OBSERVABLES[ob.kind].params
     return ob.kind if table is None else {ob.kind: _write(ob, table)}
 
 
 def _read_output(value, where: str) -> OutputSpec:
     return OutputSpec() if value is None else _read(value, _OUTPUT, where, OutputSpec)
+
+
+def _resolve_target(ob: ObservableSpec, layout, where: str) -> tuple[ObservableSpec, np.ndarray]:
+    """A fidelity's target state as a read-only unit vector."""
+    target = _resolved(where, state_vector, ob.target, layout)  # must be pure
+    target.flags.writeable = False
+    return ob, target
+
+
+def _resolve_bipartition(ob: ObservableSpec, layout, where: str) -> tuple[ObservableSpec, None]:
+    """The bipartition, ``[[0], [1]]`` when two emitters give none, held to the rule `log_negativity` holds it to."""
+    if ob.bipartition is None:
+        _expect(layout.n_subsystems == 2, f"{where}.{ob.kind}.bipartition", "expected two emitter index groups")
+        ob = replace(ob, bipartition=((0,), (1,)))
+    try:
+        bipartition_groups(ob.bipartition, layout.n_subsystems)
+    except DimensionMismatch as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    return ob, None
+
+
+def _energy(ob: ObservableSpec, target, model: ModelOperators) -> Callable[[np.ndarray], tuple]:
+    free_energies = model.free_energies
+    return lambda rho: (mean_energy(rho, free_energies).tolist(),)
+
+
+def _fidelity(ob: ObservableSpec, target: np.ndarray, model: ModelOperators) -> Callable[[np.ndarray], tuple]:
+    value = overlap_sqrt if ob.sqrt else overlap
+    return lambda rho: (value(rho, target).tolist(),)
+
+
+def _log_negativity(ob: ObservableSpec, target, model: ModelOperators) -> Callable[[np.ndarray], tuple]:
+    value = negativity(model.layout, ob.bipartition)
+    return lambda rho: (value(rho).tolist(),)
 
 
 # --- Tables -----------------------------------------------------------------
@@ -506,12 +543,22 @@ _SYSTEM = _spec_table(SystemSpec, frame=(_read_frame, _same))
 _STATE = _spec_table(StateSpec, amplitudes=_form(Opt(_AMPLITUDES)), mixture=_form(Opt(Seq(_PART_KIND))))
 _INITIAL = {**_STATE, "name": ("name", as_text, _same, OMIT)}
 _INITIALS = _form(Seq(_Kind(_read_initial, _write_initial)))
-_OBSERVABLE = _spec_table(ObservableSpec)
-# Every observable kind, with the table of its parameters (None: written as the bare kind).
+_OBSERVABLE = _spec_table(ObservableSpec)  # every parameter of every kind
+# Each observable kind, declared once (see the module docstring): columns, compiled form, parameters and resolution.
+_Observable = namedtuple("_Observable", "columns form params resolve", defaults=(None, lambda ob, *_: (ob, None)))
 _OBSERVABLES = {
-    **dict.fromkeys(("energy", "purity", "nes", "checks")),
-    "fidelity": {key: _OBSERVABLE[key] for key in ("target", "sqrt")},
-    "log_negativity": {key: _OBSERVABLE[key] for key in ("bipartition",)},
+    "energy": _Observable(lambda ob, n: ("energy",), _energy),
+    "purity": _Observable(lambda ob, n: ("purity",), lambda ob, target, model: (
+        lambda rho: (np.trace(rho @ rho, axis1=-2, axis2=-1).real.tolist(),))),
+    "fidelity": _Observable(lambda ob, n: ("fidelity_sqrt",) if ob.sqrt else ("fidelity",),
+                            _fidelity, {key: _OBSERVABLE[key] for key in ("target", "sqrt")}, _resolve_target),
+    "log_negativity": _Observable(
+        lambda ob, n: ("log_negativity[" + "|".join(" ".join(map(str, group)) for group in ob.bipartition) + "]",),
+        _log_negativity, {"bipartition": _OBSERVABLE["bipartition"]}, _resolve_bipartition),
+    "nes": _Observable(
+        lambda ob, n: (*(f"nes_excitation_{j}" for j in range(n)), "nes_dark_weight", "nes_is_nonequilibrium"),
+        lambda ob, target, model: nes_values(model)),
+    "checks": _Observable(lambda ob, n: ("herm_error", "min_eigenvalue"), None),  # `evolve`'s records
 }
 _OUTPUT = _spec_table(OutputSpec)
 _SCENARIO = _spec_table(Scenario, initials=_INITIALS._replace(read=_read_initials))
@@ -559,39 +606,12 @@ def dump_scenario(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _column_names(ob: ObservableSpec, n_emitters: int) -> tuple[str, ...]:
-    """The output columns ``ob`` writes in a system of ``n_emitters``, before any ``:<label>`` suffix."""
-    if ob.kind == "log_negativity":
-        return ("log_negativity[" + "|".join(" ".join(map(str, group)) for group in ob.bipartition) + "]",)
-    if ob.kind == "nes":
-        return (*(f"nes_excitation_{j}" for j in range(n_emitters)), "nes_dark_weight", "nes_is_nonequilibrium")
-    if ob.kind == "checks":  # read from the records `evolve` always keeps
-        return ("herm_error", "min_eigenvalue")
-    return ("fidelity_sqrt",) if ob.sqrt else (ob.kind,)  # "energy", "purity", "fidelity"
-
-
-def _observable_columns(
-    ob: ObservableSpec, target: np.ndarray | None, model: ModelOperators
-) -> list[tuple[tuple[str, ...], Callable[[np.ndarray], tuple]]]:
-    """`_column_names` of an observable and the function of a checked ``(k, dim, dim)`` stack giving them as lists of
-    k floats (`evolve` assembles those faster than arrays), read off the stack at once; ``target``: a fidelity's."""
-    names = _column_names(ob, model.layout.n_subsystems)
-    if ob.kind == "checks":
-        return []  # filled from the integrator's built-in records
-    if ob.kind == "energy":
-        free_energies = model.free_energies
-        fn = lambda rho: (mean_energy(rho, free_energies).tolist(),)  # noqa: E731
-    elif ob.kind == "fidelity":
-        value = overlap_sqrt if ob.sqrt else overlap
-        fn = lambda rho: (value(rho, target).tolist(),)  # noqa: E731
-    elif ob.kind == "purity":
-        fn = lambda rho: (np.trace(rho @ rho, axis1=-2, axis2=-1).real.tolist(),)  # noqa: E731
-    elif ob.kind == "log_negativity":
-        value = negativity(model.layout, ob.bipartition)
-        fn = lambda rho: (value(rho).tolist(),)  # noqa: E731
-    else:  # "nes"
-        fn = nes_values(model)
-    return [(names, fn)]
+def _observable_columns(ob: ObservableSpec, target: np.ndarray | None, model: ModelOperators) -> list[tuple]:
+    """The columns of an observable of ``model`` and its kind's form compiled for it (see `_OBSERVABLES`), one
+    ``(names, form)`` pair; a form gives each column as a list of k floats, which `evolve` assembles faster than
+    arrays, and is None for the records `evolve` keeps.  ``target``: a fidelity's."""
+    kind = _OBSERVABLES[ob.kind]
+    return [(kind.columns(ob, model.layout.n_subsystems), kind.form and kind.form(ob, target, model))]
 
 
 def run_scenario(
@@ -612,11 +632,8 @@ def run_scenario(
     ``check_strict`` escalates any invariant breach to an exception
     (otherwise breaches are only flagged in the result).
 
-    No column validates its input again: each reads the grid-point state
-    that `evolve` checked with a formula or a form compiled once per model
-    and constants checked when they were built (the model's free energies,
-    the scenario's fidelity targets and bipartitions), where the public
-    observable functions check theirs.
+    No column validates its input again: each reads the grid-point state that `evolve` checked through its kind's
+    form (`_OBSERVABLES`), compiled once per model from constants checked when they were built.
     """
     model = build_model(scenario.system)
 
@@ -635,11 +652,11 @@ def run_scenario(
             raise UnknownLabel(f"scenario has no initial state labelled {initial!r}")
     multi = len(initials) > 1
 
-    column_fns = []
-    for ob, target in zip(scenario.observables, scenario.targets):
-        column_fns.extend(_observable_columns(ob, target, model))
-    checks_last = sorted(scenario.observables, key=lambda ob: ob.kind == "checks")  # stable: the rest keep their order
-    record_names = [name for ob in checks_last for name in _column_names(ob, model.layout.n_subsystems)]
+    compiled = [entry for ob, target in zip(scenario.observables, scenario.targets)
+                for entry in _observable_columns(ob, target, model)]
+    column_fns = [(names, fn) for names, fn in compiled if fn is not None]
+    # `evolve`'s records (the columns without a form) last; stable: the rest keep their order
+    record_names = [name for names, fn in sorted(compiled, key=lambda entry: entry[1] is None) for name in names]
 
     header: list[str] = ["t"]
     columns: list[np.ndarray] = [grid_scenario_units]

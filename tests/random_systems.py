@@ -4,11 +4,14 @@
 hypothesis-drawn sizes, and `random_model` builds it; every draw comes from
 the seeded ``rng``, so a failing example reproduces from its seed.
 `lindblad_rhs`, `partial_transpose` and `trace_distance` are the textbook
-formulas, written independently of the library's compiled forms.
+formulas, written independently of the library's compiled forms, and
+`single_excitation_states` the exact evolution of one excitation, built from
+the spec values alone.
 """
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import subrad as sr
 
@@ -90,3 +93,31 @@ def partial_transpose(rho, dims, subsystem):
 def trace_distance(a, b):
     """Half the sum of the absolute eigenvalues of the Hermitian difference a - b."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def single_excitation_states(system, c0, c1, times):
+    """The exact states at ``times`` of undriven qubits from c0 |vacuum> + sum_j c1[j] |1_j>, from the spec values.
+
+    Under collective and local decay the vacuum and the single-excitation states |1_j> span a closed block
+    (Lehmberg, PRA 2, 883 (1970)): psi(t) = exp(-i H_nh t) c1 with
+    H_nh = diag(omega_j - omega_frame) - i sum_c rate_c conj(w_c) w_c^T - i diag(local rates), the vacuum
+    population is |c0|^2 + |c1|^2 - |psi|^2 and the coherence with the vacuum is c0 conj(psi).  Emitter 0 is the
+    leftmost tensor factor, so |1_j> is basis index 2^(N-1-j).
+    """
+    n = len(system.emitters)
+    frame = system.frame_frequency if system.frame == "rotating" else 0.0
+    h_nh = np.diag([emitter.level_frequencies[1] - frame for emitter in system.emitters]).astype(complex)
+    for channel in system.collective_channels:
+        w = np.asarray(channel.weights)
+        h_nh -= 1j * channel.rate * np.outer(w.conj(), w)
+    for channel in system.local_channels:
+        h_nh[channel.emitter_index, channel.emitter_index] -= 1j * channel.rate
+    index = np.ix_(*[[0] + [2 ** (n - 1 - j) for j in range(n)]] * 2)
+    states = np.zeros((len(times), 2**n, 2**n), dtype=complex)
+    for state, t in zip(states, times):
+        psi = expm(-1j * h_nh * t) @ c1
+        amplitudes = np.concatenate([[c0], psi])
+        block = np.outer(amplitudes, amplitudes.conj())
+        block[0, 0] = abs(c0) ** 2 + np.vdot(c1, c1).real - np.vdot(psi, psi).real
+        state[index] = block
+    return states

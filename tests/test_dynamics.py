@@ -21,7 +21,9 @@ from subrad.errors import DimensionCapExceeded, DimensionMismatch, InvariantBrea
 
 from subrad.observables import mean_energy, overlap
 
-from random_systems import LEVELS, lindblad_rhs, random_density, random_model, random_sector_state
+from random_systems import (
+    LEVELS, lindblad_rhs, random_density, random_model, random_sector_state, single_excitation_states,
+)
 
 KAPPA = 0.001
 
@@ -375,6 +377,40 @@ class TestReachableBlock:
         assert support.size <= traj.meta["evolved_dim"] <= model.dim
         # the spectrum of the embedded state, zeros outside the block included
         assert traj.records["min_eigenvalue"][0] == pytest.approx(np.linalg.eigvalsh(rho0)[0], abs=1e-12)
+
+
+class TestSingleExcitationOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        n_local=st.integers(0, 2),
+        frame=st.sampled_from(["rotating", "lab"]),
+        vacuum=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_grid_point_matches_the_exact_states(self, n, n_local, frame, vacuum, seed):
+        """`evolve` from a vacuum and single-excitation superposition against `single_excitation_states`, whose
+        operators come from the spec values, not from `build_model`, `_generator` or `liouvillian_matrix`."""
+        rng = np.random.default_rng(seed)
+        rate = rng.uniform(0.05, 0.5)
+        system = sr.SystemSpec(
+            tuple(sr.EmitterSpec.qubit(1.0 + rng.uniform(-0.2, 0.2)) for _ in range(n)),
+            (sr.CollectiveChannelSpec(rate, tuple(rng.normal(size=n) + 1j * rng.normal(size=n))),),
+            tuple(sr.LocalChannelSpec(rng.uniform(0.01, 0.2), int(rng.integers(n))) for _ in range(n_local)),
+            frame=frame,
+            frame_frequency=rng.uniform(0.9, 1.1),
+        )
+        amplitudes = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        amplitudes[0] *= vacuum
+        amplitudes /= np.linalg.norm(amplitudes)
+        labels = ["0" * n] + ["0" * j + "1" + "0" * (n - 1 - j) for j in range(n)]
+        model = sr.build_model(system)
+        rho0 = sr.build_initial_state(sr.StateSpec(amplitudes=tuple(zip(labels, amplitudes))), model.layout)
+        times = np.linspace(0.0, rng.uniform(0.5, 5.0) / rate, 9)
+        observed = []
+        sr.evolve(model, rho0, times, observer=lambda t, rho: observed.append(rho.copy()) or {})
+        expected = single_excitation_states(system, amplitudes[0], amplitudes[1:], times)
+        assert np.max(np.abs(np.array(observed) - expected)) <= 1e-12
 
 
 class TestPropagator:
@@ -952,6 +988,19 @@ class TestValidityPolicy:
             sr.evolve(model, rho0, np.array([0.0, 1.0]))
         with pytest.raises(InvariantViolation, match="non-finite entries in the initial state"):
             sr.asymptotic_state(model, rho0)
+
+    def test_zero_state_is_refused_as_an_invalid_state(self):
+        """Its reachable block is empty; it fails the trace check, alone or in a stack, and is never stepped."""
+        model = two_qubit_model()
+        zero, ten = np.zeros((4, 4)), pure(sr.named_state_vector("10", model.layout))
+        message = r"^initial state trace error 1\.00e\+00, Hermiticity error 0\.00e\+00, min eigenvalue 0\.00e\+00$"
+        for run in (
+            lambda: sr.evolve(model, zero, np.array([0.0, 1.0])),
+            lambda: sr.evolve(model, np.stack([ten, zero]), np.array([0.0])),
+            lambda: sr.asymptotic_state(model, zero),
+        ):
+            with pytest.raises(InvariantViolation, match=message):
+                run()
 
     def test_injected_grid_point_drift_is_caught(self, monkeypatch):
         # each propagator product adds 1e-6 rho_00 to rho_10 and nothing to rho_01

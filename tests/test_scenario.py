@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import subrad as sr
 from subrad.cli import main
-from subrad.errors import InvariantBreach, ParseError, SubradError, UnknownLabel, ValidationError
+from subrad.errors import (
+    InvariantBreach, NonNormalizable, ParseError, SubradError, UnknownLabel, ValidationError,
+)
 from subrad.scenario import (
     ObservableSpec, OutputSpec, ReductionSpec, TimeSpec, format_csv, format_sweep_csv, parse_sweep, run_sweep,
     scenario_to_dict,
@@ -589,6 +591,94 @@ class TestStackedInitials:
                 assert traj.records[key].tobytes() == column.tobytes(), (label, key)
             assert traj.final_state.tobytes() == own.final_state.tobytes()
             assert traj.meta["max_herm_drift"] == own.meta["max_herm_drift"]
+
+
+THREE_QUBITS = {
+    "system": {"emitters": ["qubit"] * 3, "collective": [{"rate": 1.0}]},
+    "initial": ["100"],
+    "time": {"unit": "kappa", "horizon": 2.0, "points": 5},
+}
+
+
+def nes_row(report):
+    return [*report.per_emitter_excitation, report.dark_weight, float(report.is_nonequilibrium)]
+
+
+# Every observable kind: its file form with every parameter it takes, the columns it writes on three emitters and
+# their values on a final state, by the public functions.  A kind added to `_OBSERVABLES` needs a line here.
+KINDS = {
+    "energy": ("energy", ["energy"], lambda traj, model: [sr.energy(traj.final_state, model)]),
+    "purity": ("purity", ["purity"], lambda traj, model: [np.trace(traj.final_state @ traj.final_state).real]),
+    "fidelity": (
+        {"fidelity": {"target": "psi2", "sqrt": True}}, ["fidelity_sqrt"],
+        lambda traj, model: [sr.dark_overlap_sqrt(traj.final_state, sr.named_state_vector("psi2", model.layout))],
+    ),
+    "log_negativity": (
+        {"log_negativity": {"bipartition": [[0], [1, 2]]}}, ["log_negativity[0|1 2]"],
+        lambda traj, model: [sr.log_negativity(traj.final_state, model.layout, ((0,), (1, 2)))],
+    ),
+    "nes": (
+        "nes", ["nes_excitation_0", "nes_excitation_1", "nes_excitation_2", "nes_dark_weight", "nes_is_nonequilibrium"],
+        lambda traj, model: nes_row(sr.nes_report(traj.final_state, model)),
+    ),
+    "checks": (  # the records `evolve` keeps: a stepped state's drift from Hermitian is roundoff
+        "checks", ["herm_error", "min_eigenvalue"],
+        lambda traj, model: [0.0, min(np.linalg.eigvalsh(traj.final_state)[0], 0.0)],
+    ),
+}
+# A value off each observable parameter's default.
+OFF_DEFAULT = {"target": sr.StateSpec.named("100"), "sqrt": True, "bipartition": ((0,), (1,))}
+
+
+class TestObservableKinds:
+    def test_the_test_knows_every_kind_and_parameter(self):
+        assert sorted(KINDS) == sorted(sr.scenario._OBSERVABLES)
+        assert sorted(OFF_DEFAULT) == sorted(attr for attr, *_ in sr.scenario._OBSERVABLE.values())
+
+    @pytest.mark.parametrize("kind", sorted(sr.scenario._OBSERVABLES))
+    def test_each_kind_parses_dumps_runs_and_refuses_what_it_does_not_take(self, kind):
+        form, columns, formula = KINDS[kind]
+        entry = sr.scenario._OBSERVABLES[kind]
+        # the checks observable first: its columns are written last
+        observables = [form] if kind == "checks" else ["checks", form]
+        scenario = sr.scenario_from_dict({**THREE_QUBITS, "observables": observables})
+        ob = scenario.observables[-1]
+        assert ob.kind == kind
+        text = sr.dump_scenario(scenario)
+        assert json.loads(text)["observables"][-1] == form
+        assert sr.dump_scenario(sr.parse_scenario(text)) == text
+        assert list(entry.columns(ob, 3)) == columns
+        result = sr.run_scenario(scenario, check_strict=True)
+        assert result.header == ("t", *(columns if kind != "checks" else ()), *KINDS["checks"][1], "trace_error")
+        traj = result.trajectories["100"]
+        last = dict(zip(result.header, result.rows[-1]))
+        assert [last[name] for name in columns] == pytest.approx(formula(traj, sr.build_model(scenario.system)),
+                                                                  rel=0.0, abs=1e-12)
+        for param in OFF_DEFAULT.keys() - (entry.params or {}).keys():
+            with pytest.raises(ValidationError, match=f"^{param}: expected .* takes no {param}$"):
+                replace(ob, **{param: OFF_DEFAULT[param]})
+
+    @pytest.mark.parametrize("where", ["initial[1]", "observables[1]"])
+    @pytest.mark.parametrize(
+        "state, error, message",
+        [
+            pytest.param("psi_minus", UnknownLabel, "'psi_minus' requires exactly 2 emitters, layout has 3",
+                         id="psi_minus"),
+            pytest.param({"amplitudes": {"100": 0.0}}, NonNormalizable, "amplitude table sums to the zero vector",
+                         id="zero-amplitudes"),
+            pytest.param("1000", UnknownLabel, "label '1000' is not a basis string", id="label-1000"),
+        ],
+    )
+    def test_a_state_that_does_not_resolve_names_its_path(self, where, state, error, message):
+        """An initial state or fidelity target that does not resolve on the layout is refused with its own error type,
+        its message prefixed with the path."""
+        data = {**THREE_QUBITS, "observables": ["energy"]}
+        if where == "initial[1]":
+            data["initial"] = ["100", {"name": "bad", **state} if isinstance(state, dict) else state]
+        else:
+            data["observables"] = ["energy", {"fidelity": {"target": state}}]
+        with pytest.raises(error, match="^" + re.escape(f"{where}: {message}")):
+            sr.scenario_from_dict(data)
 
 
 class TestFormatCsv:
