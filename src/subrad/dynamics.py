@@ -77,12 +77,13 @@ and one SVD of side 1024 took 1.5 s; 64 states would cost about 64 times that
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow
+from .errors import DimensionCapExceeded, DimensionMismatch, InvariantViolation, StepSizeUnderflow, ValidationError
 from .linalg import HERMITICITY_TOL, dagger, hermitian_eigen, max_abs, svd
 from .model import ModelOperators, Opt, as_positive, check_fields, spec_class, spec_field
 
@@ -260,24 +261,20 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
+def _combine(out: np.ndarray, coeffs, k, h: float = 1.0) -> np.ndarray:
+    """``out`` plus the sum of (h coeff) k_i over the nonzero coefficients, in place, in stage order."""
+    for coeff, ki in zip(coeffs, k):
+        if coeff != 0.0:
+            out += (h * coeff) * ki
+    return out
+
+
 def _dp_step(rhs, y, h):
     """One Dormand-Prince step: returns (y5, error_estimate)."""
     k = [rhs(y)]
     for stage in range(1, 7):
-        acc = np.zeros_like(y)
-        for coeff, ki in zip(_DP_A[stage], k):
-            if coeff != 0.0:
-                acc += coeff * ki
-        k.append(rhs(y + h * acc))
-    y5 = y.copy()
-    for coeff, ki in zip(_DP_B5, k):
-        if coeff != 0.0:
-            y5 += (h * coeff) * ki
-    err = np.zeros_like(y)
-    for coeff, ki in zip(_DP_ERR, k):
-        if coeff != 0.0:
-            err += (h * coeff) * ki
-    return y5, err
+        k.append(rhs(y + h * _combine(np.zeros_like(y), _DP_A[stage], k)))
+    return _combine(y.copy(), _DP_B5, k, h), _combine(np.zeros_like(y), _DP_ERR, k, h)
 
 
 def density_checks(rho: np.ndarray, name: str, dim: int) -> tuple[list, list, list, np.ndarray]:
@@ -301,37 +298,44 @@ def within_tolerance(trace_error, herm_error, min_eigenvalue):
     return (trace_error <= TRACE_TOL) & (herm_error <= HERMITICITY_TOL) & (min_eigenvalue >= MIN_EIGENVALUE_TOL)
 
 
-def block_key(model: ModelOperators, rho0) -> bytes | None:
-    """The indices of the block `evolve` steps ``rho0`` on, as bytes, where `run_scenario` stacks the states of one
-    key; None where Dormand-Prince steps it, since its stack shares one step sequence (each such state steps alone)."""
-    keep = _reachable(np.asarray(rho0)[None], model)
-    return keep.tobytes() if len(keep) <= PROPAGATOR_MAX_DIM else None
+# How `evolve` steps the states ``members`` of a stack, made by `plan` before any step: S, the indices reachable from
+# them (``block``), the ``solver`` |S| chose, its ``reason``, the states' `density_checks` and `_generator` on S.
+Plan = namedtuple("Plan", "model members block solver reason checks h_nh jump_ops")
 
 
-def _block(model: ModelOperators, rho0):
-    """``np.ix_(S, S)`` of the block S reachable from a ``(k, dim, dim)`` stack, its checks and `_generator` on it.
-
-    S, the union of the states' blocks, is found from the patterns of H and of the jumps of nonzero rate
-    (`_reachable`); H and the jumps are sliced to S before `_generator` forms H_nh, so no full-space sum of L†L is
-    built.  S is closed under every jump, so L_S†L_S is (L†L) restricted to S.  The checks, Hermitian parts last,
-    are `density_checks` of ``rho0`` on the block: outside it ``rho0`` is exactly zero (a NaN or infinite entry counts
-    as nonzero, so it lies in the block).  Refuses a ``rho0`` of the wrong shape, an empty stack, or a state outside
-    them: a zero state, whose block is empty, is checked on index 0, where it is zero as well (trace error 1).
-    """
-    rho = np.asarray(rho0, dtype=np.complex128)
+def _states(model: ModelOperators, states) -> np.ndarray:
+    rho = np.asarray(states, dtype=np.complex128)
     if rho.shape[-2:] != (model.dim, model.dim) or rho.ndim != 3 or not len(rho):
         raise DimensionMismatch(f"state shape {rho.shape} vs model dim {model.dim}: need a stack of one or more states")
-    keep = _reachable(rho, model)
-    if not keep.size:
-        keep = np.arange(1)
-    block = np.ix_(keep, keep)
+    return rho
+
+
+def _plan(model: ModelOperators, rho: np.ndarray, members: Sequence[int], block: np.ndarray) -> Plan:
+    """The `Plan` of the stack ``rho`` of the states ``members`` on ``block``, a closed index set holding them, so
+    L_S†L_S is (L†L) restricted to S.  A zero state, whose block is empty, is checked on index 0 (trace error 1)."""
+    block = block if block.size else np.arange(1)
+    index = np.ix_(block, block)
     # C order: a product's bits follow the layout of its operands, and a stack's slice is not C-ordered
-    checks = density_checks(np.ascontiguousarray(rho[(..., *block)]), "the initial state", model.dim)
+    checks = density_checks(np.ascontiguousarray(rho[(..., *index)]), "the initial state", model.dim)
     worst = max(checks[0]), max(checks[1]), min(checks[2])
     if not within_tolerance(*worst):
         raise InvariantViolation("initial state trace error %.2e, Hermiticity error %.2e, min eigenvalue %.2e" % worst)
-    h_nh, jump_ops = _generator(model.hamiltonian[block], [(rate, op[block]) for rate, op in model.jumps])
-    return block, checks, h_nh, jump_ops
+    h_nh, jump_ops = _generator(model.hamiltonian[index], [(rate, op[index]) for rate, op in model.jumps])
+    solver, relation = ("propagator", "<=") if len(block) <= PROPAGATOR_MAX_DIM else ("dp45", ">")
+    reason = f"|S| = {len(block)} {relation} PROPAGATOR_MAX_DIM = {PROPAGATOR_MAX_DIM}"
+    return Plan(model, tuple(members), block, solver, reason, checks, h_nh, jump_ops)
+
+
+def plan(model: ModelOperators, states) -> list[Plan]:
+    """One `Plan` per group of the ``(k, dim, dim)`` stack ``states``: the states whose reachable blocks are equal
+    and hold at most `PROPAGATOR_MAX_DIM` states, in their order; a larger block's state is planned alone, since a
+    Dormand-Prince stack shares one step sequence.  One `_reachable` call per state; refuses what `evolve` does."""
+    rho = _states(model, states)
+    blocks = [_reachable(rho[i : i + 1], model) for i in range(len(rho))]
+    groups: dict[bytes | int, list] = {}
+    for i, block in enumerate(blocks):
+        groups.setdefault(block.tobytes() if len(block) <= PROPAGATOR_MAX_DIM else i, []).append(i)
+    return [_plan(model, rho[members], members, blocks[members[0]]) for members in groups.values()]
 
 
 def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
@@ -419,7 +423,8 @@ def evolve(
     """Integrate the master equation, recording observables on a grid.
 
     ``time_grid`` must be strictly increasing; ``rho0`` is a ``(k, dim, dim)`` stack of the states at
-    ``time_grid[0]`` (``meta["stacked"]`` is k).  The observer (if given) is called at every grid point with the
+    ``time_grid[0]``, one `Plan` on the union of their blocks, or a `Plan` of ``model`` from `plan`, stepped as it is
+    (``meta["stacked"]`` is k).  The observer (if given) is called at every grid point with the
     full stack, the Hermitian parts that point's check returned; the mapping it returns, k real numbers per key, is
     merged into the records of shape ``(points, k)`` (another shape raises `ValueError` naming the key).  Its keys
     at the first grid point fix the record columns: ``trace_error``, ``herm_error`` and ``min_eigenvalue`` are
@@ -430,8 +435,8 @@ def evolve(
     Only the block on the indices reachable from the support of ``rho0`` is stepped; ``meta["evolved_dim"]`` is its
     size.  Outside the block the state is exactly zero, so ``min_eigenvalue`` is ``min(lambda_min(block), 0)``.
 
-    ``meta["solver"]`` names the solver the block size chose: ``"propagator"`` when it is at most
-    `PROPAGATOR_MAX_DIM`, else ``"dp45"``.  ``meta["steps"]`` counts propagator products (one per grid interval) or
+    ``meta["solver"]`` names the solver the block size chose, ``meta["reason"]`` why: ``"propagator"`` when it is at
+    most `PROPAGATOR_MAX_DIM`, else ``"dp45"``.  ``meta["steps"]`` counts propagator products (one per grid interval) or
     accepted Dormand-Prince steps, ``meta["rejected"]`` the rejected ones (always 0 for the propagator) and
     ``meta["max_herm_drift"]`` is the largest ``herm_error``.  The Dormand-Prince step-error norm still averages
     over all ``dim**2`` entries: the entries outside the block would add exactly 0 to the sum, so dividing by the
@@ -445,23 +450,25 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise DimensionMismatch("time grid must be strictly increasing")
 
-    dim, pick = model.dim, slice(None)  # `pick` takes the records and final state of the states passed in
-    if np.ndim(rho0) == 2:  # a stack of one from here to the return
-        rho0, observe, pick = np.asarray(rho0)[None], observer, 0
-        if observe is not None:
-            observer = lambda t, rho: {key: [value] for key, value in observe(t, rho[0]).items()}  # noqa: E731
-    block, checks, h_nh, jump_ops = _block(model, rho0)
-    rho = checks[3]
-    size = rho.shape[-1]
-    solver = "propagator" if size <= PROPAGATOR_MAX_DIM else "dp45"
-    meta = {"solver": solver, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0, "evolved_dim": float(size),
-            "stacked": float(len(rho))}
-    if solver == "propagator":
-        advance = _propagator(_superoperator(h_nh, jump_ops), meta)
+    dim, pick, run = model.dim, slice(None), rho0  # `pick` takes the records and final state of the states passed in
+    if not isinstance(run, Plan):
+        if np.ndim(rho0) == 2:  # a stack of one from here to the return
+            rho0, observe, pick = np.asarray(rho0)[None], observer, 0
+            if observe is not None:
+                observer = lambda t, rho: {key: [value] for key, value in observe(t, rho[0]).items()}  # noqa: E731
+        rho = _states(model, rho0)
+        run = _plan(model, rho, range(len(rho)), _reachable(rho, model))
+    elif run.model is not model:
+        raise ValidationError("the plan was made for another model")
+    checks, rho, size = run.checks, run.checks[3], len(run.block)
+    meta = {"solver": run.solver, "reason": run.reason, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0,
+            "evolved_dim": float(size), "stacked": float(len(rho))}
+    if run.solver == "propagator":
+        advance = _propagator(_superoperator(run.h_nh, run.jump_ops), meta)
     else:
-        advance = _dp45(_compiled_rhs(h_nh, jump_ops), rho, float(times[-1] - times[0]), cfg, dim**2, meta)
+        advance = _dp45(_compiled_rhs(run.h_nh, run.jump_ops), rho, float(times[-1] - times[0]), cfg, dim**2, meta)
 
-    shape, index = (len(rho), dim, dim), (..., *block)
+    shape, index = (len(rho), dim, dim), (..., *np.ix_(run.block, run.block))
 
     def embed(state: np.ndarray) -> np.ndarray:
         if size == dim:
@@ -555,9 +562,9 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     raised.  Raises `DimensionCapExceeded` when |S| exceeds
     `SUPEROPERATOR_MAX_DIM`, like `liouvillian_matrix`.
     """
-    block, (*_, (rho,)), h_nh, jump_ops = _block(model, np.asarray(rho0)[None])
-    size = rho.shape[0]
-    liou = _superoperator(h_nh, jump_ops)
+    (run,) = plan(model, np.asarray(rho0)[None])
+    (rho,), size = run.checks[3], len(run.block)
+    liou = _superoperator(run.h_nh, run.jump_ops)
     u, sigma, vh = svd(liou)
     null = sigma <= np.finfo(float).eps * sigma.size * sigma[0]
     right, left = dagger(vh[null]), u[:, null]
@@ -572,6 +579,6 @@ def asymptotic_state(model: ModelOperators, rho0) -> np.ndarray:
     correction = dagger(vh[~null]) @ ((dagger(u[:, ~null]) @ (liou @ state)) / sigma[~null])
     state = unvec(state - correction + right @ (dual @ correction), size)
     full = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    full[block] = (state + dagger(state)) / 2.0
+    full[np.ix_(run.block, run.block)] = (state + dagger(state)) / 2.0
     return full
 

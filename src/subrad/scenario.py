@@ -92,7 +92,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, block_key, evolve
+from .dynamics import IntegratorConfig, Trajectory, evolve, plan
 from .errors import (
     DimensionMismatch,
     InvariantBreach,
@@ -623,8 +623,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evolve every initial state the scenario resolved when it was built and assemble the output table.
 
-    The initial states of one `block_key` are stepped as one stack, in their order, by one `evolve` call; each one's
-    columns and trajectory are those of its own run, bit for bit (a state of a Dormand-Prince block is a stack of one).
+    The initial states of one `plan` are stepped as one stack, in their order, by one `evolve` call; each one's
+    columns and trajectory are those of its own run, bit for bit (a state of a Dormand-Prince block is planned alone).
 
     ``fixed_step`` replaces the integrator's; both step lengths are in the
     scenario's time unit and converted to the model's with the grid;
@@ -645,12 +645,10 @@ def run_scenario(
     steps = {key: getattr(cfg, key) for key in ("initial_step", "fixed_step")}
     cfg = replace(cfg, **{key: step * time_scale for key, step in steps.items() if step is not None})
 
-    initials = [(label, rho0) for (label, _), rho0 in zip(scenario.initials, scenario.states)]
-    if initial is not None:
-        initials = [(label, rho0) for label, rho0 in initials if label == initial]
-        if not initials:
-            raise UnknownLabel(f"scenario has no initial state labelled {initial!r}")
-    multi = len(initials) > 1
+    initials = [(label, rho) for (label, _), rho in zip(scenario.initials, scenario.states) if initial in (None, label)]
+    if not initials:
+        raise UnknownLabel(f"scenario has no initial state labelled {initial!r}")
+    labels, states = zip(*initials)
 
     compiled = [entry for ob, target in zip(scenario.observables, scenario.targets)
                 for entry in _observable_columns(ob, target, model)]
@@ -667,17 +665,12 @@ def run_scenario(
             values.update(zip(names, fn(rho)))
         return values
 
-    groups: dict[bytes | str, list] = {}  # the initial states by `block_key`, in order; a state with None, alone
-    for label, rho0 in initials:
-        groups.setdefault((multi and block_key(model, rho0)) or label, []).append((label, rho0))
-    runs: dict[str, Trajectory] = {}
-    for group in groups.values():
-        labels, states = zip(*group)
-        traj = evolve(model, np.stack(states), grid, cfg, observer)
-        runs.update({label: _member(traj, j) for j, label in enumerate(labels)})
-    trajectories = {label: runs[label] for label, _ in initials}
+    trajectories: dict[str, Trajectory] = dict.fromkeys(labels)  # in label order, filled one plan at a time
+    for group in plan(model, np.stack(states)):
+        traj = evolve(model, group, grid, cfg, observer)
+        trajectories.update({labels[i]: _member(traj, j) for j, i in enumerate(group.members)})
     for label, traj in trajectories.items():
-        suffix = f":{label}" if multi else ""
+        suffix = f":{label}" if len(labels) > 1 else ""
         for name in record_names:
             header.append(name + suffix)
             columns.append(traj.records[name])

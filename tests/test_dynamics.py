@@ -347,7 +347,8 @@ class TestReachableBlock:
         while not np.array_equal(grown := reached | pattern[:, reached].any(axis=1), reached):
             reached = grown
         keep = np.flatnonzero(reached)
-        block, (*_, rho), h_block, jumps_block = sr.dynamics._block(model, rho0[None])
+        (run,) = sr.dynamics.plan(model, rho0[None])
+        block, (*_, rho), h_block, jumps_block = np.ix_(run.block, run.block), run.checks, run.h_nh, run.jump_ops
         assert np.array_equal(block[0].ravel(), keep) and np.array_equal(block[1].ravel(), keep)
         assert np.array_equal(rho, [(rho0[block] + rho0[block].conj().T) / 2])  # the Hermitian part of rho0's block
         # only the sum order of L†L over the block's rows may differ
@@ -377,6 +378,66 @@ class TestReachableBlock:
         assert support.size <= traj.meta["evolved_dim"] <= model.dim
         # the spectrum of the embedded state, zeros outside the block included
         assert traj.records["min_eigenvalue"][0] == pytest.approx(np.linalg.eigvalsh(rho0)[0], abs=1e-12)
+
+
+class TestPlan:
+    """`plan` decides each group's block, solver and reason once, before `evolve` steps it."""
+
+    @staticmethod
+    def states(model, *labels):
+        return np.stack([pure(sr.named_state_vector(label, model.layout)) for label in labels])
+
+    def test_groups_equal_propagator_blocks_and_plans_a_dormand_prince_state_alone(self):
+        model = five_qubit_model()
+        plans = sr.dynamics.plan(model, self.states(model, "11100", "10000", "11010", "01000", "00001"))
+        assert [(p.members, p.solver, p.reason) for p in plans] == [
+            ((0,), "dp45", "|S| = 26 > PROPAGATOR_MAX_DIM = 16"),
+            ((1, 3, 4), "propagator", "|S| = 6 <= PROPAGATOR_MAX_DIM = 16"),
+            ((2,), "dp45", "|S| = 26 > PROPAGATOR_MAX_DIM = 16"),
+        ]
+        assert np.array_equal(plans[0].block, plans[2].block) and len(plans[1].block) == 6
+        assert [len(p.checks[3]) for p in plans] == [1, 3, 1]
+
+    def test_one_reachable_call_per_state(self, monkeypatch):
+        real, calls = sr.dynamics._reachable, []
+        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, model: calls.append(len(rho)) or real(rho, model))
+        model = five_qubit_model()
+        sr.dynamics.plan(model, self.states(model, "11100", "10000", "01000"))
+        assert calls == [1, 1, 1]
+
+    def test_a_plan_steps_as_the_stack_of_its_members(self):
+        model = two_qubit_model(delta=0.1)
+        states = self.states(model, "11", "10", "psi_minus")
+        grid = np.linspace(0.0, 3000.0, 11)
+        plans = sr.dynamics.plan(model, states)
+        assert [p.members for p in plans] == [(0,), (1, 2)]
+        planned, stacked = sr.evolve(model, plans[1], grid), sr.evolve(model, states[1:], grid)
+        assert planned.meta == stacked.meta
+        assert planned.final_state.tobytes() == stacked.final_state.tobytes()
+        for key, column in stacked.records.items():
+            assert planned.records[key].tobytes() == column.tobytes(), key
+
+    def test_a_plan_of_another_model_is_refused(self):
+        model, other = two_qubit_model(), two_qubit_model()
+        (run,) = sr.dynamics.plan(model, self.states(model, "10"))
+        with pytest.raises(ValidationError, match="another model"):
+            sr.evolve(other, run, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4, 4), (1, 3, 3)])
+    def test_stack_of_wrong_shape_is_refused(self, shape):
+        with pytest.raises(DimensionMismatch, match="need a stack of one or more states"):
+            sr.dynamics.plan(two_qubit_model(), np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "labels, solver, reason",
+        [(("10",), "propagator", "|S| = 3 <= PROPAGATOR_MAX_DIM = 16"),
+         (("10", "psi_plus"), "propagator", "|S| = 3 <= PROPAGATOR_MAX_DIM = 16"),
+         (("11100",), "dp45", "|S| = 26 > PROPAGATOR_MAX_DIM = 16")],
+    )
+    def test_meta_names_the_solver_and_its_reason(self, labels, solver, reason):
+        model = two_qubit_model() if solver == "propagator" else five_qubit_model()
+        traj = sr.evolve(model, self.states(model, *labels), np.linspace(0.0, 10.0, 3))
+        assert (traj.meta["solver"], traj.meta["reason"]) == (solver, reason)
 
 
 class TestSingleExcitationOracle:

@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,6 +548,33 @@ class TestStackedInitials:
             own = _columns_of(sr.run_scenario(scenario, initial=label), label)
             for name, column in own.items():
                 assert _columns_of(result, label)[name].tobytes() == column.tobytes(), (label, name)
+
+    def test_every_member_of_a_stacked_group_carries_the_solver_and_its_reason(self):
+        data = sr.load_preset("nqubit:5")
+        data["initial"] = ["11100", "10000", "01000"]
+        data["time"] = {"unit": "omega", "horizon": 2000.0, "points": 3}
+        result = sr.run_scenario(sr.scenario_from_dict(data))
+        assert {label: (traj.meta["solver"], traj.meta["reason"], traj.meta["stacked"])
+                for label, traj in result.trajectories.items()} == {
+            "11100": ("dp45", "|S| = 26 > PROPAGATOR_MAX_DIM = 16", 1),
+            "10000": ("propagator", "|S| = 6 <= PROPAGATOR_MAX_DIM = 16", 2),
+            "01000": ("propagator", "|S| = 6 <= PROPAGATOR_MAX_DIM = 16", 2)}
+
+    @pytest.mark.parametrize("workload, calls", [("figures", 15), ("nqubit", 3), ("sweep", 48)])
+    def test_one_reachable_call_per_initial_state_of_a_benchmark_pass(self, monkeypatch, workload, calls):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from jobs import make_jobs, parse_job
+
+        real, seen = sr.dynamics._reachable, []
+        monkeypatch.setattr(sr.dynamics, "_reachable", lambda rho, model: seen.append(len(rho)) or real(rho, model))
+        states = 0
+        for job in make_jobs(workload, 0):
+            parsed = parse_job(job, sr.scenario)
+            if "sweep" in job:
+                states += len(run_sweep(parsed).rows) * len(parsed.base.initials)
+            else:
+                states += len(sr.run_scenario(parsed).trajectories)
+        assert seen == [1] * calls and states == calls
 
     @settings(max_examples=25, deadline=None)
     @given(
