@@ -33,12 +33,24 @@ exactly on its own and everything outside it stays zero.  Decay only lowers
 excitation, so an initial excitation in a few sectors never leaves them;
 drives or channels mixing transitions of different size simply make S
 larger, up to the whole space.  H and the jumps are sliced to S before
-`_generator` forms H_nh, so a run costs no full-space product.  `evolve`
-steps a ``(k, dim, dim)`` stack of initial states (a 2-D state is a stack of
-one at its boundary) on the union S of their blocks: one product, one check
-on the block and one observer call, with the full states, per grid point.
-With the propagator each state's values are bit for bit those of its own
-run; a Dormand-Prince stack shares one step sequence.
+`_generator` forms H_nh, so a run costs no full-space product.
+
+A run is planned before it is stepped.  `plan` finds each initial state's S
+(one `_reachable` call per state) and groups, in order, the states whose
+blocks are equal and hold at most ``PROPAGATOR_MAX_DIM`` states.  A state of
+a larger block is planned alone: a Dormand-Prince stack shares one step
+sequence, so its values would depend on the states beside it.  A `Plan`
+holds its members, S, the solver and the reason for it (|S| against the
+bound, e.g. ``"|S| = 26 > PROPAGATOR_MAX_DIM = 16"``), the checked initial
+block and the generator on S.  `evolve` steps one plan: a plan it is given
+as it is, or a ``(k, dim, dim)`` stack (a 2-D state is a stack of one at its
+boundary) as one plan on the union of the states' blocks.  Each grid point
+costs one product, one check on the block and one observer call, with the
+full states.  With the propagator each state's values are bit for bit those
+of its own run.  `Trajectory.meta` reports the plan (``solver``, ``reason``,
+``evolved_dim`` = |S| and ``stacked`` = k) and the work: ``steps``,
+``rejected`` and ``rhs_evals``, the Dormand-Prince rhs evaluations with the
+first-step probe (0 on the propagator).
 
 The block is stepped by one of two solvers, chosen by |S| alone:
 
@@ -344,14 +356,19 @@ def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
     The first step is probed at ``rho`` over ``span``; the step size and
     the controller's error memory carry over from one call to the next.  The
     step-error norm averages over ``norm_count`` entries, each state's its
-    own in a stack.  Counts accepted and rejected steps into ``meta``.
+    own in a stack.  Counts accepted and rejected steps into ``meta``, and
+    every rhs evaluation, the probe's included, as ``meta["rhs_evals"]``.
     """
+    def counted(y: np.ndarray) -> np.ndarray:
+        meta["rhs_evals"] += 1
+        return rhs(y)
+
     if cfg.initial_step is not None:
         h = float(cfg.initial_step)
     elif cfg.fixed_step is not None:
         h = float(cfg.fixed_step)
     elif span > 0:
-        f0 = rhs(rho)
+        f0 = counted(rho)
         h = 0.01 * (max_abs(rho) + cfg.abs_tol) / (max_abs(f0) + 1e-30)
         h = float(np.clip(h, 1e-8 * span, span / 10.0 + 1e-30))
     else:
@@ -368,7 +385,7 @@ def _dp45(rhs, rho, span: float, cfg: IntegratorConfig, norm_count: int, meta):
                 h_try = min(cfg.fixed_step, target - t)
             if h_try < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflow(f"step size underflow at t={t:g}")
-            y_new, err = _dp_step(rhs, rho, h_try)
+            y_new, err = _dp_step(counted, rho, h_try)
 
             if cfg.fixed_step is None:
                 if np.isfinite(y_new).all():
@@ -438,7 +455,8 @@ def evolve(
     ``meta["solver"]`` names the solver the block size chose, ``meta["reason"]`` why: ``"propagator"`` when it is at
     most `PROPAGATOR_MAX_DIM`, else ``"dp45"``.  ``meta["steps"]`` counts propagator products (one per grid interval) or
     accepted Dormand-Prince steps, ``meta["rejected"]`` the rejected ones (always 0 for the propagator) and
-    ``meta["max_herm_drift"]`` is the largest ``herm_error``.  The Dormand-Prince step-error norm still averages
+    ``meta["max_herm_drift"]`` is the largest ``herm_error``; ``meta["rhs_evals"]`` counts the Dormand-Prince rhs
+    evaluations, the first-step probe's included (0 for the propagator).  The Dormand-Prince step-error norm averages
     over all ``dim**2`` entries: the entries outside the block would add exactly 0 to the sum, so dividing by the
     full count gives the norm, and thus the step sequence, of a full-space run (up to the order of roundoff).  A
     stack takes a step only when each state's own norm is at most 1, and the largest sets the next step size.
@@ -461,8 +479,8 @@ def evolve(
     elif run.model is not model:
         raise ValidationError("the plan was made for another model")
     checks, rho, size = run.checks, run.checks[3], len(run.block)
-    meta = {"solver": run.solver, "reason": run.reason, "steps": 0.0, "rejected": 0.0, "max_herm_drift": 0.0,
-            "evolved_dim": float(size), "stacked": float(len(rho))}
+    meta = {"solver": run.solver, "reason": run.reason, "steps": 0.0, "rejected": 0.0, "rhs_evals": 0.0,
+            "max_herm_drift": 0.0, "evolved_dim": float(size), "stacked": float(len(rho))}
     if run.solver == "propagator":
         advance = _propagator(_superoperator(run.h_nh, run.jump_ops), meta)
     else:

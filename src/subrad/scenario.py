@@ -623,8 +623,11 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evolve every initial state the scenario resolved when it was built and assemble the output table.
 
-    The initial states of one `plan` are stepped as one stack, in their order, by one `evolve` call; each one's
-    columns and trajectory are those of its own run, bit for bit (a state of a Dormand-Prince block is planned alone).
+    The initial states are planned before any step (`plan`): those of one plan are stepped as one stack, in their
+    order, by one `evolve` call; each one's columns and trajectory are those of its own run, bit for bit (a state of a
+    Dormand-Prince block is planned alone).  Each trajectory's ``meta`` names its plan's ``solver`` and ``reason``
+    (|S| against `PROPAGATOR_MAX_DIM`) and carries its group's ``evolved_dim``, ``stacked``, ``steps``, ``rejected``
+    and ``rhs_evals``, with its own ``max_herm_drift``.
 
     ``fixed_step`` replaces the integrator's; both step lengths are in the
     scenario's time unit and converted to the model's with the grid;
@@ -715,14 +718,10 @@ def _csv_cell(value) -> str:
 def format_csv(header: Sequence[str], rows: np.ndarray) -> str:
     """17-significant-digit scientific CSV, deterministic for equal input; header names written by `_csv_cell`."""
     rows = np.atleast_2d(rows)
+    line = ",".join(["%.16e"] * rows.shape[1]) + "\n"  # one format per row: the bytes of f"{v:.16e}" per cell
     chunks = [",".join(map(_csv_cell, header)) + "\n"]
     for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-        chunks.append(
-            "".join(
-                ",".join(f"{v:.16e}" for v in row) + "\n"
-                for row in rows[start : start + _CSV_CHUNK_ROWS].tolist()
-            )
-        )
+        chunks.append("".join(line % tuple(row) for row in rows[start : start + _CSV_CHUNK_ROWS].tolist()))
     return "".join(chunks)
 
 

@@ -440,6 +440,25 @@ class TestPlan:
         assert (traj.meta["solver"], traj.meta["reason"]) == (solver, reason)
 
 
+class TestRhsCount:
+    def test_dormand_prince_counts_every_rhs_evaluation_and_the_propagator_none(self, monkeypatch):
+        real, calls = sr.dynamics._compiled_rhs, []
+
+        def spy(h_nh, jump_ops):
+            rhs = real(h_nh, jump_ops)
+            return lambda rho: calls.append(1) or rhs(rho)
+
+        monkeypatch.setattr(sr.dynamics, "_compiled_rhs", spy)
+        data = sr.load_preset("nqubit:5")
+        data["initial"] = ["11100"]
+        meta = sr.run_scenario(sr.scenario_from_dict(data)).trajectories["11100"].meta
+        assert meta["solver"] == "dp45" and meta["steps"] > 0
+        # seven stages per attempted step and one first-step probe
+        assert meta["rhs_evals"] == 7 * (meta["steps"] + meta["rejected"]) + 1 == len(calls)
+        propagated = sr.run_scenario(sr.scenario_from_dict(sr.load_preset("nqubit:5"))).trajectories["10000"].meta
+        assert (propagated["solver"], propagated["rhs_evals"]) == ("propagator", 0)
+
+
 class TestSingleExcitationOracle:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -637,6 +656,13 @@ class TestStackedEvolve:
                 sr.evolve(model, rho0, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": value})
         with pytest.raises(ValueError, match="observer key 'x'"):  # one grid point with one value too many
             sr.evolve(model, stack, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": [0.5] * (3 if t == 0 else 4)})
+
+    def test_a_short_point_then_a_long_one_is_refused(self):
+        """The length check runs at every grid point: a missing value and an extra one do not add up to a record."""
+        model = two_qubit_model()
+        stack = np.stack(self.states(model, "10", "01", "psi_plus"))
+        with pytest.raises(ValueError, match="observer key 'x'"):
+            sr.evolve(model, stack, np.array([0.0, 1.0]), observer=lambda t, rho: {"x": [0.5] * (2 if t == 0 else 4)})
 
     def test_records_keep_no_object_per_grid_point(self):
         # a list kept per grid point and column made the cyclic collector run every few dozen points
@@ -981,6 +1007,11 @@ class TestValidityPolicy:
         assert herm_error == [np.max(np.abs(rho - rho.conj().T))]
         assert min_eigenvalue == pytest.approx([np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]], abs=1e-15)
         assert np.array_equal(hermitian, [(rho + rho.conj().T) / 2])
+
+    def test_thresholds_are_the_documented_values(self):
+        """The numbers the module docstrings state; every other threshold test reads the constants themselves."""
+        assert (sr.dynamics.TRACE_TOL, sr.dynamics.HERMITICITY_TOL, sr.dynamics.MIN_EIGENVALUE_TOL,
+                sr.dynamics.MIN_EIGENVALUE_FLOOR, sr.observables.NES_EQUAL_TOL) == (1e-9, 1e-9, -1e-8, -1e-6, 1e-9)
 
     @pytest.mark.parametrize("column, at, outward", THRESHOLDS)
     def test_value_at_threshold_passes_and_next_float_fails(self, column, at, outward):

@@ -420,6 +420,19 @@ class TestNesReport:
         assert abs(report.dark_weight - weight) < 1e-12
         assert report.is_nonequilibrium == (max(excitations) - min(excitations) > 1e-9)
 
+    def test_flag_off_at_its_threshold_and_on_at_the_next_float(self, monkeypatch, two_qubit):
+        """A spread of exactly ``NES_EQUAL_TOL`` is equilibrium; one float more is not (the tolerance set to the
+        spread a mixed state gives, as the validity thresholds are tested)."""
+        rho = 0.3 * pure(sr.named_state_vector("10", two_qubit.layout)) + 0.7 * np.diag([1.0, 0.0, 0.0, 0.0])
+        excitations = sr.nes_report(rho, two_qubit).per_emitter_excitation
+        spread = max(excitations) - min(excitations)
+        assert spread > 0.0
+        for tol, flagged in ((spread, False), (float(np.nextafter(spread, 0.0)), True)):
+            monkeypatch.setattr(observables, "NES_EQUAL_TOL", tol)
+            assert sr.nes_report(rho, two_qubit).is_nonequilibrium is flagged
+            *_, (flag,) = observables.nes_values(two_qubit)(rho[None])
+            assert flag is flagged
+
     def test_constants_built_once_per_model_and_read_only(self, monkeypatch):
         """The dark projector is kept on the model; `nes_values` binds it and the ground-level indicator once."""
         calls = {"dark_subspace": 0, "basis_levels": 0}

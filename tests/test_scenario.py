@@ -723,6 +723,15 @@ class TestFormatCsv:
         header = ("t", "a", "b", "c")
         assert format_csv(header, values) == reference_format_csv(header, values)
 
+    def test_each_cell_is_the_per_cell_rule(self):
+        """One `%` format per row writes each cell as ``f"{v:.16e}"`` does: NaN, +-inf, -0.0, subnormals, doubles."""
+        rng = np.random.default_rng(5)
+        values = np.concatenate([self.SPECIAL, [np.nextafter(0.0, -1.0)], rng.normal(size=40) * 10.0 ** rng.integers(
+            -300, 300, size=40), rng.integers(-2**62, 2**62, size=8).view(float)])
+        rows = values.reshape(-1, 2)
+        lines = format_csv(("a", "b"), rows).splitlines()[1:]
+        assert [line.split(",") for line in lines] == [[f"{v:.16e}" for v in row] for row in rows.tolist()]
+
     @pytest.mark.parametrize("rows", [np.array([1.0, np.nan, -0.0]), np.zeros((0, 3)), np.zeros((2, 0))])
     def test_edge_shapes_match_reference(self, rows):
         header = ("t", "x", "y")
