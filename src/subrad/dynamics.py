@@ -341,7 +341,8 @@ def _plan(model: ModelOperators, rho: np.ndarray, members: Sequence[int], block:
 def plan(model: ModelOperators, states) -> list[Plan]:
     """One `Plan` per group of the ``(k, dim, dim)`` stack ``states``: the states whose reachable blocks are equal
     and hold at most `PROPAGATOR_MAX_DIM` states, in their order; a larger block's state is planned alone, since a
-    Dormand-Prince stack shares one step sequence.  One `_reachable` call per state; refuses what `evolve` does."""
+    Dormand-Prince stack shares one step sequence.  One `_reachable` call per state; refuses the stacks and initial
+    states `evolve` refuses."""
     rho = _states(model, states)
     blocks = [_reachable(rho[i : i + 1], model) for i in range(len(rho))]
     groups: dict[bytes | int, list] = {}
