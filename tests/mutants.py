@@ -34,10 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
-DYNAMICS, OBSERVABLES, SCENARIO, MODEL = (f"src/subrad/{name}.py" for name in ("dynamics", "observables", "scenario",
-                                                                               "model"))
-TEST_DYNAMICS, TEST_OBSERVABLES, TEST_SCENARIO, TEST_PINS = (
-    f"tests/test_{name}.py" for name in ("dynamics", "observables", "scenario", "output_pins"))
+DYNAMICS, OBSERVABLES, SCENARIO = "src/subrad/dynamics.py", "src/subrad/observables.py", "src/subrad/scenario.py"
+MODEL, LINALG = "src/subrad/model.py", "src/subrad/linalg.py"
+TEST_DYNAMICS, TEST_OBSERVABLES = "tests/test_dynamics.py", "tests/test_observables.py"
+TEST_SCENARIO, TEST_PINS, TEST_LINALG = "tests/test_scenario.py", "tests/test_output_pins.py", "tests/test_linalg.py"
 
 MUTANTS = [
     # The trial mutants of the ROADMAP's item 21.
@@ -60,7 +60,7 @@ MUTANTS = [
     {"name": "reachable block without the L-dagger-L pattern", "file": DYNAMICS,
      "old": "grown |= image | pattern[image].any(axis=0)", "new": "grown |= image", "tests": [TEST_DYNAMICS]},
     {"name": "abort at the eigenvalue floor itself", "file": DYNAMICS,
-     "old": "if (worst := min(lowest)) < MIN_EIGENVALUE_FLOOR:", "new": "if (worst := min(lowest)) <= MIN_EIGENVALUE_FLOOR:",
+     "old": "(worst := min(lowest)) < MIN_EIGENVALUE_FLOOR:", "new": "(worst := min(lowest)) <= MIN_EIGENVALUE_FLOOR:",
      "tests": [TEST_DYNAMICS]},
     {"name": "step controller error memory exponent 0.8", "file": DYNAMICS,
      "old": "err_prev ** 0.08", "new": "err_prev ** 0.8", "tests": [TEST_DYNAMICS]},
@@ -102,8 +102,8 @@ MUTANTS = [
      "new": "MIN_EIGENVALUE_TOL = -1e-7", "tests": [TEST_DYNAMICS]},
     {"name": "eigenvalue floor -1e-5", "file": DYNAMICS, "old": "MIN_EIGENVALUE_FLOOR = -1e-6",
      "new": "MIN_EIGENVALUE_FLOOR = -1e-5", "tests": [TEST_DYNAMICS]},
-    {"name": "Hermiticity tolerance 1e-8", "file": "src/subrad/linalg.py", "old": "HERMITICITY_TOL = 1e-9",
-     "new": "HERMITICITY_TOL = 1e-8", "tests": [TEST_DYNAMICS, "tests/test_linalg.py"]},
+    {"name": "Hermiticity tolerance 1e-8", "file": LINALG, "old": "HERMITICITY_TOL = 1e-9",
+     "new": "HERMITICITY_TOL = 1e-8", "tests": [TEST_DYNAMICS, TEST_LINALG]},
     {"name": "nes tolerance 1e-8", "file": OBSERVABLES, "old": "NES_EQUAL_TOL = 1e-9", "new": "NES_EQUAL_TOL = 1e-8",
      "tests": [TEST_DYNAMICS]},
     {"name": "non-finite state not refused", "file": DYNAMICS, "old": "    if not np.isfinite(rho).all():\n",
@@ -133,7 +133,7 @@ def run(entry: dict) -> str:
         path.write_text(path.read_text("utf-8").replace(entry["old"], entry["new"]), "utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *entry["tests"]]
-        code = subprocess.run(command, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        code = subprocess.run(command, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT).returncode
     return {0: "survived", 1: "killed"}.get(code, f"error: pytest exit code {code}")
 
 
